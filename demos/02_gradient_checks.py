@@ -11,8 +11,9 @@ import numpy as np
 from clpdd import ridge_kernel, run_battery, solve_backward
 from clpdd.gradcheck import fd_grad, rel_err
 
-print("full battery (8 checks x 50 random instances each):")
-for result in run_battery(seed=0):
+results = run_battery(seed=0)
+print(f"full battery ({len(results)} checks x 50 random instances each):")
+for result in results:
     flag = "ok" if result.passed else "FAIL"
     print(f"  {result.name:24s} max rel err {result.max_rel_err:.3e}  [{flag}]")
 

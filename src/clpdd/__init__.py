@@ -12,6 +12,8 @@ from .data import (
     Dataset,
     FeatureFileError,
     LabelRangeError,
+    MissingClassError,
+    NonFiniteFeatureError,
     TruncatedFileError,
     VersionError,
     gen_blobs,
@@ -43,11 +45,9 @@ from .evaluation import (
 from .gradcheck import battery_report, run_battery
 from .objective import (
     OuterBatch,
-    class_anchor_grad_w,
-    class_anchor_loss,
+    class_anchor_loss_and_grad,
     make_outer_batch,
-    mse_outer_grad_w,
-    mse_outer_loss,
+    mse_outer_loss_and_grad,
 )
 from .report import MethodAccuracy, RunReport, StepMetrics
 from .solver import (
@@ -70,6 +70,8 @@ __all__ = [
     "Encoder",
     "FeatureFileError",
     "LabelRangeError",
+    "MissingClassError",
+    "NonFiniteFeatureError",
     "TruncatedFileError",
     "VersionError",
     "MethodAccuracy",
@@ -81,8 +83,7 @@ __all__ = [
     "SyntheticSet",
     "augment",
     "battery_report",
-    "class_anchor_grad_w",
-    "class_anchor_loss",
+    "class_anchor_loss_and_grad",
     "closed_form_probe",
     "distill_step",
     "encode",
@@ -94,8 +95,7 @@ __all__ = [
     "make_encoder",
     "make_outer_batch",
     "meta_loss_and_grad",
-    "mse_outer_grad_w",
-    "mse_outer_loss",
+    "mse_outer_loss_and_grad",
     "pca_project_2d",
     "ridge_kernel",
     "ridge_primal",

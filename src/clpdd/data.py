@@ -21,6 +21,7 @@ float32 payloads are widened to float64 on load.
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -53,9 +54,22 @@ class LabelRangeError(FeatureFileError):
     pass
 
 
+class NonFiniteFeatureError(FeatureFileError):
+    """A feature payload holds NaN or Inf."""
+
+
+class MissingClassError(FeatureFileError):
+    """Some class id below the class count labels no row."""
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Real samples: inputs, integer labels, class count, split tag."""
+    """Real samples: inputs, integer labels, class count, split tag.
+
+    Like every matrix in the package, inputs and labels are treated as
+    immutable once the dataset is built; per-class row indices are derived
+    from the labels once and reused.
+    """
 
     inputs: np.ndarray  # n x dim float64
     labels: np.ndarray  # n int64
@@ -87,8 +101,20 @@ class Dataset:
     def onehot_labels(self) -> np.ndarray:
         return onehot(self.labels, self.class_count)
 
+    @cached_property
+    def _rows_by_class(self) -> tuple[np.ndarray, ...]:
+        # a stable sort keeps each class's rows in ascending order, exactly
+        # as np.flatnonzero(labels == c) lists them
+        order = np.argsort(self.labels, kind="stable")
+        order.setflags(write=False)
+        bounds = np.searchsorted(self.labels[order], np.arange(self.class_count + 1))
+        return tuple(order[bounds[c] : bounds[c + 1]] for c in range(self.class_count))
+
     def class_indices(self, c: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == c)
+        """Ascending row indices of class c (read-only; empty outside [0, C))."""
+        if 0 <= c < self.class_count:
+            return self._rows_by_class[c]
+        return np.empty(0, dtype=np.intp)
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
@@ -189,7 +215,18 @@ def load_features(path, split: str = "train") -> Dataset:
         raise LabelRangeError(
             f"{path}: label {labels.max()} out of range for {classes} classes"
         )
+    _check_finite_rows(inputs, lambda i: f"{path}: row {i}")
     return Dataset(inputs=inputs, labels=labels, class_count=classes, split=split)
+
+
+def _check_finite_rows(inputs: np.ndarray, where):
+    """Reject NaN/Inf features at ingestion; `where(i)` locates row i in the file."""
+    bad = np.flatnonzero(~np.isfinite(inputs).all(axis=1))
+    if bad.size:
+        raise NonFiniteFeatureError(
+            f"{where(int(bad[0]))} holds non-finite features "
+            f"({bad.size} bad row{'s' if bad.size > 1 else ''} in total)"
+        )
 
 
 def _save_csv(dataset: Dataset, path: Path):
@@ -217,5 +254,12 @@ def _load_csv(path: Path, split: str) -> Dataset:
     inputs = np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
     if labels.size and labels.min() < 0:
         raise LabelRangeError(f"{path}: negative label")
+    _check_finite_rows(inputs, lambda i: f"{path}:{i + 2}: row {i}")
     classes = int(labels.max()) + 1 if labels.size else 0
+    missing = np.setdiff1d(np.arange(classes), labels)
+    if missing.size:
+        raise MissingClassError(
+            f"{path}: no rows for class ids {missing.tolist()} "
+            f"(the class count {classes} is inferred as max label + 1)"
+        )
     return Dataset(inputs=inputs, labels=labels, class_count=classes, split=split)

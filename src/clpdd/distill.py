@@ -10,7 +10,8 @@ then updates. Labels stay fixed; only the inputs learn.
 import math
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,11 +20,8 @@ from .encoder import Encoder, encode, encode_vjp, make_encoder
 from .linalg import power_iteration_max_eig, row_argmax
 from .objective import (
     OuterBatch,
-    class_anchor_grad_w,
-    class_anchor_loss,
-    make_outer_batch,
-    mse_outer_grad_w,
-    mse_outer_loss,
+    class_anchor_loss_and_grad,
+    mse_outer_loss_and_grad,
     onehot,
 )
 from .report import RunReport, StepMetrics
@@ -142,15 +140,31 @@ class AdamState:
         return cls(m=np.zeros_like(inputs), v=np.zeros_like(inputs))
 
 
-def adam_update(state: AdamState, grad: np.ndarray, lr: float, cfg: DistillConfig) -> np.ndarray:
-    """Advance the Adam state and return the (bias-corrected) update to subtract."""
+def adam_update(
+    state: AdamState, grad: np.ndarray, lr: float, beta1: float, beta2: float, eps: float
+) -> np.ndarray:
+    """Advance the Adam state in place and return the (bias-corrected) update to subtract.
+
+    Evaluates m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    lr * m_hat / (sqrt(v_hat) + eps) in the operation order of those formulas,
+    so the result matches them bit for bit. The returned array is new and
+    aliases neither moment.
+    """
     state.step += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    state.m = b1 * state.m + (1.0 - b1) * grad
-    state.v = b2 * state.v + (1.0 - b2) * grad * grad
-    m_hat = state.m / (1.0 - b1**state.step)
-    v_hat = state.v / (1.0 - b2**state.step)
-    return lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    scratch = np.multiply(1.0 - beta1, grad)
+    state.m *= beta1
+    state.m += scratch
+    np.multiply(1.0 - beta2, grad, out=scratch)
+    scratch *= grad
+    state.v *= beta2
+    state.v += scratch
+    denom = np.divide(state.v, 1.0 - beta2**state.step, out=scratch)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    update = state.m / (1.0 - beta1**state.step)
+    update *= lr
+    update /= denom
+    return update
 
 
 def cosine_lr(base_lr: float, iteration: int, total: int) -> float:
@@ -190,26 +204,42 @@ def init_synthetic(
     return SyntheticSet(inputs=inputs, y_onehot=onehot(labels, c), ipc=ipc)
 
 
+@lru_cache(maxsize=8)
+def _balanced_targets(class_count: int, b_per_class: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and one-hot targets of every class-major balanced batch (read-only)."""
+    labels = np.repeat(np.arange(class_count, dtype=np.int64), b_per_class)
+    t_onehot = onehot(labels, class_count)
+    labels.setflags(write=False)
+    t_onehot.setflags(write=False)
+    return labels, t_onehot
+
+
 def sample_balanced_batch(real: Dataset, b_per_class: int, rng: np.random.Generator) -> OuterBatch:
-    """Exactly b_per_class rows per class; small classes are drawn with replacement."""
-    picks = []
+    """Exactly b_per_class rows per class, class-major; small classes are drawn
+    with replacement."""
+    picks = np.empty(real.class_count * b_per_class, dtype=np.intp)
     for c in range(real.class_count):
         idx = real.class_indices(c)
         if idx.size == 0:
             raise ValueError(f"class {c} has no samples")
-        replace_ = idx.size < b_per_class
-        picks.append(rng.choice(idx, size=b_per_class, replace=replace_))
-    picks = np.concatenate(picks)
-    return make_outer_batch(real.inputs[picks], real.labels[picks], real.class_count)
+        # drawing positions consumes the stream exactly as rng.choice(idx, ...)
+        # would and picks the same rows, without its array-argument overhead
+        pos = rng.choice(idx.size, size=b_per_class, replace=idx.size < b_per_class)
+        picks[c * b_per_class : (c + 1) * b_per_class] = idx[pos]
+    labels, t_onehot = _balanced_targets(real.class_count, b_per_class)
+    return OuterBatch(x_real=real.inputs[picks], labels=labels, t_onehot=t_onehot)
 
 
 def augment(inputs: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Additive i.i.d. Gaussian noise; sigma=0 is the identity."""
+    """Additive i.i.d. Gaussian noise into a new array; sigma=0 is the identity."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
         return inputs
-    return inputs + sigma * rng.standard_normal(inputs.shape)
+    noisy = rng.standard_normal(inputs.shape)
+    noisy *= sigma
+    noisy += inputs
+    return noisy
 
 
 def meta_loss_and_grad(
@@ -227,19 +257,17 @@ def meta_loss_and_grad(
     rows -> analytic backward through the solve -> encoder VJP. The batch
     carries raw real inputs and is encoded here with the same frozen map.
     """
-    x_syn = encode(enc, inputs)
+    x_syn, hidden = encode(enc, inputs, return_hidden=True)
     sol = ridge_kernel(x_syn, y_onehot, lam)
     fbatch = batch.with_features(encode(enc, batch.x_real))
     if objective == "class_anchor":
-        loss = class_anchor_loss(fbatch, sol.w_star, tau)
-        g = class_anchor_grad_w(fbatch, sol.w_star, tau)
+        loss, g = class_anchor_loss_and_grad(fbatch, sol.w_star, tau)
     elif objective == "mse":
-        loss = mse_outer_loss(fbatch, sol.w_star)
-        g = mse_outer_grad_w(fbatch, sol.w_star)
+        loss, g = mse_outer_loss_and_grad(fbatch, sol.w_star)
     else:
         raise ValueError(f"unknown outer objective {objective!r}")
     grad_x = solve_backward(sol, x_syn, g)
-    return loss, encode_vjp(enc, inputs, grad_x)
+    return loss, encode_vjp(enc, inputs, grad_x, hidden=hidden)
 
 
 def _divergence_diagnostics(enc: Encoder, inputs: np.ndarray, lam: float) -> str:
@@ -283,14 +311,14 @@ def distill_step(
             f"{_divergence_diagnostics(enc, inputs_aug, cfg.lam)})"
         )
     lr = cosine_lr(cfg.lr, iteration, cfg.iterations)
-    update = adam_update(adam, grad, lr, cfg)
-    new_inputs = syn.inputs - update
-    if not np.all(np.isfinite(new_inputs)):
+    update = adam_update(adam, grad, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    new_inputs = np.subtract(syn.inputs, update, out=update)
+    if not np.isfinite(new_inputs).all():
         raise DistillDivergenceError(
             f"synthetic inputs became non-finite at iteration {iteration} "
             f"(lambda={cfg.lam}, {_divergence_diagnostics(enc, inputs_aug, cfg.lam)})"
         )
-    return replace(syn, inputs=new_inputs), StepMetrics(
+    return SyntheticSet(new_inputs, syn.y_onehot, syn.ipc), StepMetrics(
         iteration=iteration, outer_loss=loss, grad_norm=grad_norm, lr=lr
     )
 

@@ -79,27 +79,42 @@ def _check_inputs(enc: Encoder, inputs: np.ndarray):
         )
 
 
-def encode(enc: Encoder, inputs: np.ndarray) -> np.ndarray:
-    """Map inputs (n x input_dim) to features (n x feature_dim)."""
+def encode(enc: Encoder, inputs: np.ndarray, return_hidden: bool = False):
+    """Map inputs (n x input_dim) to features (n x feature_dim).
+
+    With return_hidden=True the result is (features, hidden), where hidden is
+    the mlp1 tanh activation (None for the other kinds); passing it on to
+    encode_vjp at the same inputs saves recomputing it.
+    """
     _check_inputs(enc, inputs)
+    hidden = None
     if enc.kind == "identity":
         out = inputs
     elif enc.kind == "linear":
         w, b = enc.weights
-        out = inputs @ w + b
+        out = inputs @ w
+        out += b
     else:  # mlp1
         w1, b1, w2, b2 = enc.weights
-        out = np.tanh(inputs @ w1 + b1) @ w2 + b2
+        hidden = inputs @ w1
+        hidden += b1
+        np.tanh(hidden, out=hidden)
+        out = hidden @ w2
+        out += b2
     if enc.normalize:
         norms = np.linalg.norm(out, axis=1, keepdims=True)
         out = out / np.where(norms == 0.0, 1.0, norms)
-    return out
+    return (out, hidden) if return_hidden else out
 
 
-def encode_vjp(enc: Encoder, inputs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+def encode_vjp(
+    enc: Encoder, inputs: np.ndarray, upstream: np.ndarray, hidden: np.ndarray | None = None
+) -> np.ndarray:
     """Apply the transposed encoder Jacobian at `inputs` to `upstream` rows.
 
-    Returns d<upstream, encode(inputs)>/d inputs, shape n x input_dim.
+    Returns d<upstream, encode(inputs)>/d inputs, shape n x input_dim. For
+    mlp1, `hidden` may carry the activation that encode(inputs,
+    return_hidden=True) returned; it is read, never modified.
     """
     _check_inputs(enc, inputs)
     if upstream.shape != (inputs.shape[0], enc.feature_dim):
@@ -117,6 +132,14 @@ def encode_vjp(enc: Encoder, inputs: np.ndarray, upstream: np.ndarray) -> np.nda
         w, _ = enc.weights
         return upstream @ w.T
     w1, b1, w2, _ = enc.weights
-    h = np.tanh(inputs @ w1 + b1)
-    dh = (upstream @ w2.T) * (1.0 - h * h)
+    if hidden is None:
+        hidden = np.tanh(inputs @ w1 + b1)
+    elif hidden.shape != (inputs.shape[0], w1.shape[1]):
+        raise DimensionError(
+            f"hidden must be {inputs.shape[0]} x {w1.shape[1]}, got {hidden.shape}"
+        )
+    slope = hidden * hidden
+    np.subtract(1.0, slope, out=slope)  # tanh' = 1 - tanh^2
+    dh = upstream @ w2.T
+    dh *= slope
     return dh @ w1.T

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .distill import SyntheticSet
+from .distill import AdamState, SyntheticSet, adam_update
 from .linalg import DimensionError, row_argmax
-from .objective import onehot
+from .objective import _softmax_rows, onehot
 from .solver import ridge_kernel
 
 
@@ -56,25 +56,23 @@ def train_linear_probe(
 
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((d, c)) / np.sqrt(d)
-    m = np.zeros_like(w)
-    v = np.zeros_like(w)
+    adam = AdamState.like(w)
     b1, b2, eps = 0.9, 0.999, 1e-8
-    step = 0
-    full_batch = n <= batch_size
+    # full batch: the one batch is the whole set in its own order, gathered once
+    full = [(train_features[np.arange(n)], t_onehot)] if n <= batch_size else None
     for _ in range(epochs):
-        order = np.arange(n) if full_batch else rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            x, t = train_features[idx], t_onehot[idx]
-            z = x @ w
-            z -= z.max(axis=1, keepdims=True)
-            e = np.exp(z)
-            pi = e / e.sum(axis=1, keepdims=True)
-            g = x.T @ (pi - t) / idx.size
-            step += 1
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
-            w = w - lr * (m / (1 - b1**step)) / (np.sqrt(v / (1 - b2**step)) + eps)
+        if full is None:
+            order = rng.permutation(n)
+            batches = (
+                (train_features[idx], t_onehot[idx])
+                for idx in (order[s : s + batch_size] for s in range(0, n, batch_size))
+            )
+        else:
+            batches = full
+        for x, t in batches:
+            pi = _softmax_rows(x @ w)
+            pi -= t
+            w -= adam_update(adam, x.T @ pi / x.shape[0], lr, b1, b2, eps)
     return ProbeResult(
         w=w,
         train_acc=_accuracy(train_features, train_labels, w),

@@ -18,13 +18,7 @@ import numpy as np
 
 from .distill import meta_loss_and_grad, stream_seed
 from .encoder import encode, encode_vjp, make_encoder
-from .objective import (
-    class_anchor_grad_w,
-    class_anchor_loss,
-    make_outer_batch,
-    mse_outer_grad_w,
-    mse_outer_loss,
-)
+from .objective import class_anchor_loss_and_grad, make_outer_batch, mse_outer_loss_and_grad
 from .solver import ridge_kernel, solve_backward
 
 DEFAULT_H = 1e-5
@@ -40,6 +34,7 @@ CHECK_NAMES = (
     "encoder_vjp_mlp1",
     "pipeline_class_anchor",
     "pipeline_mse",
+    "pipeline_primal",
 )
 
 
@@ -114,8 +109,8 @@ def _check_class_anchor(rng):
     tau = float(rng.choice([0.07, 0.2, 1.0]))
     batch = _random_batch(rng, m, d, c)
     w = 0.3 * rng.standard_normal((d, c))
-    analytic = class_anchor_grad_w(batch, w, tau)
-    fd = fd_grad(lambda wp: class_anchor_loss(batch, wp, tau), w)
+    _, analytic = class_anchor_loss_and_grad(batch, w, tau)
+    fd = fd_grad(lambda wp: class_anchor_loss_and_grad(batch, wp, tau)[0], w)
     return analytic, fd
 
 
@@ -123,8 +118,8 @@ def _check_mse(rng):
     m, d, c = int(rng.integers(4, 9)), int(rng.integers(3, 9)), int(rng.integers(2, 4))
     batch = _random_batch(rng, m, d, c)
     w = 0.5 * rng.standard_normal((d, c))
-    analytic = mse_outer_grad_w(batch, w)
-    fd = fd_grad(lambda wp: mse_outer_loss(batch, wp), w)
+    _, analytic = mse_outer_loss_and_grad(batch, w)
+    fd = fd_grad(lambda wp: mse_outer_loss_and_grad(batch, wp)[0], w)
     return analytic, fd
 
 
@@ -145,6 +140,20 @@ def _check_encoder_vjp(kind):
     return check
 
 
+def _pipeline_instance(rng, enc, c, ipc, objective):
+    d_in = enc.input_dim
+    inputs = 0.5 * rng.standard_normal((c * ipc, d_in))
+    y = np.repeat(np.eye(c), ipc, axis=0)  # class-major, as init_synthetic lays it out
+    batch = _random_batch(rng, 2 * c, d_in, c, scale=0.4)
+    lam, tau = 0.1, 0.07
+
+    def loss_fn(xp):
+        return meta_loss_and_grad(xp, y, enc, batch, lam, tau, objective)[0]
+
+    _, analytic = meta_loss_and_grad(inputs, y, enc, batch, lam, tau, objective)
+    return analytic, fd_grad(loss_fn, inputs)
+
+
 def _check_pipeline(objective):
     def check(rng):
         c = int(rng.integers(2, 4))
@@ -154,19 +163,21 @@ def _check_pipeline(objective):
         enc = make_encoder(
             kind, d_in, d_out, hidden_dim=int(rng.integers(3, 6)), seed=int(rng.integers(0, 2**31))
         )
-        inputs = 0.5 * rng.standard_normal((c, d_in))  # ipc = 1
-        y = np.eye(c)
-        batch = _random_batch(rng, 2 * c, d_in, c, scale=0.4)
-        lam, tau = 0.1, 0.07
-
-        def loss_fn(xp):
-            return meta_loss_and_grad(xp, y, enc, batch, lam, tau, objective)[0]
-
-        _, analytic = meta_loss_and_grad(inputs, y, enc, batch, lam, tau, objective)
-        fd = fd_grad(loss_fn, inputs)
-        return analytic, fd
+        return _pipeline_instance(rng, enc, c, 1, objective)
 
     return check
+
+
+def _check_pipeline_primal(rng):
+    """ipc > 1 with N = c*ipc >= feature dim: the primal solve and the mlp1
+    hidden activation that the forward pass hands to the VJP, end to end."""
+    c, ipc = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    d_in = int(rng.integers(2, 5))
+    d_out = int(rng.integers(2, min(c * ipc, 5) + 1))
+    enc = make_encoder(
+        "mlp1", d_in, d_out, hidden_dim=int(rng.integers(3, 6)), seed=int(rng.integers(0, 2**31))
+    )
+    return _pipeline_instance(rng, enc, c, ipc, "class_anchor")
 
 
 _CHECKS = {
@@ -178,6 +189,7 @@ _CHECKS = {
     "encoder_vjp_mlp1": _check_encoder_vjp("mlp1"),
     "pipeline_class_anchor": _check_pipeline("class_anchor"),
     "pipeline_mse": _check_pipeline("mse"),
+    "pipeline_primal": _check_pipeline_primal,
 }
 
 

@@ -63,42 +63,38 @@ def _check_batch_w(batch: OuterBatch, w_star: np.ndarray):
         )
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
+def _shifted_logits(z: np.ndarray) -> np.ndarray:
     # max subtraction is mandatory: logits at tau=0.07 overflow exp otherwise
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
+    return z - z.max(axis=1, keepdims=True)
+
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    e = np.exp(_shifted_logits(z))
     return e / e.sum(axis=1, keepdims=True)
 
 
-def class_anchor_loss(batch: OuterBatch, w_star: np.ndarray, tau: float) -> float:
-    """Mean temperature-scaled cross-entropy of real rows against probe columns."""
+def class_anchor_loss_and_grad(
+    batch: OuterBatch, w_star: np.ndarray, tau: float
+) -> tuple[float, np.ndarray]:
+    """Mean temperature-scaled cross-entropy of real rows against probe columns,
+    and its exact gradient X^T (softmax(Z) - T) / (M * tau), from one set of logits."""
     if tau <= 0.0:
         raise ValueError(f"temperature must be > 0, got {tau}")
     _check_batch_w(batch, w_star)
-    z = (batch.x_real @ w_star) / tau
-    z = z - z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
+    z = _shifted_logits((batch.x_real @ w_star) / tau)
+    e = np.exp(z)
+    row_sums = e.sum(axis=1, keepdims=True)
     correct = z[np.arange(batch.m), batch.labels]
-    return float(np.mean(lse - correct))
+    loss = float((np.log(row_sums[:, 0]) - correct).mean())
+    e /= row_sums  # now softmax(Z)
+    e -= batch.t_onehot
+    return loss, batch.x_real.T @ e / (batch.m * tau)
 
 
-def class_anchor_grad_w(batch: OuterBatch, w_star: np.ndarray, tau: float) -> np.ndarray:
-    """Exact gradient of class_anchor_loss: X^T (softmax(Z) - T) / (M * tau)."""
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be > 0, got {tau}")
+def mse_outer_loss_and_grad(batch: OuterBatch, w_star: np.ndarray) -> tuple[float, np.ndarray]:
+    """Ablation objective 0.5/M * ||X W* - T||_F^2 against one-hot targets, and its
+    gradient X^T (X W* - T) / M, from one residual."""
     _check_batch_w(batch, w_star)
-    pi = _softmax_rows((batch.x_real @ w_star) / tau)
-    return batch.x_real.T @ (pi - batch.t_onehot) / (batch.m * tau)
-
-
-def mse_outer_loss(batch: OuterBatch, w_star: np.ndarray) -> float:
-    """Ablation objective: 0.5/M * ||X W* - T||_F^2 against one-hot targets."""
-    _check_batch_w(batch, w_star)
-    r = batch.x_real @ w_star - batch.t_onehot
-    return float(0.5 * np.sum(r * r) / batch.m)
-
-
-def mse_outer_grad_w(batch: OuterBatch, w_star: np.ndarray) -> np.ndarray:
-    _check_batch_w(batch, w_star)
-    r = batch.x_real @ w_star - batch.t_onehot
-    return batch.x_real.T @ r / batch.m
+    r = batch.x_real @ w_star
+    r -= batch.t_onehot
+    return float(0.5 * np.sum(r * r) / batch.m), batch.x_real.T @ r / batch.m

@@ -58,7 +58,7 @@ def _check_ridge_args(x: np.ndarray, y: np.ndarray, lam: float):
         raise DimensionError("x and y must be 2-D")
     if x.shape[0] != y.shape[0]:
         raise DimensionError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NonFiniteError("ridge inputs contain non-finite entries")
 
 
@@ -68,10 +68,14 @@ def _check_onehot(y: np.ndarray):
         raise ValueError("y rows must be one-hot")
 
 
+def _add_ridge(gram: np.ndarray, lam: float) -> np.ndarray:
+    """gram + lam*I, in place on a freshly computed Gram matrix."""
+    gram.flat[:: gram.shape[0] + 1] += lam
+    return gram
+
+
 def _primal_factor(x: np.ndarray, lam: float) -> CholeskyFactor:
-    d = x.shape[1]
-    h = x.T @ x + lam * np.eye(d)
-    return cholesky_factor(h)
+    return cholesky_factor(_add_ridge(x.T @ x, lam))
 
 
 def _primal_solve(x: np.ndarray, y: np.ndarray, lam: float):
@@ -97,9 +101,7 @@ def ridge_kernel(x: np.ndarray, y: np.ndarray, lam: float) -> ProbeSolution:
     _check_ridge_args(x, y, lam)
     n, d = x.shape
     if n < d:
-        k = x @ x.T
-        a = k + lam * np.eye(n)
-        factor = cholesky_factor(a)
+        factor = cholesky_factor(_add_ridge(x @ x.T, lam))
         p = factor.solve(y)
         w = x.T @ p
         return ProbeSolution(w_star=w, p=p, lam=lam, mode="kernel", factor=factor)
@@ -125,9 +127,13 @@ def solve_backward(sol: ProbeSolution, x: np.ndarray, g: np.ndarray) -> np.ndarr
         return p @ g.T - u @ (p.T @ x) - p @ (u.T @ x)
     # primal route: W* = H^{-1} X^T Y with H = X^T X + lam*I, so with
     # g~ = H^{-1} g the gradient is (Y - X W*) g~^T - X g~ W*^T, and
-    # Y - X W* = lam * P.
+    # Y - X W* = lam * P. Grouped as (X g~) W*^T the last term costs 2NdC
+    # multiply-adds; X (g~ W*^T) would cost d^2 C + N d^2, far more when C << d.
     g_tilde = sol.factor.solve(g)
-    return sol.lam * (p @ g_tilde.T) - x @ (g_tilde @ sol.w_star.T)
+    grad = p @ g_tilde.T
+    grad *= sol.lam
+    grad -= (x @ g_tilde) @ sol.w_star.T
+    return grad
 
 
 def gd_steady_state(

@@ -48,3 +48,86 @@ def random_onehot(rng, n, c):
     t = np.zeros((n, c))
     t[np.arange(n), labels] = 1.0
     return t, labels
+
+
+# Reference formulations of the distillation step's pieces, written out the
+# direct way: one array per intermediate, nothing cached, reused or done in
+# place. The hoisted library code must match them bit for bit.
+
+
+def class_rows(labels, c):
+    return np.flatnonzero(labels == c)
+
+
+def balanced_picks(labels, class_count, b_per_class, rng):
+    """Rows of a class-balanced batch, drawn by choosing from each class's rows."""
+    picks = []
+    for c in range(class_count):
+        idx = np.flatnonzero(labels == c)
+        picks.append(rng.choice(idx, size=b_per_class, replace=idx.size < b_per_class))
+    return np.concatenate(picks)
+
+
+def class_anchor_loss_ref(x, labels, w, tau):
+    z = (x @ w) / tau
+    z = z - z.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1))
+    correct = z[np.arange(x.shape[0]), labels]
+    return float(np.mean(lse - correct))
+
+
+def class_anchor_grad_ref(x, t_onehot, w, tau):
+    z = (x @ w) / tau
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    pi = e / e.sum(axis=1, keepdims=True)
+    return x.T @ (pi - t_onehot) / (x.shape[0] * tau)
+
+
+def mse_loss_ref(x, t_onehot, w):
+    r = x @ w - t_onehot
+    return float(0.5 * np.sum(r * r) / x.shape[0])
+
+
+def mse_grad_ref(x, t_onehot, w):
+    r = x @ w - t_onehot
+    return x.T @ r / x.shape[0]
+
+
+def adam_ref(m, v, step, grad, lr, b1, b2, eps):
+    """One Adam step on copies; returns (m, v, update)."""
+    m = b1 * m + (1.0 - b1) * grad
+    v = b2 * v + (1.0 - b2) * grad * grad
+    m_hat = m / (1.0 - b1**step)
+    v_hat = v / (1.0 - b2**step)
+    return m, v, lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def mlp1_vjp_ref(weights, x, upstream):
+    w1, b1, w2, _ = weights
+    h = np.tanh(x @ w1 + b1)
+    return ((upstream @ w2.T) * (1.0 - h * h)) @ w1.T
+
+
+def softmax_probe_ref(x, labels, class_count, epochs, lr, batch_size, seed):
+    """Softmax linear probe trained with Adam, mini-batches gathered every epoch."""
+    n, d = x.shape
+    t_all = np.zeros((n, class_count))
+    t_all[np.arange(n), labels] = 1.0
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((d, class_count)) / np.sqrt(d)
+    m, v = np.zeros_like(w), np.zeros_like(w)
+    step = 0
+    for _ in range(epochs):
+        order = np.arange(n) if n <= batch_size else rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            xb, tb = x[idx], t_all[idx]
+            z = xb @ w
+            z = z - z.max(axis=1, keepdims=True)
+            e = np.exp(z)
+            g = xb.T @ (e / e.sum(axis=1, keepdims=True) - tb) / idx.size
+            step += 1
+            m, v, update = adam_ref(m, v, step, g, lr, 0.9, 0.999, 1e-8)
+            w = w - update
+    return w

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from clpdd.cli import (
@@ -19,6 +20,7 @@ from clpdd.cli import (
     parse_config_file,
 )
 from clpdd.gradcheck import CHECK_NAMES
+from clpdd.solver import ridge_kernel
 
 
 def _fast_cfg(**kw):
@@ -94,6 +96,23 @@ def test_gradcheck_corrupted_backward_fails():
     failing = [c for c in report["checks"] if not c["passed"]]
     assert [c["name"] for c in failing] == ["solver_backward"]
     assert failing[0]["worst_seed"] != 0
+
+
+def test_gradcheck_primal_pipeline_takes_primal_route(monkeypatch):
+    import clpdd.distill
+    from clpdd import gradcheck
+
+    solves = []
+
+    def recording_solve(x, y, lam):
+        sol = ridge_kernel(x, y, lam)
+        solves.append((sol.mode, x.shape[0] // y.shape[1]))
+        return sol
+
+    monkeypatch.setattr(clpdd.distill, "ridge_kernel", recording_solve)
+    for i in range(10):
+        gradcheck._CHECKS["pipeline_primal"](np.random.default_rng(i))
+    assert solves and all(mode == "primal" and ipc > 1 for mode, ipc in solves)
 
 
 def test_distill_writes_artifacts(tmp_path):

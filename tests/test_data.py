@@ -4,7 +4,10 @@ import pytest
 from clpdd.data import (
     BadMagicError,
     Dataset,
+    FeatureFileError,
     LabelRangeError,
+    MissingClassError,
+    NonFiniteFeatureError,
     TruncatedFileError,
     VersionError,
     datasets_equal,
@@ -13,6 +16,8 @@ from clpdd.data import (
     save_features,
 )
 from clpdd.evaluation import closed_form_probe
+
+from oracles import class_rows
 
 
 def test_blobs_zero_variance_collapses_to_centers():
@@ -156,3 +161,46 @@ def test_dataset_rejects_out_of_range_labels():
 def test_dataset_rejects_fewer_samples_than_classes():
     with pytest.raises(ValueError):
         Dataset(np.zeros((2, 2)), np.array([0, 1]), class_count=3)
+
+
+def test_class_indices_cached_and_equal_to_flatnonzero():
+    rng = np.random.default_rng(10)
+    labels = rng.integers(0, 5, size=60).astype(np.int64)
+    labels[:5] = np.arange(5)
+    ds = Dataset(rng.standard_normal((60, 2)), labels, class_count=6)  # class 5 empty
+    for c in range(6):
+        idx = ds.class_indices(c)
+        assert idx.dtype == class_rows(labels, c).dtype
+        assert np.array_equal(idx, class_rows(labels, c))
+        assert ds.class_indices(c) is idx  # computed once per dataset
+        assert not idx.flags.writeable
+    assert ds.class_indices(5).size == 0
+    assert ds.class_indices(-1).size == 0 and ds.class_indices(6).size == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("suffix", [".clpf", ".csv"])
+def test_load_rejects_non_finite_payload(tmp_path, bad, suffix):
+    rng = np.random.default_rng(11)
+    ds = _random_dataset(rng, n=8)
+    inputs = ds.inputs.copy()
+    inputs[3, 1] = bad
+    inputs[6, 0] = bad
+    path = tmp_path / f"nan{suffix}"
+    save_features(Dataset(inputs, ds.labels, ds.class_count), path)
+    with pytest.raises(NonFiniteFeatureError) as ei:
+        load_features(path)
+    assert isinstance(ei.value, FeatureFileError)
+    msg = str(ei.value)
+    assert str(path) in msg and "row 3" in msg and "2 bad rows" in msg
+    if suffix == ".csv":
+        assert f"{path}:5:" in msg  # header is line 1, row 3 is line 5
+
+
+def test_csv_label_gap_names_missing_classes(tmp_path):
+    p = tmp_path / "gap.csv"
+    p.write_text("label,f0\n0,0.5\n2,1.5\n4,2.0\n0,0.1\n4,0.3\n")
+    with pytest.raises(MissingClassError) as ei:
+        load_features(p)
+    assert isinstance(ei.value, FeatureFileError)
+    assert "[1, 3]" in str(ei.value) and str(p) in str(ei.value)

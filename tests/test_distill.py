@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from clpdd.data import gen_blobs
+from clpdd.data import Dataset, gen_blobs
 from clpdd.distill import (
     AdamState,
     DistillConfig,
     DistillDivergenceError,
     SyntheticSet,
+    adam_update,
     augment,
     cosine_lr,
     distill_step,
@@ -20,7 +21,7 @@ from clpdd.distill import (
 from clpdd.encoder import make_encoder
 from clpdd.objective import make_outer_batch
 
-from oracles import central_diff_grad, max_rel_err
+from oracles import adam_ref, balanced_picks, central_diff_grad, max_rel_err
 
 
 def _blob_task(seed=0):
@@ -64,8 +65,6 @@ def test_balanced_batch_counts():
 
 
 def test_balanced_batch_small_class_with_replacement():
-    from clpdd.data import Dataset
-
     ds = Dataset(
         inputs=np.arange(10, dtype=np.float64).reshape(5, 2),
         labels=np.array([0, 0, 1, 1, 1]),
@@ -84,6 +83,49 @@ def test_balanced_batch_deterministic():
     b1 = sample_balanced_batch(train, 2, rng_stream(7, "batch"))
     b2 = sample_balanced_batch(train, 2, rng_stream(7, "batch"))
     assert np.array_equal(b1.x_real, b2.x_real)
+
+
+@pytest.mark.parametrize("b_per_class", [3, 8])  # 8 > the 5-row class: with replacement
+def test_balanced_batch_matches_choosing_from_class_rows(b_per_class):
+    rng = np.random.default_rng(12)
+    labels = np.repeat(np.arange(4), [20, 15, 5, 12])  # class 2 has 5 rows
+    rng.shuffle(labels)
+    ds = Dataset(rng.standard_normal((labels.size, 3)), labels, 4)
+    ours, ref = rng_stream(4, "batch"), rng_stream(4, "batch")
+    for _ in range(5):
+        batch = sample_balanced_batch(ds, b_per_class, ours)
+        picks = balanced_picks(ds.labels, 4, b_per_class, ref)
+        assert np.array_equal(batch.x_real, ds.inputs[picks])
+        assert np.array_equal(batch.labels, ds.labels[picks])
+        assert np.array_equal(batch.t_onehot, np.eye(4)[ds.labels[picks]])
+    # both generators end in the same state: the stream is consumed identically
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_adam_in_place_matches_reference_and_returns_fresh_array():
+    rng = np.random.default_rng(13)
+    state = AdamState.like(np.zeros((3, 4)))
+    m, v = np.zeros((3, 4)), np.zeros((3, 4))
+    for step in range(1, 8):
+        grad = rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-3, 3)
+        lr = 0.05 / step
+        update = adam_update(state, grad, lr, 0.9, 0.999, 1e-8)
+        m, v, ref = adam_ref(m, v, step, grad, lr, 0.9, 0.999, 1e-8)
+        assert state.step == step
+        assert np.array_equal(update, ref)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        assert not np.shares_memory(update, state.m)
+        assert not np.shares_memory(update, state.v)
+        assert not np.shares_memory(update, grad)
+
+
+def test_augment_leaves_inputs_untouched():
+    x = np.random.default_rng(14).standard_normal((4, 3))
+    before = x.copy()
+    noisy = augment(x, 0.1, rng_stream(2, "augment"))
+    assert np.array_equal(x, before) and not np.shares_memory(noisy, x)
+    ref = before + 0.1 * rng_stream(2, "augment").standard_normal(x.shape)
+    assert np.array_equal(noisy, ref)
 
 
 def test_augment_identity_at_zero_sigma():

@@ -4,7 +4,7 @@ import pytest
 from clpdd.encoder import Encoder, encode, encode_vjp, make_encoder
 from clpdd.linalg import DimensionError
 
-from oracles import central_diff_grad, max_rel_err
+from oracles import central_diff_grad, max_rel_err, mlp1_vjp_ref
 
 
 def test_identity_passthrough():
@@ -101,3 +101,27 @@ def test_normalize_flag_encode_and_vjp_refusal():
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0)
     with pytest.raises(NotImplementedError):
         encode_vjp(enc, np.zeros((4, 3)), np.zeros((4, 3)))
+
+
+def test_vjp_reuses_stored_hidden_bitwise():
+    rng = np.random.default_rng(9)
+    enc = make_encoder("mlp1", 6, 5, hidden_dim=7, seed=3)
+    x = rng.standard_normal((8, 6))
+    u = rng.standard_normal((8, 5))
+    feats, hidden = encode(enc, x, return_hidden=True)
+    assert np.array_equal(feats, encode(enc, x))
+    kept = hidden.copy()
+    reused = encode_vjp(enc, x, u, hidden=hidden)
+    assert np.array_equal(hidden, kept)  # read, not overwritten
+    assert np.array_equal(reused, encode_vjp(enc, x, u))
+    assert np.array_equal(reused, mlp1_vjp_ref(enc.weights, x, u))
+    with pytest.raises(DimensionError):
+        encode_vjp(enc, x, u, hidden=hidden[:, :3])
+
+
+@pytest.mark.parametrize("kind", ["identity", "linear"])
+def test_no_hidden_activation_outside_mlp1(kind):
+    enc = make_encoder(kind, 3, 3, seed=2)
+    x = np.random.default_rng(1).standard_normal((2, 3))
+    feats, hidden = encode(enc, x, return_hidden=True)
+    assert hidden is None and np.array_equal(feats, encode(enc, x))

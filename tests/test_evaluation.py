@@ -11,6 +11,8 @@ from clpdd.evaluation import (
     train_linear_probe,
 )
 
+from oracles import softmax_probe_ref
+
 
 def test_probe_zero_epochs_is_chance_level():
     rng = np.random.default_rng(0)
@@ -39,6 +41,16 @@ def test_probe_deterministic():
     a = train_linear_probe(train.inputs, train.labels, ev.inputs, ev.labels, epochs=30, seed=5)
     b = train_linear_probe(train.inputs, train.labels, ev.inputs, ev.labels, epochs=30, seed=5)
     assert np.array_equal(a.w, b.w)
+
+
+@pytest.mark.parametrize("batch_size", [256, 16])  # one full batch; shuffled mini-batches
+def test_probe_matches_reference_bitwise(batch_size):
+    train, ev = gen_blobs(3, 5, 20, 1.0, 1.0, seed=4)
+    res = train_linear_probe(
+        train.inputs, train.labels, ev.inputs, ev.labels, epochs=25, batch_size=batch_size, seed=2
+    )
+    ref = softmax_probe_ref(train.inputs, train.labels, 3, 25, 0.01, batch_size, seed=2)
+    assert np.array_equal(res.w, ref)
 
 
 def test_closed_form_probe_trivially_separable():

@@ -4,15 +4,36 @@ import numpy as np
 import pytest
 
 from clpdd.objective import (
-    class_anchor_grad_w,
-    class_anchor_loss,
+    class_anchor_loss_and_grad,
     make_outer_batch,
-    mse_outer_grad_w,
-    mse_outer_loss,
+    mse_outer_loss_and_grad,
     onehot,
 )
 
-from oracles import central_diff_grad, max_rel_err
+from oracles import (
+    central_diff_grad,
+    class_anchor_grad_ref,
+    class_anchor_loss_ref,
+    max_rel_err,
+    mse_grad_ref,
+    mse_loss_ref,
+)
+
+
+def class_anchor_loss(batch, w, tau):
+    return class_anchor_loss_and_grad(batch, w, tau)[0]
+
+
+def class_anchor_grad_w(batch, w, tau):
+    return class_anchor_loss_and_grad(batch, w, tau)[1]
+
+
+def mse_outer_loss(batch, w):
+    return mse_outer_loss_and_grad(batch, w)[0]
+
+
+def mse_outer_grad_w(batch, w):
+    return mse_outer_loss_and_grad(batch, w)[1]
 
 
 def _batch(rng, m, d, c, scale=0.5):
@@ -154,3 +175,19 @@ def test_mse_grad_finite_differences():
 def test_onehot_rejects_out_of_range():
     with pytest.raises(ValueError):
         onehot(np.array([0, 3]), 3)
+
+
+def test_fused_losses_match_separate_reference_bitwise():
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        m, d, c = int(rng.integers(3, 30)), int(rng.integers(2, 20)), int(rng.integers(2, 8))
+        m = max(m, c)
+        batch = _batch(rng, m, d, c)
+        w = rng.standard_normal((d, c))
+        tau = float(rng.choice([0.07, 0.2, 1.0]))
+        loss, grad = class_anchor_loss_and_grad(batch, w, tau)
+        assert loss == class_anchor_loss_ref(batch.x_real, batch.labels, w, tau)
+        assert np.array_equal(grad, class_anchor_grad_ref(batch.x_real, batch.t_onehot, w, tau))
+        loss, grad = mse_outer_loss_and_grad(batch, w)
+        assert loss == mse_loss_ref(batch.x_real, batch.t_onehot, w)
+        assert np.array_equal(grad, mse_grad_ref(batch.x_real, batch.t_onehot, w))
