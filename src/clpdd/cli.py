@@ -2,23 +2,29 @@
 
 Subcommands: gradcheck, distill, eval, compare, sweep, export-embeddings.
 Config files are flat `key=value` text (# comments allowed); `--set key=value`
-flags override file values. All randomness flows from the single `seed` key
-through named per-purpose streams. CLPDD_THREADS caps the worker count for
-seed-parallel compare/sweep runs.
+flags override file values. The distillation keys and their defaults are the
+fields of `DistillConfig`; the data-source and compare keys are declared
+here. All randomness flows from the single `seed` key through named
+per-purpose streams.
 """
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, gen_blobs, load_features, save_features
+from .data import (
+    Dataset,
+    FeatureFileError,
+    check_every_class,
+    gen_blobs,
+    load_features,
+    save_features,
+)
 from .distill import DistillConfig, run_distill, stream_seed
 from .encoder import encode
 from .evaluation import (
@@ -52,33 +58,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# DistillConfig fields whose CLI key has another name
+_RENAMED = {"lam": "lambda", "encoder_kind": "encoder"}
+# CLI key -> DistillConfig field, in field order
+_DISTILL_FIELDS = {_RENAMED.get(f.name, f.name): f for f in fields(DistillConfig)}
+
 # key -> (parser, default); declaration order is the serialization order
 CONFIG_SPEC: dict[str, tuple] = {
-    # inner/outer problem
-    "lambda": (float, 0.1),
-    "tau": (float, 0.07),
-    "b_per_class": (int, 4),
-    "iterations": (int, 1000),  # desk-scale budget; full-scale runs use 4000
-    "lr": (float, 0.05),
-    "lr_schedule": (str, "cosine"),
-    "adam_beta1": (float, 0.9),
-    "adam_beta2": (float, 0.999),
-    "adam_eps": (float, 1e-8),
-    "outer_objective": (str, "class_anchor"),
-    # encoder
-    "encoder": (str, "identity"),
-    "feature_dim": (int, 0),
-    "hidden_dim": (int, 0),
-    # synthetic set
-    "augment_noise_sigma": (float, 0.01),
-    "init": (str, "random_normal"),
-    "ipc": (int, 1),
-    "seed": (int, 0),
-    "eval_every": (int, 250),
-    # probe protocol (shared by every method)
-    "probe_epochs": (int, 500),
-    "probe_lr": (float, 0.01),
-    "probe_batch_size": (int, 256),
+    **{key: (f.type, f.default) for key, f in _DISTILL_FIELDS.items()},
     # data source
     "data": (str, "blobs"),
     "blob_classes": (int, 5),
@@ -148,29 +135,7 @@ def config_text(cfg: dict) -> str:
 
 
 def distill_config_from(cfg: dict) -> DistillConfig:
-    return DistillConfig(
-        lam=cfg["lambda"],
-        tau=cfg["tau"],
-        b_per_class=cfg["b_per_class"],
-        iterations=cfg["iterations"],
-        lr=cfg["lr"],
-        lr_schedule=cfg["lr_schedule"],
-        adam_beta1=cfg["adam_beta1"],
-        adam_beta2=cfg["adam_beta2"],
-        adam_eps=cfg["adam_eps"],
-        outer_objective=cfg["outer_objective"],
-        encoder_kind=cfg["encoder"],
-        feature_dim=cfg["feature_dim"],
-        hidden_dim=cfg["hidden_dim"],
-        augment_noise_sigma=cfg["augment_noise_sigma"],
-        init=cfg["init"],
-        seed=cfg["seed"],
-        ipc=cfg["ipc"],
-        eval_every=cfg["eval_every"],
-        probe_epochs=cfg["probe_epochs"],
-        probe_lr=cfg["probe_lr"],
-        probe_batch_size=cfg["probe_batch_size"],
-    )
+    return DistillConfig(**{f.name: cfg[key] for key, f in _DISTILL_FIELDS.items()})
 
 
 def build_data(cfg: dict, data_seed: int | None = None):
@@ -190,17 +155,11 @@ def build_data(cfg: dict, data_seed: int | None = None):
         if not cfg["data_train"]:
             raise ConfigError("data=files requires data_train")
         train = load_features(cfg["data_train"], split="train")
+        # balanced batches need rows of every class; an eval split may lack some
+        check_every_class(train.labels, train.class_count, cfg["data_train"])
         ev = load_features(cfg["data_eval"], split="eval") if cfg["data_eval"] else None
         return train, ev
     raise ConfigError(f"unknown data source {cfg['data']!r} (use 'blobs' or 'files')")
-
-
-def worker_count() -> int:
-    raw = os.environ.get("CLPDD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"CLPDD_THREADS must be an integer, got {raw!r}") from None
 
 
 def _probe_accuracy(enc, inputs, labels, eval_set: Dataset, cfg: dict, probe_seed: int) -> float:
@@ -348,12 +307,7 @@ def compare_report(cfg: dict):
     k = cfg["compare_seeds"]
     if k < 1:
         raise ConfigError("compare_seeds must be >= 1")
-    workers = min(worker_count(), k)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(lambda i: _compare_one_seed(cfg, methods, i), range(k)))
-    else:
-        runs = [_compare_one_seed(cfg, methods, i) for i in range(k)]
+    runs = [_compare_one_seed(cfg, methods, i) for i in range(k)]
     accuracies = {
         name: MethodAccuracy([accs[name] for accs, _, _ in runs])
         for name in METHOD_NAMES
@@ -522,6 +476,9 @@ def main(argv=None) -> int:
         raise AssertionError(args.command)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except FeatureFileError as e:
+        print(f"feature file error: {e}", file=sys.stderr)
         return 2
 
 

@@ -229,6 +229,16 @@ def _check_finite_rows(inputs: np.ndarray, where):
         )
 
 
+def check_every_class(labels: np.ndarray, class_count: int, source) -> None:
+    """Raise MissingClassError, naming `source` and the ids, when some class id
+    below `class_count` labels no row."""
+    missing = np.setdiff1d(np.arange(class_count), labels)
+    if missing.size:
+        raise MissingClassError(
+            f"{source}: no rows for class ids {missing.tolist()} of {class_count} classes"
+        )
+
+
 def _save_csv(dataset: Dataset, path: Path):
     header = "label," + ",".join(f"f{j}" for j in range(dataset.dim))
     lines = [header]
@@ -256,10 +266,5 @@ def _load_csv(path: Path, split: str) -> Dataset:
         raise LabelRangeError(f"{path}: negative label")
     _check_finite_rows(inputs, lambda i: f"{path}:{i + 2}: row {i}")
     classes = int(labels.max()) + 1 if labels.size else 0
-    missing = np.setdiff1d(np.arange(classes), labels)
-    if missing.size:
-        raise MissingClassError(
-            f"{path}: no rows for class ids {missing.tolist()} "
-            f"(the class count {classes} is inferred as max label + 1)"
-        )
+    check_every_class(labels, classes, f"{path} (class count inferred as max label + 1)")
     return Dataset(inputs=inputs, labels=labels, class_count=classes, split=split)

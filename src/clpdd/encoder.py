@@ -24,7 +24,6 @@ class Encoder:
     feature_dim: int
     weights: tuple = ()
     seed: int = 0
-    normalize: bool = False  # optional per-row L2 normalization, off by default
 
     def __post_init__(self):
         if self.kind not in ENCODER_KINDS:
@@ -42,7 +41,6 @@ def make_encoder(
     feature_dim: int | None = None,
     hidden_dim: int | None = None,
     seed: int = 0,
-    normalize: bool = False,
 ) -> Encoder:
     """Build an encoder with frozen weights drawn from N(0, 1/fan_in).
 
@@ -69,7 +67,7 @@ def make_encoder(
         weights = (w1, b1, w2, b2)
     else:
         raise ValueError(f"unknown encoder kind {kind!r}")
-    return Encoder(kind, input_dim, feature_dim, weights, seed, normalize)
+    return Encoder(kind, input_dim, feature_dim, weights, seed)
 
 
 def _check_inputs(enc: Encoder, inputs: np.ndarray):
@@ -101,9 +99,6 @@ def encode(enc: Encoder, inputs: np.ndarray, return_hidden: bool = False):
         np.tanh(hidden, out=hidden)
         out = hidden @ w2
         out += b2
-    if enc.normalize:
-        norms = np.linalg.norm(out, axis=1, keepdims=True)
-        out = out / np.where(norms == 0.0, 1.0, norms)
     return (out, hidden) if return_hidden else out
 
 
@@ -120,11 +115,6 @@ def encode_vjp(
     if upstream.shape != (inputs.shape[0], enc.feature_dim):
         raise DimensionError(
             f"upstream must be {inputs.shape[0]} x {enc.feature_dim}, got {upstream.shape}"
-        )
-    if enc.normalize:
-        raise NotImplementedError(
-            "encode_vjp does not differentiate through per-row normalization; "
-            "build the encoder with normalize=False for distillation"
         )
     if enc.kind == "identity":
         return upstream

@@ -173,40 +173,15 @@ def select_neighbor(
     return _selection(real, np.asarray(picked), ipc)
 
 
-def _top_component(cov: np.ndarray, ortho: list[np.ndarray], seed: int) -> tuple[float, np.ndarray]:
-    """Power iteration for the leading eigenpair orthogonal to `ortho`."""
-    n = cov.shape[0]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    for u in ortho:
-        v -= (u @ v) * u
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0, np.zeros(n)
-    v /= nv
-    prev = -np.inf
-    for _ in range(10_000):
-        w = cov @ v
-        for u in ortho:
-            w -= (u @ w) * u
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-        ray = float(v @ (cov @ v))
-        if abs(ray - prev) <= 1e-14 * max(abs(ray), 1.0):
-            break
-        prev = ray
-    return float(v @ (cov @ v)), v
-
-
 def pca_project_2d(features: np.ndarray):
     """Mean-centered projection onto the top-2 principal directions.
 
     Returns (n x 2 projection, explained-variance fractions). Components are
-    found by power iteration with deflation; the first nonzero loading of each
-    component is made positive so the projection is sign-deterministic.
-    Degenerate inputs (all rows identical) give a zero projection.
+    the top eigenvectors of the covariance (np.linalg.eigh); the first
+    nonzero loading of each component is made positive so the projection is
+    sign-deterministic. A component with at most 1e-12 of the total variance
+    is a zero column, and degenerate inputs (all rows identical) give a zero
+    projection.
     """
     if features.shape[0] < 2:
         raise ValueError("pca_project_2d needs at least 2 rows")
@@ -216,18 +191,18 @@ def pca_project_2d(features: np.ndarray):
     if total_var == 0.0:
         return np.zeros((features.shape[0], 2)), (0.0, 0.0)
     cov = centered.T @ centered / (features.shape[0] - 1)
+    eigs, vecs = np.linalg.eigh(cov)  # ascending
     components, explained = [], []
-    ortho: list[np.ndarray] = []
     for k in range(2):
-        eig, v = _top_component(cov, ortho, seed=k)
-        if eig <= 1e-12 * total_var or d <= k:
+        if d <= k or eigs[-1 - k] <= 1e-12 * total_var:
             v = np.zeros(d)
             eig = 0.0
         else:
+            v = vecs[:, -1 - k]
+            eig = float(eigs[-1 - k])
             nz = np.flatnonzero(np.abs(v) > 1e-12)
             if nz.size and v[nz[0]] < 0:
                 v = -v
-            ortho.append(v)
         components.append(v)
         explained.append(eig / total_var)
     basis = np.stack(components, axis=1)

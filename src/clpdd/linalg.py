@@ -49,30 +49,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dims differ ({a.shape} x {b.shape})")
-    return a @ b
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a.T)
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise DimensionError(f"add: shapes differ ({a.shape} vs {b.shape})")
-    return a + b
-
-
-def scale(a: np.ndarray, alpha: float) -> np.ndarray:
-    return alpha * a
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
 def row_argmax(scores: np.ndarray) -> np.ndarray:
     """Index of the largest entry in each row; ties go to the lowest index."""
     return np.argmax(scores, axis=1)
@@ -119,46 +95,3 @@ def cholesky_factor(a_spd: np.ndarray) -> CholeskyFactor:
     if info < 0:  # pragma: no cover - only triggered by malformed calls
         raise LinalgError(f"dpotrf failed with info={info}")
     return CholeskyFactor(lower=c)
-
-
-def cholesky_solve(a_spd: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a_spd @ Z = b for SPD a_spd via Cholesky."""
-    if b.shape[0] != a_spd.shape[0]:
-        raise DimensionError(
-            f"cholesky_solve: rhs has {b.shape[0]} rows, matrix is {a_spd.shape}"
-        )
-    return cholesky_factor(a_spd).solve(b)
-
-
-def power_iteration(a_spd: np.ndarray, iters: int = 500, seed: int = 0):
-    """Dominant eigenpair of a symmetric PSD matrix by power iteration.
-
-    Returns (eigenvalue estimate, unit eigenvector estimate). The Rayleigh
-    quotient is nondecreasing in `iters` for PSD inputs. A zero matrix yields
-    eigenvalue 0.
-    """
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    a_sym = _check_symmetric(a_spd, "a_spd")
-    n = a_sym.shape[0]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    if np.linalg.norm(a_sym) == 0.0:
-        return 0.0, v / np.linalg.norm(v)
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = a_sym @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # start vector fell in the null space; redraw and continue
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nw
-    return float(v @ (a_sym @ v)), v
-
-
-def power_iteration_max_eig(a_spd: np.ndarray, iters: int = 500, seed: int = 0) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix."""
-    eig, _ = power_iteration(a_spd, iters=iters, seed=seed)
-    return eig

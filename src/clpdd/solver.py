@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    CholeskyFactor,
-    DimensionError,
-    NonFiniteError,
-    cholesky_factor,
-    power_iteration_max_eig,
-)
+from .linalg import CholeskyFactor, DimensionError, NonFiniteError, cholesky_factor
 
 
 @dataclass(frozen=True)
@@ -159,11 +153,10 @@ def gd_steady_state(
 def stable_step_bound(x: np.ndarray, lam: float) -> float:
     """Largest stable GD step 2/mu_max(X^T X + lam*I).
 
-    mu_max is estimated by power iteration on the N x N Gram matrix, which
-    shares the nonzero spectrum of X^T X, then shifted by lam.
+    mu_max is the largest eigenvalue of the N x N Gram matrix X X^T, which
+    shares the nonzero spectrum of X^T X, plus lam.
     """
     if lam <= 0.0:
         raise ValueError(f"ridge coefficient must be > 0, got {lam}")
-    k = x @ x.T
-    mu = power_iteration_max_eig(k, iters=500, seed=0)
+    mu = float(np.linalg.eigvalsh(x @ x.T)[-1])
     return 2.0 / (mu + lam)

@@ -1,11 +1,14 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import clpdd.cli
 from clpdd.cli import (
     CONFIG_SPEC,
     ConfigError,
+    build_data,
     cmd_compare,
     cmd_distill,
     cmd_eval,
@@ -15,10 +18,13 @@ from clpdd.cli import (
     compare_report,
     config_text,
     default_config,
+    distill_config_from,
     load_config,
     main,
     parse_config_file,
 )
+from clpdd.data import Dataset, MissingClassError, gen_blobs, save_features
+from clpdd.distill import DistillConfig
 from clpdd.gradcheck import CHECK_NAMES
 from clpdd.solver import ridge_kernel
 
@@ -187,15 +193,6 @@ def test_compare_neighbor_requires_distillation():
     assert "neighbor" in str(ei.value)
 
 
-def test_compare_threads_match_sequential(tmp_path, monkeypatch):
-    cfg = _fast_cfg()
-    seq, _ = compare_report(cfg)
-    monkeypatch.setenv("CLPDD_THREADS", "2")
-    par, _ = compare_report(cfg)
-    for name in seq.accuracies:
-        assert seq.accuracies[name].values == par.accuracies[name].values
-
-
 def test_sweep_matches_compare_and_rows(tmp_path):
     cfg = _fast_cfg()
     rows = cmd_sweep(cfg, "tau", ["0.07"], tmp_path / "sweep")
@@ -245,8 +242,6 @@ def test_export_embeddings_rows(tmp_path):
 
 
 def test_files_data_source(tmp_path):
-    from clpdd.data import gen_blobs, save_features
-
     train, ev = gen_blobs(3, 4, 20, 0.5, 0.5, seed=0)
     save_features(train, tmp_path / "train.clpf")
     save_features(ev, tmp_path / "eval.clpf")
@@ -282,3 +277,57 @@ def test_config_spec_covers_serialization():
     cfg = default_config()
     text = config_text(cfg)
     assert len(text.strip().splitlines()) == len(CONFIG_SPEC)
+
+
+def test_cli_defaults_are_distill_config_defaults():
+    assert distill_config_from(default_config()) == DistillConfig()
+
+
+def test_each_distill_field_set_by_exactly_one_key(monkeypatch):
+    # hand every key its own name as value and record which field receives it
+    monkeypatch.setattr(clpdd.cli, "DistillConfig", lambda **kw: kw)
+    received = distill_config_from({key: key for key in CONFIG_SPEC})
+    assert sorted(received) == sorted(f.name for f in fields(DistillConfig))
+    assert len(set(received.values())) == len(received)
+    assert received["lam"] == "lambda" and received["encoder_kind"] == "encoder"
+
+
+def _files_with_empty_class(tmp_path):
+    """A train CLPF whose header counts 3 classes but has no rows of class 1."""
+    rng = np.random.default_rng(0)
+    labels = np.array([0, 2, 0, 2, 0, 2])
+    train = Dataset(rng.standard_normal((6, 4)), labels, class_count=3)
+    _, ev = gen_blobs(3, 4, 10, 0.5, 0.5, seed=0)
+    save_features(train, tmp_path / "train.clpf")
+    save_features(ev, tmp_path / "eval.clpf")
+    return _fast_cfg(
+        data="files",
+        data_train=str(tmp_path / "train.clpf"),
+        data_eval=str(tmp_path / "eval.clpf"),
+    )
+
+
+def test_train_file_with_empty_class_rejected(tmp_path):
+    cfg = _files_with_empty_class(tmp_path)
+    with pytest.raises(MissingClassError) as ei:
+        build_data(cfg)
+    assert cfg["data_train"] in str(ei.value) and "[1]" in str(ei.value)
+
+
+def test_eval_file_with_empty_class_accepted(tmp_path):
+    cfg = _files_with_empty_class(tmp_path)
+    # swapped: the full blob split trains, the gapped file is the eval split
+    cfg.update(data_train=cfg["data_eval"], data_eval=cfg["data_train"])
+    train, ev = build_data(cfg)
+    assert ev.class_count == 3 and ev.class_indices(1).size == 0
+
+
+def test_main_reports_feature_file_error(tmp_path, capsys):
+    cfg = _files_with_empty_class(tmp_path)
+    argv = ["distill", "--out", str(tmp_path / "run")]
+    for key in ("data", "data_train", "data_eval", "iterations"):
+        argv += ["--set", f"{key}={cfg[key]}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("feature file error:") and "train.clpf" in err[0]

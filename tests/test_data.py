@@ -74,6 +74,16 @@ def test_clpf_round_trip_f64(tmp_path):
     assert datasets_equal(load_features(path), ds)
 
 
+def test_clpf_round_trip_keeps_classes_without_rows(tmp_path):
+    # only a train split must cover every class; the file format itself does not
+    ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 2, 2, 0]), class_count=4)
+    path = tmp_path / "gap.clpf"
+    save_features(ds, path)
+    loaded = load_features(path)
+    assert datasets_equal(loaded, ds)
+    assert loaded.class_indices(1).size == 0 and loaded.class_indices(3).size == 0
+
+
 def test_clpf_round_trip_f32_widens(tmp_path):
     rng = np.random.default_rng(1)
     ds = _random_dataset(rng)

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -220,6 +223,14 @@ def test_run_distill_zero_iterations_is_noop():
     init = init_synthetic(3, 1, train.dim, seed=stream_seed(cfg.seed, "init"))
     assert np.array_equal(syn.inputs, init.inputs)
     assert rep.curve == []
+
+
+def test_run_distill_report_records_config():
+    train, _ = _blob_task()
+    cfg = _tiny_cfg(iterations=2, tau=0.2)
+    _, rep = run_distill(cfg, train)
+    assert rep.config == asdict(cfg)
+    assert DistillConfig(**json.loads(json.dumps(rep.config))) == cfg
 
 
 def test_run_distill_loss_decreases_on_blobs():

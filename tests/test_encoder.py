@@ -95,14 +95,6 @@ def test_same_seed_bit_identical_weights(kind):
         assert np.array_equal(wa, wb)
 
 
-def test_normalize_flag_encode_and_vjp_refusal():
-    enc = make_encoder("linear", 3, 3, seed=1, normalize=True)
-    out = encode(enc, np.random.default_rng(8).standard_normal((4, 3)))
-    assert np.allclose(np.linalg.norm(out, axis=1), 1.0)
-    with pytest.raises(NotImplementedError):
-        encode_vjp(enc, np.zeros((4, 3)), np.zeros((4, 3)))
-
-
 def test_vjp_reuses_stored_hidden_bitwise():
     rng = np.random.default_rng(9)
     enc = make_encoder("mlp1", 6, 5, hidden_dim=7, seed=3)

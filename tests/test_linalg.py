@@ -7,18 +7,9 @@ from clpdd.linalg import (
     NotPositiveDefiniteError,
     NotSymmetricError,
     as_matrix,
-    add,
     cholesky_factor,
-    cholesky_solve,
-    frobenius_norm,
-    matmul,
-    power_iteration_max_eig,
     row_argmax,
-    scale,
-    transpose,
 )
-
-from oracles import dense_max_eig, naive_matmul
 
 
 def test_as_matrix_rejects_nonfinite():
@@ -28,45 +19,8 @@ def test_as_matrix_rejects_nonfinite():
         as_matrix([1.0, 2.0])
 
 
-def test_matmul_identity():
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((3, 4))
-    assert np.array_equal(matmul(np.eye(3), m), m)
-
-
-def test_matmul_hand_case():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[1.0], [1.0]])
-    assert np.array_equal(matmul(a, b), np.array([[3.0], [7.0]]))
-
-
-def test_matmul_against_naive_oracle():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((7, 5))
-    b = rng.standard_normal((5, 3))
-    got = matmul(a, b)
-    want = naive_matmul(a, b)
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-
-def test_matmul_dim_mismatch():
-    with pytest.raises(DimensionError):
-        matmul(np.eye(3), np.eye(4))
-
-
-def test_matmul_associativity():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        a = rng.standard_normal((4, 5))
-        b = rng.standard_normal((5, 6))
-        c = rng.standard_normal((6, 3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.linalg.norm(left - right) <= 1e-10 * np.linalg.norm(left)
-
-
 def test_cholesky_scaled_identity():
-    z = cholesky_solve(2.0 * np.eye(4), np.eye(4))
+    z = cholesky_factor(2.0 * np.eye(4)).solve(np.eye(4))
     assert np.allclose(z, 0.5 * np.eye(4), rtol=0, atol=1e-14)
 
 
@@ -75,7 +29,7 @@ def test_cholesky_residual():
     m = rng.standard_normal((6, 6))
     a = m.T @ m + 0.1 * np.eye(6)
     b = rng.standard_normal((6, 2))
-    z = cholesky_solve(a, b)
+    z = cholesky_factor(a).solve(b)
     assert np.linalg.norm(a @ z - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -86,7 +40,7 @@ def test_cholesky_residual_property():
         m = rng.standard_normal((n, n))
         a = m.T @ m + float(rng.uniform(0.01, 1.0)) * np.eye(n)
         b = rng.standard_normal((n, int(rng.integers(1, 4))))
-        z = cholesky_solve(a, b)
+        z = cholesky_factor(a).solve(b)
         assert np.linalg.norm(a @ z - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -94,19 +48,19 @@ def test_cholesky_singular_reports_pivot():
     v = np.ones((4, 1))
     a = v @ v.T  # rank one, lambda = 0
     with pytest.raises(NotPositiveDefiniteError) as ei:
-        cholesky_solve(a, np.eye(4))
+        cholesky_factor(a).solve(np.eye(4))
     assert ei.value.pivot == 2
 
 
 def test_cholesky_rejects_asymmetric():
     a = np.array([[2.0, 1.0], [0.0, 2.0]])
     with pytest.raises(NotSymmetricError):
-        cholesky_solve(a, np.eye(2))
+        cholesky_factor(a).solve(np.eye(2))
 
 
 def test_cholesky_dim_mismatch():
     with pytest.raises(DimensionError):
-        cholesky_solve(np.eye(3), np.eye(4))
+        cholesky_factor(np.eye(3)).solve(np.eye(4))
 
 
 def test_cholesky_factor_reuse():
@@ -117,51 +71,6 @@ def test_cholesky_factor_reuse():
     for _ in range(3):
         b = rng.standard_normal((5, 2))
         assert np.linalg.norm(a @ f.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
-
-
-def test_power_iteration_diagonal():
-    assert abs(power_iteration_max_eig(np.diag([3.0, 1.0, 0.5])) - 3.0) <= 1e-6 * 3.0
-
-
-def test_power_iteration_scaled_identity():
-    assert abs(power_iteration_max_eig(5.0 * np.eye(2)) - 5.0) <= 1e-6 * 5.0
-
-
-def test_power_iteration_vs_dense_oracle():
-    rng = np.random.default_rng(6)
-    m = rng.standard_normal((8, 8))
-    a = m.T @ m
-    want = dense_max_eig(a)
-    got = power_iteration_max_eig(a, iters=500, seed=0)
-    assert abs(got - want) <= 1e-5 * want
-
-
-def test_power_iteration_zero_matrix():
-    assert power_iteration_max_eig(np.zeros((3, 3))) == 0.0
-
-
-def test_power_iteration_monotone_in_iters():
-    rng = np.random.default_rng(7)
-    m = rng.standard_normal((6, 6))
-    a = m.T @ m
-    estimates = [power_iteration_max_eig(a, iters=k, seed=3) for k in range(1, 40)]
-    for prev, cur in zip(estimates, estimates[1:]):
-        assert cur >= prev - 1e-12 * max(1.0, abs(prev))
-
-
-def test_transpose_involution_exact():
-    rng = np.random.default_rng(8)
-    m = rng.standard_normal((4, 7))
-    assert np.array_equal(transpose(transpose(m)), m)
-
-
-def test_add_scale_frobenius():
-    m = np.array([[3.0, 4.0]])
-    assert np.array_equal(add(m, np.zeros_like(m)), m)
-    assert np.array_equal(scale(m, 1.0), m)
-    assert frobenius_norm(m) == 5.0
-    with pytest.raises(DimensionError):
-        add(m, np.zeros((2, 2)))
 
 
 def test_row_argmax_tie_breaks_low():
