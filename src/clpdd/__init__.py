@@ -24,7 +24,6 @@ from .distill import (
     AdamState,
     DistillConfig,
     DistillDivergenceError,
-    SyntheticSet,
     augment,
     distill_step,
     init_synthetic,
@@ -80,7 +79,6 @@ __all__ = [
     "ProbeSolution",
     "RunReport",
     "StepMetrics",
-    "SyntheticSet",
     "augment",
     "battery_report",
     "class_anchor_loss_and_grad",

@@ -154,18 +154,18 @@ def build_data(cfg: dict, data_seed: int | None = None):
     if cfg["data"] == "files":
         if not cfg["data_train"]:
             raise ConfigError("data=files requires data_train")
-        train = load_features(cfg["data_train"], split="train")
+        train = load_features(cfg["data_train"])
         # balanced batches need rows of every class; an eval split may lack some
         check_every_class(train.labels, train.class_count, cfg["data_train"])
-        ev = load_features(cfg["data_eval"], split="eval") if cfg["data_eval"] else None
+        ev = load_features(cfg["data_eval"]) if cfg["data_eval"] else None
         return train, ev
     raise ConfigError(f"unknown data source {cfg['data']!r} (use 'blobs' or 'files')")
 
 
-def _probe_accuracy(enc, inputs, labels, eval_set: Dataset, cfg: dict, probe_seed: int) -> float:
+def _probe_accuracy(enc, train: Dataset, eval_set: Dataset, cfg: dict, probe_seed: int) -> float:
     res = train_linear_probe(
-        encode(enc, inputs),
-        labels,
+        encode(enc, train.inputs),
+        train.labels,
         encode(enc, eval_set.inputs),
         eval_set.labels,
         epochs=cfg["probe_epochs"],
@@ -176,25 +176,16 @@ def _probe_accuracy(enc, inputs, labels, eval_set: Dataset, cfg: dict, probe_see
     return res.eval_acc
 
 
-def _synthetic_dataset(syn) -> Dataset:
-    return Dataset(
-        inputs=syn.inputs,
-        labels=syn.labels,
-        class_count=syn.class_count,
-        split="train",
-    )
-
-
-def _write_embeddings(enc, real: Dataset, syn_inputs, syn_labels, path):
+def _write_embeddings(enc, real: Dataset, syn: Dataset, path):
     real_feats = encode(enc, real.inputs)
-    syn_feats = encode(enc, syn_inputs)
+    syn_feats = encode(enc, syn.inputs)
     proj, _ = pca_project_2d(np.vstack([real_feats, syn_feats]))
     lines = ["x,y,label,origin"]
     for i in range(real.n):
         lines.append(f"{float(proj[i, 0])!r},{float(proj[i, 1])!r},{real.labels[i]},real")
     for j in range(syn_feats.shape[0]):
         k = real.n + j
-        lines.append(f"{float(proj[k, 0])!r},{float(proj[k, 1])!r},{syn_labels[j]},synthetic")
+        lines.append(f"{float(proj[k, 0])!r},{float(proj[k, 1])!r},{syn.labels[j]},synthetic")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -222,11 +213,9 @@ def cmd_distill(cfg: dict, out_dir) -> RunReport:
     enc = dcfg.build_encoder(train.dim)
     syn, report = run_distill(dcfg, train, ev, enc=enc)
     synthetic_path = out / "synthetic.clpf"
-    save_features(_synthetic_dataset(syn), synthetic_path)
+    save_features(syn, synthetic_path)
     if ev is not None:
-        acc = _probe_accuracy(
-            enc, syn.inputs, syn.labels, ev, cfg, stream_seed(cfg["seed"], "probe")
-        )
+        acc = _probe_accuracy(enc, syn, ev, cfg, stream_seed(cfg["seed"], "probe"))
         report.accuracies["clpdd"] = MethodAccuracy([acc])
     report.config = dict(cfg)
     report.synthetic_path = str(synthetic_path)
@@ -234,8 +223,7 @@ def cmd_distill(cfg: dict, out_dir) -> RunReport:
     report.save_json(out / "report.json")
     report.save_curve_csv(out / "curve.csv")
     if cfg["pca_export"]:
-        _write_embeddings(enc, ev if ev is not None else train, syn.inputs, syn.labels,
-                          out / "embeddings.csv")
+        _write_embeddings(enc, ev if ev is not None else train, syn, out / "embeddings.csv")
     return report
 
 
@@ -276,24 +264,22 @@ def _compare_one_seed(cfg: dict, methods: list[str], index: int):
     syn = None
     if "clpdd" in methods:
         syn, rep = run_distill(dcfg, train, ev, enc=enc)
-        accs["clpdd"] = _probe_accuracy(enc, syn.inputs, syn.labels, ev, cfg, probe_seed)
+        accs["clpdd"] = _probe_accuracy(enc, syn, ev, cfg, probe_seed)
         curve = rep.curve
     if "mse-ablation" in methods:
         syn_mse, _ = run_distill(replace(dcfg, outer_objective="mse"), train, ev, enc=enc)
-        accs["mse-ablation"] = _probe_accuracy(
-            enc, syn_mse.inputs, syn_mse.labels, ev, cfg, probe_seed
-        )
+        accs["mse-ablation"] = _probe_accuracy(enc, syn_mse, ev, cfg, probe_seed)
     if "random" in methods:
         sel = select_random(train, cfg["ipc"], seed=stream_seed(run_seed, "select"))
-        accs["random"] = _probe_accuracy(enc, sel.inputs, sel.labels, ev, cfg, probe_seed)
+        accs["random"] = _probe_accuracy(enc, sel, ev, cfg, probe_seed)
     if "centroid" in methods or "neighbor" in methods:
         real_feats = encode(enc, train.inputs)
         if "centroid" in methods:
             sel = select_centroid(train, real_feats, cfg["ipc"])
-            accs["centroid"] = _probe_accuracy(enc, sel.inputs, sel.labels, ev, cfg, probe_seed)
+            accs["centroid"] = _probe_accuracy(enc, sel, ev, cfg, probe_seed)
         if "neighbor" in methods:
             sel = select_neighbor(train, real_feats, encode(enc, syn.inputs), syn.labels)
-            accs["neighbor"] = _probe_accuracy(enc, sel.inputs, sel.labels, ev, cfg, probe_seed)
+            accs["neighbor"] = _probe_accuracy(enc, sel, ev, cfg, probe_seed)
     return accs, curve, syn
 
 
@@ -329,7 +315,7 @@ def cmd_compare(cfg: dict, out_dir) -> RunReport:
     report, first_syn = compare_report(cfg)
     if first_syn is not None:
         synthetic_path = out / "synthetic.clpf"
-        save_features(_synthetic_dataset(first_syn), synthetic_path)
+        save_features(first_syn, synthetic_path)
         report.synthetic_path = str(synthetic_path)
     report.save_json(out / "report.json")
     report.save_curve_csv(out / "curve.csv")
@@ -377,9 +363,7 @@ def cmd_eval(cfg: dict, synthetic_path, json_path=None) -> dict:
             f"synthetic dim {syn_data.dim} does not match data dim {train.dim}"
         )
     enc = distill_config_from(cfg).build_encoder(train.dim)
-    acc = _probe_accuracy(
-        enc, syn_data.inputs, syn_data.labels, ev, cfg, stream_seed(cfg["seed"], "probe")
-    )
+    acc = _probe_accuracy(enc, syn_data, ev, cfg, stream_seed(cfg["seed"], "probe"))
     result = {
         "synthetic_path": str(synthetic_path),
         "n_synthetic": syn_data.n,
@@ -396,7 +380,7 @@ def cmd_export_embeddings(cfg: dict, synthetic_path, out_path):
     train, ev = build_data(cfg)
     real = ev if ev is not None else train
     enc = distill_config_from(cfg).build_encoder(train.dim)
-    _write_embeddings(enc, real, syn_data.inputs, syn_data.labels, out_path)
+    _write_embeddings(enc, real, syn_data, out_path)
 
 
 def _add_common(p):

@@ -64,17 +64,17 @@ class MissingClassError(FeatureFileError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Real samples: inputs, integer labels, class count, split tag.
+    """A labelled set: inputs, integer labels, class count.
 
-    Like every matrix in the package, inputs and labels are treated as
-    immutable once the dataset is built; per-class row indices are derived
-    from the labels once and reused.
+    Real splits, distilled sets and selected sets all take this form. Like
+    every matrix in the package, inputs and labels are treated as immutable
+    once the dataset is built; per-class row indices are derived from the
+    labels once and reused.
     """
 
     inputs: np.ndarray  # n x dim float64
     labels: np.ndarray  # n int64
     class_count: int
-    split: str = "train"
 
     def __post_init__(self):
         if self.inputs.shape[0] != self.labels.shape[0]:
@@ -161,8 +161,8 @@ def gen_blobs(
         eval_x.append(samples[n_train:])
         train_y.append(np.full(n_train, ci, dtype=np.int64))
         eval_y.append(np.full(n_per_class - n_train, ci, dtype=np.int64))
-    train = Dataset(np.vstack(train_x), np.concatenate(train_y), c, split="train")
-    eval_ = Dataset(np.vstack(eval_x), np.concatenate(eval_y), c, split="eval")
+    train = Dataset(np.vstack(train_x), np.concatenate(train_y), c)
+    eval_ = Dataset(np.vstack(eval_x), np.concatenate(eval_y), c)
     return train, eval_
 
 
@@ -183,11 +183,11 @@ def save_features(dataset: Dataset, path, dtype: str = "f64"):
     path.write_bytes(header + labels + payload)
 
 
-def load_features(path, split: str = "train") -> Dataset:
+def load_features(path) -> Dataset:
     """Read a CLPF file (or CSV when the path ends in .csv) back to a Dataset."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        return _load_csv(path, split)
+        return _load_csv(path)
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
         if raw[:4] != CLPF_MAGIC:
@@ -215,8 +215,10 @@ def load_features(path, split: str = "train") -> Dataset:
         raise LabelRangeError(
             f"{path}: label {labels.max()} out of range for {classes} classes"
         )
+    if n < classes:
+        raise MissingClassError(f"{path}: {n} rows cannot cover {classes} classes")
     _check_finite_rows(inputs, lambda i: f"{path}: row {i}")
-    return Dataset(inputs=inputs, labels=labels, class_count=classes, split=split)
+    return Dataset(inputs=inputs, labels=labels, class_count=classes)
 
 
 def _check_finite_rows(inputs: np.ndarray, where):
@@ -248,7 +250,7 @@ def _save_csv(dataset: Dataset, path: Path):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _load_csv(path: Path, split: str) -> Dataset:
+def _load_csv(path: Path) -> Dataset:
     lines = path.read_text().strip().splitlines()
     if not lines or not lines[0].startswith("label,"):
         raise BadMagicError(f"{path}: expected 'label,f0,...' CSV header")
@@ -267,4 +269,4 @@ def _load_csv(path: Path, split: str) -> Dataset:
     _check_finite_rows(inputs, lambda i: f"{path}:{i + 2}: row {i}")
     classes = int(labels.max()) + 1 if labels.size else 0
     check_every_class(labels, classes, f"{path} (class count inferred as max label + 1)")
-    return Dataset(inputs=inputs, labels=labels, class_count=classes, split=split)
+    return Dataset(inputs=inputs, labels=labels, class_count=classes)

@@ -52,30 +52,6 @@ def rng_stream(seed: int, name: str) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class SyntheticSet:
-    """Learnable inputs with fixed one-hot labels, ipc rows per class."""
-
-    inputs: np.ndarray  # N x input_dim
-    y_onehot: np.ndarray  # N x C, immutable
-    ipc: int
-
-    def __post_init__(self):
-        n, c = self.y_onehot.shape
-        if n != self.inputs.shape[0]:
-            raise ValueError(f"{self.inputs.shape[0]} input rows but {n} label rows")
-        if n != c * self.ipc:
-            raise ValueError(f"expected {c}*{self.ipc} rows, got {n}")
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.argmax(self.y_onehot, axis=1)
-
-    @property
-    def class_count(self) -> int:
-        return self.y_onehot.shape[1]
-
-
-@dataclass(frozen=True)
 class DistillConfig:
     """Hyperparameters of one distillation run.
 
@@ -189,7 +165,7 @@ def init_synthetic(
     mode: str = "random_normal",
     real: Dataset | None = None,
     seed: int = 0,
-) -> SyntheticSet:
+) -> Dataset:
     """Class-major synthetic set: row c*ipc + k belongs to class c."""
     if mode not in INIT_MODES:
         raise ValueError(f"unknown init mode {mode!r}")
@@ -209,7 +185,7 @@ def init_synthetic(
                 )
             rows.append(real.inputs[rng.choice(idx, size=ipc, replace=False)])
         inputs = np.vstack(rows)
-    return SyntheticSet(inputs=inputs, y_onehot=onehot(labels, c), ipc=ipc)
+    return Dataset(inputs, labels, c)
 
 
 @lru_cache(maxsize=8)
@@ -285,7 +261,8 @@ def _divergence_diagnostics(enc: Encoder, inputs: np.ndarray, lam: float) -> str
 
 
 def distill_step(
-    syn: SyntheticSet,
+    inputs: np.ndarray,
+    y_onehot: np.ndarray,
     adam: AdamState,
     cfg: DistillConfig,
     enc: Encoder,
@@ -294,16 +271,16 @@ def distill_step(
     rng_augment: np.random.Generator,
     iteration: int,
 ):
-    """One outer iteration; returns (updated synthetic set, step metrics).
+    """One outer iteration; returns (updated synthetic inputs, step metrics).
 
     The forward/backward pass runs at the augmented inputs (additive noise has
     identity Jacobian, so the gradient transfers unchanged), while the Adam
     update applies to the clean inputs.
     """
-    inputs_aug = augment(syn.inputs, cfg.augment_noise_sigma, rng_augment)
+    inputs_aug = augment(inputs, cfg.augment_noise_sigma, rng_augment)
     batch = sample_balanced_batch(real, cfg.b_per_class, rng_batch)
     loss, grad = meta_loss_and_grad(
-        inputs_aug, syn.y_onehot, enc, batch, cfg.lam, cfg.tau, cfg.outer_objective
+        inputs_aug, y_onehot, enc, batch, cfg.lam, cfg.tau, cfg.outer_objective
     )
     grad_norm = float(np.linalg.norm(grad))
     if not (math.isfinite(loss) and math.isfinite(grad_norm)):
@@ -320,20 +297,22 @@ def distill_step(
         )
     lr = cosine_lr(cfg.lr, iteration, cfg.iterations)
     update = adam_update(adam, grad, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-    new_inputs = np.subtract(syn.inputs, update, out=update)
+    new_inputs = np.subtract(inputs, update, out=update)
     if not np.isfinite(new_inputs).all():
         raise DistillDivergenceError(
             f"synthetic inputs became non-finite at iteration {iteration} "
             f"(lambda={cfg.lam}, {_divergence_diagnostics(enc, inputs_aug, cfg.lam)})"
         )
-    return SyntheticSet(new_inputs, syn.y_onehot, syn.ipc), StepMetrics(
+    return new_inputs, StepMetrics(
         iteration=iteration, outer_loss=loss, grad_norm=grad_norm, lr=lr
     )
 
 
-def _monitor_accuracy(enc: Encoder, syn: SyntheticSet, cfg: DistillConfig, eval_set: Dataset) -> float:
+def _monitor_accuracy(
+    enc: Encoder, inputs: np.ndarray, y_onehot: np.ndarray, lam: float, eval_set: Dataset
+) -> float:
     """Cheap closed-form probe accuracy on the eval split, for the curve only."""
-    sol = ridge_kernel(encode(enc, syn.inputs), syn.y_onehot, cfg.lam)
+    sol = ridge_kernel(encode(enc, inputs), y_onehot, lam)
     preds = row_argmax(encode(enc, eval_set.inputs) @ sol.w_star)
     return float(np.mean(preds == eval_set.labels))
 
@@ -344,7 +323,7 @@ def run_distill(
     eval_set: Dataset | None = None,
     enc: Encoder | None = None,
 ):
-    """Run the full budget of iterations; returns (synthetic set, report).
+    """Run the full budget of iterations; returns (synthetic Dataset, report).
 
     Loss/gradient/lr are recorded every step; when an eval split is given, a
     closed-form probe accuracy is recorded every cfg.eval_every steps.
@@ -357,14 +336,17 @@ def run_distill(
     syn = init_synthetic(
         real.class_count, cfg.ipc, real.dim, cfg.init, real, seed=stream_seed(cfg.seed, "init")
     )
-    adam = AdamState.like(syn.inputs)
+    inputs, y_onehot = syn.inputs, syn.onehot_labels()
+    adam = AdamState.like(inputs)
     rng_batch = rng_stream(cfg.seed, "batch")
     rng_augment = rng_stream(cfg.seed, "augment")
     curve: list[StepMetrics] = []
     for t in range(cfg.iterations):
-        syn, metrics = distill_step(syn, adam, cfg, enc, real, rng_batch, rng_augment, t)
+        inputs, metrics = distill_step(
+            inputs, y_onehot, adam, cfg, enc, real, rng_batch, rng_augment, t
+        )
         if eval_set is not None and (t + 1) % cfg.eval_every == 0:
-            metrics.eval_acc = _monitor_accuracy(enc, syn, cfg, eval_set)
+            metrics.eval_acc = _monitor_accuracy(enc, inputs, y_onehot, cfg.lam, eval_set)
         curve.append(metrics)
     report = RunReport(
         config=asdict(cfg),
@@ -372,4 +354,4 @@ def run_distill(
         seeds=[cfg.seed],
         wall_seconds=time.perf_counter() - t0,
     )
-    return syn, report
+    return Dataset(inputs, syn.labels, syn.class_count), report

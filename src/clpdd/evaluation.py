@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .distill import AdamState, SyntheticSet, adam_update
+from .distill import AdamState, adam_update
 from .linalg import DimensionError, row_argmax
 from .objective import _softmax_rows, onehot
 from .solver import ridge_kernel
@@ -99,16 +99,11 @@ def closed_form_probe(
     )
 
 
-def _selection(real: Dataset, picked: np.ndarray, ipc: int) -> SyntheticSet:
-    labels = np.repeat(np.arange(real.class_count), ipc)
-    return SyntheticSet(
-        inputs=real.inputs[picked].copy(),
-        y_onehot=onehot(labels, real.class_count),
-        ipc=ipc,
-    )
+def _selection(real: Dataset, picked: np.ndarray) -> Dataset:
+    return Dataset(real.inputs[picked], real.labels[picked], real.class_count)
 
 
-def select_random(real: Dataset, ipc: int, seed: int = 0) -> SyntheticSet:
+def select_random(real: Dataset, ipc: int, seed: int = 0) -> Dataset:
     """ipc rows per class chosen uniformly without replacement."""
     rng = np.random.default_rng(seed)
     picked = []
@@ -117,10 +112,10 @@ def select_random(real: Dataset, ipc: int, seed: int = 0) -> SyntheticSet:
         if idx.size < ipc:
             raise ValueError(f"class {c} has {idx.size} samples, needs >= {ipc}")
         picked.append(np.sort(rng.choice(idx, size=ipc, replace=False)))
-    return _selection(real, np.concatenate(picked), ipc)
+    return _selection(real, np.concatenate(picked))
 
 
-def select_centroid(real: Dataset, features: np.ndarray, ipc: int) -> SyntheticSet:
+def select_centroid(real: Dataset, features: np.ndarray, ipc: int) -> Dataset:
     """The ipc samples per class nearest the class feature mean, ties by index."""
     if features.shape[0] != real.n:
         raise DimensionError(f"got {features.shape[0]} feature rows for {real.n} samples")
@@ -133,7 +128,7 @@ def select_centroid(real: Dataset, features: np.ndarray, ipc: int) -> SyntheticS
         d2 = np.sum((features[idx] - mean) ** 2, axis=1)
         # stable sort: equidistant candidates resolve to the lower index
         picked.append(idx[np.argsort(d2, kind="stable")[:ipc]])
-    return _selection(real, np.concatenate(picked), ipc)
+    return _selection(real, np.concatenate(picked))
 
 
 def select_neighbor(
@@ -141,11 +136,11 @@ def select_neighbor(
     real_features: np.ndarray,
     synthetic_features: np.ndarray,
     synthetic_labels: np.ndarray | None = None,
-) -> SyntheticSet:
+) -> Dataset:
     """Per synthetic row, the nearest same-class real sample, ties by index.
 
     Labels default to the class-major layout used by init_synthetic (row i
-    belongs to class i // ipc).
+    belongs to class i // ipc). Each picked row keeps its label from `real`.
     """
     if real_features.shape[0] != real.n:
         raise DimensionError(
@@ -158,11 +153,7 @@ def select_neighbor(
                 f"{n_syn} synthetic rows do not split evenly over "
                 f"{real.class_count} classes; pass synthetic_labels"
             )
-        ipc = n_syn // real.class_count
-        synthetic_labels = np.repeat(np.arange(real.class_count), ipc)
-    else:
-        synthetic_labels = np.asarray(synthetic_labels, dtype=np.int64)
-        ipc = n_syn // real.class_count
+        synthetic_labels = np.repeat(np.arange(real.class_count), n_syn // real.class_count)
     picked = []
     for i in range(n_syn):
         idx = real.class_indices(int(synthetic_labels[i]))
@@ -170,7 +161,7 @@ def select_neighbor(
             raise ValueError(f"class {synthetic_labels[i]} has no samples")
         d2 = np.sum((real_features[idx] - synthetic_features[i]) ** 2, axis=1)
         picked.append(idx[int(np.argmin(d2))])  # argmin returns first minimum
-    return _selection(real, np.asarray(picked), ipc)
+    return _selection(real, np.asarray(picked))
 
 
 def pca_project_2d(features: np.ndarray):

@@ -39,16 +39,6 @@ class NotPositiveDefiniteError(LinalgError):
         super().__init__(f"matrix is not positive definite (pivot {pivot})")
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate user input as a finite 2-D matrix and widen it to float64."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise NonFiniteError(f"{name} contains non-finite entries")
-    return m
-
-
 def row_argmax(scores: np.ndarray) -> np.ndarray:
     """Index of the largest entry in each row; ties go to the lowest index."""
     return np.argmax(scores, axis=1)

@@ -40,10 +40,6 @@ class ProbeSolution:
     def n(self) -> int:
         return self.p.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.w_star.shape[0]
-
 
 def _check_ridge_args(x: np.ndarray, y: np.ndarray, lam: float):
     if lam <= 0.0:

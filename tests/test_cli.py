@@ -331,3 +331,16 @@ def test_main_reports_feature_file_error(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("feature file error:") and "train.clpf" in err[0]
+
+
+def test_main_reports_file_with_fewer_rows_than_classes(tmp_path, capsys):
+    path = tmp_path / "few.clpf"
+    save_features(Dataset(np.eye(3), np.array([0, 1, 2]), class_count=3), path)
+    raw = bytearray(path.read_bytes())
+    raw[24:28] = (5).to_bytes(4, "little")  # the header's class count
+    path.write_bytes(bytes(raw))
+    assert main(["eval", "--synthetic", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("feature file error:") and "few.clpf" in err[0]
+    assert "3 rows cannot cover 5 classes" in err[0]

@@ -34,7 +34,6 @@ def test_blobs_split_arithmetic():
     train, ev = gen_blobs(2, 3, 10, 1.0, 1.0, seed=1)
     assert train.n == int(np.ceil(0.8 * 2 * 10))
     assert ev.n == 2 * 10 - train.n
-    assert train.split == "train" and ev.split == "eval"
 
 
 def test_blobs_separable_probe_accuracy():
@@ -166,6 +165,11 @@ def test_csv_bad_header(tmp_path):
 def test_dataset_rejects_out_of_range_labels():
     with pytest.raises(LabelRangeError):
         Dataset(np.zeros((3, 2)), np.array([0, 1, 5]), class_count=3)
+
+
+def test_dataset_rejects_row_count_mismatch():
+    with pytest.raises(ValueError):
+        Dataset(np.zeros((3, 2)), np.array([0, 1]), class_count=2)
 
 
 def test_dataset_rejects_fewer_samples_than_classes():

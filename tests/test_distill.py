@@ -4,12 +4,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from clpdd.data import Dataset, gen_blobs
+from clpdd.data import Dataset, datasets_equal, gen_blobs, load_features, save_features
 from clpdd.distill import (
     AdamState,
     DistillConfig,
     DistillDivergenceError,
-    SyntheticSet,
     adam_update,
     augment,
     cosine_lr,
@@ -34,7 +33,7 @@ def _blob_task(seed=0):
 def test_init_shapes_and_label_layout():
     syn = init_synthetic(3, 1, 4, seed=0)
     assert syn.inputs.shape == (3, 4)
-    assert np.array_equal(syn.y_onehot, np.eye(3))
+    assert syn.labels.tolist() == [0, 1, 2] and syn.class_count == 3
     syn2 = init_synthetic(2, 3, 4, seed=0)
     assert syn2.labels.tolist() == [0, 0, 0, 1, 1, 1]
 
@@ -164,10 +163,11 @@ def test_distill_step_zero_lr_freezes_inputs():
     enc = cfg.build_encoder(train.dim)
     syn = init_synthetic(3, 1, train.dim, seed=0)
     adam = AdamState.like(syn.inputs)
-    new_syn, metrics = distill_step(
-        syn, adam, cfg, enc, train, rng_stream(0, "batch"), rng_stream(0, "augment"), 0
+    new_inputs, metrics = distill_step(
+        syn.inputs, syn.onehot_labels(), adam, cfg, enc, train,
+        rng_stream(0, "batch"), rng_stream(0, "augment"), 0,
     )
-    assert np.array_equal(new_syn.inputs, syn.inputs)
+    assert np.array_equal(new_inputs, syn.inputs)
     assert np.isfinite(metrics.outer_loss)
 
 
@@ -225,6 +225,15 @@ def test_run_distill_zero_iterations_is_noop():
     assert rep.curve == []
 
 
+@pytest.mark.parametrize("name", ["syn.clpf", "syn.csv"])
+def test_distilled_set_round_trips_through_feature_files(tmp_path, name):
+    train, _ = _blob_task()
+    syn, _ = run_distill(_tiny_cfg(ipc=2, augment_noise_sigma=0.01), train)
+    assert np.array_equal(syn.labels, np.repeat(np.arange(3), 2))
+    save_features(syn, tmp_path / name, dtype="f64")
+    assert datasets_equal(load_features(tmp_path / name), syn)
+
+
 def test_run_distill_report_records_config():
     train, _ = _blob_task()
     cfg = _tiny_cfg(iterations=2, tau=0.2)
@@ -258,12 +267,13 @@ def test_labels_fixed_across_steps():
     cfg = _tiny_cfg(iterations=8)
     enc = cfg.build_encoder(train.dim)
     syn = init_synthetic(3, 1, train.dim, seed=0)
-    label_bytes = syn.y_onehot.tobytes()
-    adam = AdamState.like(syn.inputs)
+    inputs, y_onehot = syn.inputs, syn.onehot_labels()
+    label_bytes = y_onehot.tobytes()
+    adam = AdamState.like(inputs)
     rb, ra = rng_stream(0, "batch"), rng_stream(0, "augment")
     for t in range(8):
-        syn, _ = distill_step(syn, adam, cfg, enc, train, rb, ra, t)
-    assert syn.y_onehot.tobytes() == label_bytes
+        inputs, _ = distill_step(inputs, y_onehot, adam, cfg, enc, train, rb, ra, t)
+    assert y_onehot.tobytes() == label_bytes
 
 
 def test_adam_step_norm_bound():
@@ -272,14 +282,15 @@ def test_adam_step_norm_bound():
         cfg = _tiny_cfg(iterations=100, outer_objective=objective, augment_noise_sigma=0.01)
         enc = cfg.build_encoder(train.dim)
         syn = init_synthetic(3, 1, train.dim, seed=0)
-        adam = AdamState.like(syn.inputs)
+        inputs, y_onehot = syn.inputs, syn.onehot_labels()
+        adam = AdamState.like(inputs)
         rb, ra = rng_stream(0, "batch"), rng_stream(0, "augment")
-        bound = np.sqrt(syn.inputs.size)
+        bound = np.sqrt(inputs.size)
         for t in range(cfg.iterations):
-            prev = syn.inputs
-            syn, metrics = distill_step(syn, adam, cfg, enc, train, rb, ra, t)
+            prev = inputs
+            inputs, metrics = distill_step(inputs, y_onehot, adam, cfg, enc, train, rb, ra, t)
             assert np.isfinite(metrics.outer_loss)
-            assert np.linalg.norm(syn.inputs - prev) <= metrics.lr * bound
+            assert np.linalg.norm(inputs - prev) <= metrics.lr * bound
 
 
 def test_inputs_stay_finite_across_run():
@@ -315,13 +326,6 @@ def test_config_validation():
         DistillConfig(init="zeros")
     with pytest.raises(ValueError):
         DistillConfig(lr_schedule="step")
-
-
-def test_synthetic_set_shape_checks():
-    with pytest.raises(ValueError):
-        SyntheticSet(inputs=np.zeros((3, 2)), y_onehot=np.eye(2), ipc=1)
-    with pytest.raises(ValueError):
-        SyntheticSet(inputs=np.zeros((3, 2)), y_onehot=np.eye(3), ipc=2)
 
 
 def test_stream_seeds_are_stable_and_distinct():

@@ -161,6 +161,19 @@ def test_select_neighbor_matches_brute_force_and_class_constraint():
         assert sel.labels[c] == c
 
 
+def test_select_neighbor_keeps_labels_of_rows_it_picks():
+    # explicit labels that are not class-major: row 0 is class 1, row 1 class 0
+    ds = Dataset(
+        inputs=np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]]),
+        labels=np.array([0, 0, 1, 1]),
+        class_count=2,
+    )
+    syn_feats = np.array([[5.0, 5.0], [0.0, 0.0]])
+    sel = select_neighbor(ds, ds.inputs, syn_feats, np.array([1, 0]))
+    assert sel.inputs.tolist() == [[5.0, 5.0], [0.0, 0.0]]
+    assert sel.labels.tolist() == [1, 0]
+
+
 def test_pca_two_dim_subspace_explains_everything():
     rng = np.random.default_rng(2)
     basis = np.linalg.qr(rng.standard_normal((6, 2)))[0]

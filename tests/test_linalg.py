@@ -3,20 +3,11 @@ import pytest
 
 from clpdd.linalg import (
     DimensionError,
-    NonFiniteError,
     NotPositiveDefiniteError,
     NotSymmetricError,
-    as_matrix,
     cholesky_factor,
     row_argmax,
 )
-
-
-def test_as_matrix_rejects_nonfinite():
-    with pytest.raises(NonFiniteError):
-        as_matrix([[1.0, np.nan]])
-    with pytest.raises(DimensionError):
-        as_matrix([1.0, 2.0])
 
 
 def test_cholesky_scaled_identity():
