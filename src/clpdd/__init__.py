@@ -42,12 +42,7 @@ from .evaluation import (
     train_linear_probe,
 )
 from .gradcheck import battery_report, run_battery
-from .objective import (
-    OuterBatch,
-    class_anchor_loss_and_grad,
-    make_outer_batch,
-    mse_outer_loss_and_grad,
-)
+from .objective import class_anchor_loss_and_grad, mse_outer_loss_and_grad
 from .report import MethodAccuracy, RunReport, StepMetrics
 from .solver import (
     ProbeSolution,
@@ -74,7 +69,6 @@ __all__ = [
     "TruncatedFileError",
     "VersionError",
     "MethodAccuracy",
-    "OuterBatch",
     "ProbeResult",
     "ProbeSolution",
     "RunReport",
@@ -91,7 +85,6 @@ __all__ = [
     "init_synthetic",
     "load_features",
     "make_encoder",
-    "make_outer_batch",
     "meta_loss_and_grad",
     "mse_outer_loss_and_grad",
     "pca_project_2d",

@@ -362,6 +362,11 @@ def cmd_eval(cfg: dict, synthetic_path, json_path=None) -> dict:
         raise ConfigError(
             f"synthetic dim {syn_data.dim} does not match data dim {train.dim}"
         )
+    if syn_data.class_count != train.class_count:
+        raise ConfigError(
+            f"synthetic set has {syn_data.class_count} classes but the data has "
+            f"{train.class_count}"
+        )
     enc = distill_config_from(cfg).build_encoder(train.dim)
     acc = _probe_accuracy(enc, syn_data, ev, cfg, stream_seed(cfg["seed"], "probe"))
     result = {

@@ -26,8 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .objective import onehot
-
 CLPF_MAGIC = b"CLPF"
 CLPF_VERSION = 1
 _FLAG_F64 = 0x0001
@@ -60,6 +58,23 @@ class NonFiniteFeatureError(FeatureFileError):
 
 class MissingClassError(FeatureFileError):
     """Some class id below the class count labels no row."""
+
+
+def _check_label_range(labels: np.ndarray, class_count: int):
+    # a negative id would index from the end instead of failing
+    if labels.size and (labels.min() < 0 or labels.max() >= class_count):
+        raise ValueError(
+            f"labels must lie in [0, {class_count}), got range "
+            f"[{labels.min()}, {labels.max()}]"
+        )
+
+
+def onehot(labels: np.ndarray, class_count: int) -> np.ndarray:
+    labels = np.asarray(labels)
+    _check_label_range(labels, class_count)
+    t = np.zeros((labels.shape[0], class_count))
+    t[np.arange(labels.shape[0]), labels] = 1.0
+    return t
 
 
 @dataclass(frozen=True)

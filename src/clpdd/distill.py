@@ -18,12 +18,7 @@ import numpy as np
 from .data import Dataset
 from .encoder import Encoder, encode, encode_vjp, make_encoder
 from .linalg import row_argmax
-from .objective import (
-    OuterBatch,
-    class_anchor_loss_and_grad,
-    mse_outer_loss_and_grad,
-    onehot,
-)
+from .objective import class_anchor_loss_and_grad, mse_outer_loss_and_grad
 from .report import RunReport, StepMetrics
 from .solver import ridge_kernel, solve_backward
 
@@ -189,18 +184,18 @@ def init_synthetic(
 
 
 @lru_cache(maxsize=8)
-def _balanced_targets(class_count: int, b_per_class: int) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and one-hot targets of every class-major balanced batch (read-only)."""
+def _balanced_labels(class_count: int, b_per_class: int) -> np.ndarray:
+    """Labels of every class-major balanced batch (read-only)."""
     labels = np.repeat(np.arange(class_count, dtype=np.int64), b_per_class)
-    t_onehot = onehot(labels, class_count)
     labels.setflags(write=False)
-    t_onehot.setflags(write=False)
-    return labels, t_onehot
+    return labels
 
 
-def sample_balanced_batch(real: Dataset, b_per_class: int, rng: np.random.Generator) -> OuterBatch:
-    """Exactly b_per_class rows per class, class-major; small classes are drawn
-    with replacement."""
+def sample_balanced_batch(
+    real: Dataset, b_per_class: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(inputs, labels) of exactly b_per_class rows per class, class-major;
+    small classes are drawn with replacement."""
     picks = np.empty(real.class_count * b_per_class, dtype=np.intp)
     for c in range(real.class_count):
         idx = real.class_indices(c)
@@ -210,8 +205,7 @@ def sample_balanced_batch(real: Dataset, b_per_class: int, rng: np.random.Genera
         # would and picks the same rows, without its array-argument overhead
         pos = rng.choice(idx.size, size=b_per_class, replace=idx.size < b_per_class)
         picks[c * b_per_class : (c + 1) * b_per_class] = idx[pos]
-    labels, t_onehot = _balanced_targets(real.class_count, b_per_class)
-    return OuterBatch(x_real=real.inputs[picks], labels=labels, t_onehot=t_onehot)
+    return real.inputs[picks], _balanced_labels(real.class_count, b_per_class)
 
 
 def augment(inputs: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -230,7 +224,8 @@ def meta_loss_and_grad(
     inputs: np.ndarray,
     y_onehot: np.ndarray,
     enc: Encoder,
-    batch: OuterBatch,
+    x_real: np.ndarray,
+    labels: np.ndarray,
     lam: float,
     tau: float,
     objective: str = "class_anchor",
@@ -238,16 +233,17 @@ def meta_loss_and_grad(
     """Outer loss and its exact gradient with respect to the synthetic inputs.
 
     Chains: encode inputs -> closed-form probe -> outer loss on encoded real
-    rows -> analytic backward through the solve -> encoder VJP. The batch
-    carries raw real inputs and is encoded here with the same frozen map.
+    rows -> analytic backward through the solve -> encoder VJP. `x_real` holds
+    the real batch's raw inputs, encoded here with the same frozen map, and
+    `labels` their class ids.
     """
     x_syn, hidden = encode(enc, inputs, return_hidden=True)
     sol = ridge_kernel(x_syn, y_onehot, lam)
-    fbatch = batch.with_features(encode(enc, batch.x_real))
+    feats = encode(enc, x_real)
     if objective == "class_anchor":
-        loss, g = class_anchor_loss_and_grad(fbatch, sol.w_star, tau)
+        loss, g = class_anchor_loss_and_grad(feats, labels, sol.w_star, tau)
     elif objective == "mse":
-        loss, g = mse_outer_loss_and_grad(fbatch, sol.w_star)
+        loss, g = mse_outer_loss_and_grad(feats, labels, sol.w_star)
     else:
         raise ValueError(f"unknown outer objective {objective!r}")
     grad_x = solve_backward(sol, x_syn, g)
@@ -278,9 +274,9 @@ def distill_step(
     update applies to the clean inputs.
     """
     inputs_aug = augment(inputs, cfg.augment_noise_sigma, rng_augment)
-    batch = sample_balanced_batch(real, cfg.b_per_class, rng_batch)
+    x_real, labels = sample_balanced_batch(real, cfg.b_per_class, rng_batch)
     loss, grad = meta_loss_and_grad(
-        inputs_aug, y_onehot, enc, batch, cfg.lam, cfg.tau, cfg.outer_objective
+        inputs_aug, y_onehot, enc, x_real, labels, cfg.lam, cfg.tau, cfg.outer_objective
     )
     grad_norm = float(np.linalg.norm(grad))
     if not (math.isfinite(loss) and math.isfinite(grad_norm)):

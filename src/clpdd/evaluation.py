@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, onehot
 from .distill import AdamState, adam_update
 from .linalg import DimensionError, row_argmax
-from .objective import _softmax_rows, onehot
+from .objective import _softmax_rows
 from .solver import ridge_kernel
 
 

@@ -12,13 +12,14 @@ default temperature; saturated logits make both gradients vanish and the
 comparison meaningless.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import onehot
 from .distill import meta_loss_and_grad, stream_seed
 from .encoder import encode, encode_vjp, make_encoder
-from .objective import class_anchor_loss_and_grad, make_outer_batch, mse_outer_loss_and_grad
+from .objective import class_anchor_loss_and_grad, mse_outer_loss_and_grad
 from .solver import ridge_kernel, solve_backward
 
 DEFAULT_H = 1e-5
@@ -64,25 +65,9 @@ class CheckResult:
     passed: bool
     worst_seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "instances": self.instances,
-            "max_rel_err": self.max_rel_err,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "worst_seed": self.worst_seed,
-        }
-
 
 def _instance_rng(seed: int, name: str, i: int) -> np.random.Generator:
     return np.random.default_rng(stream_seed(seed, f"gradcheck.{name}.{i}"))
-
-
-def _onehot_rows(rng, n, c):
-    t = np.zeros((n, c))
-    t[np.arange(n), rng.integers(0, c, size=n)] = 1.0
-    return t
 
 
 def _check_solver_backward(rng):
@@ -91,7 +76,7 @@ def _check_solver_backward(rng):
     c = int(rng.integers(2, 4))
     lam = float(rng.choice([0.01, 0.1, 1.0]))
     x = 0.8 * rng.standard_normal((n, d))
-    y = _onehot_rows(rng, n, c)
+    y = onehot(rng.integers(0, c, size=n), c)
     g = rng.standard_normal((d, c))
     analytic = solve_backward(ridge_kernel(x, y, lam), x, g)
     fd = fd_grad(lambda xp: float(np.sum(g * ridge_kernel(xp, y, lam).w_star)), x)
@@ -101,25 +86,25 @@ def _check_solver_backward(rng):
 def _random_batch(rng, m, d, c, scale=0.5):
     x = scale * rng.standard_normal((m, d))
     labels = np.concatenate([np.arange(c), rng.integers(0, c, size=m - c)])
-    return make_outer_batch(x, labels, c)
+    return x, labels
 
 
 def _check_class_anchor(rng):
     m, d, c = int(rng.integers(4, 9)), int(rng.integers(3, 9)), int(rng.integers(2, 4))
     tau = float(rng.choice([0.07, 0.2, 1.0]))
-    batch = _random_batch(rng, m, d, c)
+    x, labels = _random_batch(rng, m, d, c)
     w = 0.3 * rng.standard_normal((d, c))
-    _, analytic = class_anchor_loss_and_grad(batch, w, tau)
-    fd = fd_grad(lambda wp: class_anchor_loss_and_grad(batch, wp, tau)[0], w)
+    _, analytic = class_anchor_loss_and_grad(x, labels, w, tau)
+    fd = fd_grad(lambda wp: class_anchor_loss_and_grad(x, labels, wp, tau)[0], w)
     return analytic, fd
 
 
 def _check_mse(rng):
     m, d, c = int(rng.integers(4, 9)), int(rng.integers(3, 9)), int(rng.integers(2, 4))
-    batch = _random_batch(rng, m, d, c)
+    x, labels = _random_batch(rng, m, d, c)
     w = 0.5 * rng.standard_normal((d, c))
-    _, analytic = mse_outer_loss_and_grad(batch, w)
-    fd = fd_grad(lambda wp: mse_outer_loss_and_grad(batch, wp)[0], w)
+    _, analytic = mse_outer_loss_and_grad(x, labels, w)
+    fd = fd_grad(lambda wp: mse_outer_loss_and_grad(x, labels, wp)[0], w)
     return analytic, fd
 
 
@@ -144,13 +129,13 @@ def _pipeline_instance(rng, enc, c, ipc, objective):
     d_in = enc.input_dim
     inputs = 0.5 * rng.standard_normal((c * ipc, d_in))
     y = np.repeat(np.eye(c), ipc, axis=0)  # class-major, as init_synthetic lays it out
-    batch = _random_batch(rng, 2 * c, d_in, c, scale=0.4)
+    x_real, labels = _random_batch(rng, 2 * c, d_in, c, scale=0.4)
     lam, tau = 0.1, 0.07
 
     def loss_fn(xp):
-        return meta_loss_and_grad(xp, y, enc, batch, lam, tau, objective)[0]
+        return meta_loss_and_grad(xp, y, enc, x_real, labels, lam, tau, objective)[0]
 
-    _, analytic = meta_loss_and_grad(inputs, y, enc, batch, lam, tau, objective)
+    _, analytic = meta_loss_and_grad(inputs, y, enc, x_real, labels, lam, tau, objective)
     return analytic, fd_grad(loss_fn, inputs)
 
 
@@ -230,7 +215,7 @@ def run_battery(
 
 def battery_report(results: list[CheckResult]) -> dict:
     return {
-        "checks": [r.to_dict() for r in results],
+        "checks": [asdict(r) for r in results],
         "battery_size": len(results),
         "passed": all(r.passed for r in results),
     }

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import clpdd.cli
+import clpdd.distill
 from clpdd.cli import (
     CONFIG_SPEC,
     ConfigError,
@@ -263,6 +264,40 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["distill", "--out", str(tmp_path / "m2"), "--set", "bogus=1"]) == 2
     err = capsys.readouterr().err
     assert "bogus" in err
+
+
+def test_main_eval_rejects_synthetic_with_other_class_count(tmp_path, capsys):
+    small = ["--set", "blob_dim=4", "--set", "probe_epochs=5"]
+    assert main(["distill", "--out", str(tmp_path / "m"), "--set", "iterations=2",
+                 "--set", "blob_classes=3", *small]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--synthetic", str(tmp_path / "m" / "synthetic.clpf"), *small]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0] == "config error: synthetic set has 3 classes but the data has 5"
+
+
+def test_distill_runs_the_bound_step_and_probe(tmp_path, monkeypatch):
+    # the benchmark times each step and each probe by wrapping these two
+    # module bindings; a call that bypasses them would go untimed
+    calls = {"step": 0, "probe": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        clpdd.distill, "distill_step", counted("step", clpdd.distill.distill_step)
+    )
+    monkeypatch.setattr(
+        clpdd.cli, "train_linear_probe", counted("probe", clpdd.cli.train_linear_probe)
+    )
+    assert main(["distill", "--out", str(tmp_path / "m"), "--set", "iterations=3",
+                 "--set", "blob_dim=4", "--set", "probe_epochs=5"]) == 0
+    assert calls == {"step": 3, "probe": 1}
 
 
 def test_default_blob_distill_under_a_minute(tmp_path):

@@ -13,6 +13,7 @@ from clpdd.data import (
     datasets_equal,
     gen_blobs,
     load_features,
+    onehot,
     save_features,
 )
 from clpdd.evaluation import closed_form_probe
@@ -160,6 +161,11 @@ def test_csv_bad_header(tmp_path):
     p.write_text("not,a,header\n1,2,3\n")
     with pytest.raises(BadMagicError):
         load_features(p)
+
+
+def test_onehot_rejects_out_of_range():
+    with pytest.raises(ValueError):
+        onehot(np.array([0, 3]), 3)
 
 
 def test_dataset_rejects_out_of_range_labels():

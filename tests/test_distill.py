@@ -21,7 +21,6 @@ from clpdd.distill import (
     stream_seed,
 )
 from clpdd.encoder import make_encoder
-from clpdd.objective import make_outer_batch
 
 from oracles import adam_ref, balanced_picks, central_diff_grad, max_rel_err
 
@@ -60,10 +59,10 @@ def test_init_from_real_insufficient_samples():
 
 def test_balanced_batch_counts():
     train, _ = gen_blobs(5, 3, 10, 1.0, 1.0, seed=0)
-    batch = sample_balanced_batch(train, 4, rng_stream(0, "batch"))
-    assert batch.m == 20
+    x_real, labels = sample_balanced_batch(train, 4, rng_stream(0, "batch"))
+    assert x_real.shape[0] == 20
     for c in range(5):
-        assert int(np.sum(batch.labels == c)) == 4
+        assert int(np.sum(labels == c)) == 4
 
 
 def test_balanced_batch_small_class_with_replacement():
@@ -72,8 +71,8 @@ def test_balanced_batch_small_class_with_replacement():
         labels=np.array([0, 0, 1, 1, 1]),
         class_count=2,
     )
-    batch = sample_balanced_batch(ds, 4, rng_stream(1, "batch"))
-    rows_c0 = batch.x_real[batch.labels == 0]
+    x_real, labels = sample_balanced_batch(ds, 4, rng_stream(1, "batch"))
+    rows_c0 = x_real[labels == 0]
     assert rows_c0.shape == (4, 2)
     allowed = ds.inputs[:2]
     for row in rows_c0:
@@ -84,7 +83,7 @@ def test_balanced_batch_deterministic():
     train, _ = _blob_task()
     b1 = sample_balanced_batch(train, 2, rng_stream(7, "batch"))
     b2 = sample_balanced_batch(train, 2, rng_stream(7, "batch"))
-    assert np.array_equal(b1.x_real, b2.x_real)
+    assert np.array_equal(b1[0], b2[0])
 
 
 @pytest.mark.parametrize("b_per_class", [3, 8])  # 8 > the 5-row class: with replacement
@@ -95,11 +94,10 @@ def test_balanced_batch_matches_choosing_from_class_rows(b_per_class):
     ds = Dataset(rng.standard_normal((labels.size, 3)), labels, 4)
     ours, ref = rng_stream(4, "batch"), rng_stream(4, "batch")
     for _ in range(5):
-        batch = sample_balanced_batch(ds, b_per_class, ours)
+        x_real, labels = sample_balanced_batch(ds, b_per_class, ours)
         picks = balanced_picks(ds.labels, 4, b_per_class, ref)
-        assert np.array_equal(batch.x_real, ds.inputs[picks])
-        assert np.array_equal(batch.labels, ds.labels[picks])
-        assert np.array_equal(batch.t_onehot, np.eye(4)[ds.labels[picks]])
+        assert np.array_equal(x_real, ds.inputs[picks])
+        assert np.array_equal(labels, ds.labels[picks])
     # both generators end in the same state: the stream is consumed identically
     assert ours.bit_generator.state == ref.bit_generator.state
 
@@ -179,11 +177,11 @@ def test_whole_pipeline_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     inputs = 0.5 * rng.standard_normal((2, 3))
     y = np.eye(2)
-    batch = sample_balanced_batch(train, 2, rng_stream(5, "batch"))
+    x_real, labels = sample_balanced_batch(train, 2, rng_stream(5, "batch"))
     for objective in ("class_anchor", "mse"):
-        _, analytic = meta_loss_and_grad(inputs, y, enc, batch, 0.1, 0.07, objective)
+        _, analytic = meta_loss_and_grad(inputs, y, enc, x_real, labels, 0.1, 0.07, objective)
         fd = central_diff_grad(
-            lambda xp: meta_loss_and_grad(xp, y, enc, batch, 0.1, 0.07, objective)[0],
+            lambda xp: meta_loss_and_grad(xp, y, enc, x_real, labels, 0.1, 0.07, objective)[0],
             inputs,
         )
         assert max_rel_err(analytic, fd) <= 1e-5
@@ -197,12 +195,10 @@ def test_pipeline_gradient_all_encoders(kind):
     enc = make_encoder(kind, d_in, d_out, hidden_dim=4, seed=5)
     inputs = 0.5 * rng.standard_normal((2, d_in))
     y = np.eye(2)
-    batch = make_outer_batch(
-        0.4 * rng.standard_normal((4, d_in)), np.array([0, 1, 0, 1]), 2
-    )
-    _, analytic = meta_loss_and_grad(inputs, y, enc, batch, 0.1, 0.07, "class_anchor")
+    x_real, labels = 0.4 * rng.standard_normal((4, d_in)), np.array([0, 1, 0, 1])
+    _, analytic = meta_loss_and_grad(inputs, y, enc, x_real, labels, 0.1, 0.07, "class_anchor")
     fd = central_diff_grad(
-        lambda xp: meta_loss_and_grad(xp, y, enc, batch, 0.1, 0.07, "class_anchor")[0],
+        lambda xp: meta_loss_and_grad(xp, y, enc, x_real, labels, 0.1, 0.07, "class_anchor")[0],
         inputs,
     )
     assert max_rel_err(analytic, fd) <= 1e-5

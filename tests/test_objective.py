@@ -3,12 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from clpdd.objective import (
-    class_anchor_loss_and_grad,
-    make_outer_batch,
-    mse_outer_loss_and_grad,
-    onehot,
-)
+from clpdd.data import onehot
+from clpdd.linalg import DimensionError
+from clpdd.objective import class_anchor_loss_and_grad, mse_outer_loss_and_grad
 
 from oracles import (
     central_diff_grad,
@@ -20,26 +17,29 @@ from oracles import (
 )
 
 
+# a batch is an (x, labels) pair: real feature rows and their class ids
+
+
 def class_anchor_loss(batch, w, tau):
-    return class_anchor_loss_and_grad(batch, w, tau)[0]
+    return class_anchor_loss_and_grad(*batch, w, tau)[0]
 
 
 def class_anchor_grad_w(batch, w, tau):
-    return class_anchor_loss_and_grad(batch, w, tau)[1]
+    return class_anchor_loss_and_grad(*batch, w, tau)[1]
 
 
 def mse_outer_loss(batch, w):
-    return mse_outer_loss_and_grad(batch, w)[0]
+    return mse_outer_loss_and_grad(*batch, w)[0]
 
 
 def mse_outer_grad_w(batch, w):
-    return mse_outer_loss_and_grad(batch, w)[1]
+    return mse_outer_loss_and_grad(*batch, w)[1]
 
 
 def _batch(rng, m, d, c, scale=0.5):
     x = scale * rng.standard_normal((m, d))
     labels = np.concatenate([np.arange(c), rng.integers(0, c, size=m - c)])
-    return make_outer_batch(x, labels, c)
+    return x, labels
 
 
 def test_zero_probe_gives_log_c():
@@ -51,7 +51,7 @@ def test_zero_probe_gives_log_c():
 
 
 def test_hand_computed_binary_case():
-    batch = make_outer_batch(np.array([[1.0, 0.0]]), np.array([0]), 2)
+    batch = np.array([[1.0, 0.0]]), np.array([0])
     w = np.array([[1.0, 0.0], [0.0, 0.0]])  # anchor 0 = e1, anchor 1 = 0
     loss = class_anchor_loss(batch, w, 1.0)
     assert loss == pytest.approx(math.log(1.0 + math.exp(-1.0)), abs=1e-12)
@@ -59,13 +59,13 @@ def test_hand_computed_binary_case():
 
 def test_sharp_temperature_saturates():
     # correct-class logit margin 1 at tau=0.01 drives the loss below 1e-40
-    batch = make_outer_batch(np.array([[1.0]]), np.array([0]), 2)
+    batch = np.array([[1.0]]), np.array([0])
     w = np.array([[1.0, 0.0]])
     assert class_anchor_loss(batch, w, 0.01) <= 1e-40
 
 
 def test_tau_must_be_positive():
-    batch = make_outer_batch(np.zeros((1, 2)), np.array([0]), 2)
+    batch = np.zeros((1, 2)), np.array([0])
     with pytest.raises(ValueError):
         class_anchor_loss(batch, np.zeros((2, 2)), 0.0)
     with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ def test_grad_vanishes_when_saturated():
     tau = 0.07
     labels = np.arange(6) % 3
     x = np.eye(3)[labels]
-    batch = make_outer_batch(x, labels, 3)
+    batch = x, labels
     w = 100.0 * tau * np.eye(3)
     g = class_anchor_grad_w(batch, w, tau)
     assert np.linalg.norm(g) <= 1e-18 * np.linalg.norm(x)
@@ -147,7 +147,7 @@ def test_loss_nonnegative_and_log_c_iff_constant_rows():
 def test_mse_perfect_fit():
     rng = np.random.default_rng(7)
     x = np.eye(3)
-    batch = make_outer_batch(x, np.array([0, 1, 2]), 3)
+    batch = x, np.array([0, 1, 2])
     w = np.eye(3)  # X W == T exactly
     assert mse_outer_loss(batch, w) == 0.0
     assert np.array_equal(mse_outer_grad_w(batch, w), np.zeros((3, 3)))
@@ -172,22 +172,41 @@ def test_mse_grad_finite_differences():
         assert max_rel_err(analytic, fd) <= 1e-6
 
 
-def test_onehot_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        onehot(np.array([0, 3]), 3)
-
-
 def test_fused_losses_match_separate_reference_bitwise():
     rng = np.random.default_rng(10)
     for _ in range(20):
         m, d, c = int(rng.integers(3, 30)), int(rng.integers(2, 20)), int(rng.integers(2, 8))
         m = max(m, c)
-        batch = _batch(rng, m, d, c)
+        x, labels = _batch(rng, m, d, c)
+        t_onehot = onehot(labels, c)
         w = rng.standard_normal((d, c))
         tau = float(rng.choice([0.07, 0.2, 1.0]))
-        loss, grad = class_anchor_loss_and_grad(batch, w, tau)
-        assert loss == class_anchor_loss_ref(batch.x_real, batch.labels, w, tau)
-        assert np.array_equal(grad, class_anchor_grad_ref(batch.x_real, batch.t_onehot, w, tau))
-        loss, grad = mse_outer_loss_and_grad(batch, w)
-        assert loss == mse_loss_ref(batch.x_real, batch.t_onehot, w)
-        assert np.array_equal(grad, mse_grad_ref(batch.x_real, batch.t_onehot, w))
+        loss, grad = class_anchor_loss_and_grad(x, labels, w, tau)
+        assert loss == class_anchor_loss_ref(x, labels, w, tau)
+        assert np.array_equal(grad, class_anchor_grad_ref(x, t_onehot, w, tau))
+        loss, grad = mse_outer_loss_and_grad(x, labels, w)
+        assert loss == mse_loss_ref(x, t_onehot, w)
+        assert np.array_equal(grad, mse_grad_ref(x, t_onehot, w))
+
+
+LOSSES = {
+    "class_anchor": lambda batch, w: class_anchor_loss(batch, w, 0.07),
+    "mse": mse_outer_loss,
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("objective", LOSSES)
+def test_losses_reject_labels_outside_class_range(objective, bad):
+    # -1 would otherwise index the last class and pass silently
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        LOSSES[objective]((np.ones((2, 4)), np.array([0, bad])), np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("objective", LOSSES)
+def test_losses_reject_shape_mismatches(objective):
+    loss = LOSSES[objective]
+    with pytest.raises(DimensionError, match="3 rows but labels has 2"):
+        loss((np.ones((3, 4)), np.array([0, 1])), np.zeros((4, 3)))
+    with pytest.raises(DimensionError, match="w_star"):
+        loss((np.ones((2, 4)), np.array([0, 1])), np.zeros((5, 3)))
