@@ -15,12 +15,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import Dataset
-from .encoder import Encoder, encode, encode_vjp, make_encoder
-from .linalg import row_argmax
-from .objective import class_anchor_loss_and_grad, mse_outer_loss_and_grad
+from .data import Dataset, _check_finite_rows, check_every_class
+from .encoder import Encoder, _encode, _encode_vjp, encode, make_encoder
+from .linalg import DimensionError, row_argmax
+from .objective import _class_anchor_loss_and_grad, _mse_outer_loss_and_grad
 from .report import RunReport, StepMetrics
-from .solver import ridge_kernel, solve_backward
+from .solver import _ridge_kernel, _solve_backward, ridge_kernel
 
 OUTER_OBJECTIVES = ("class_anchor", "mse")
 INIT_MODES = ("random_normal", "from_real")
@@ -236,18 +236,22 @@ def meta_loss_and_grad(
     rows -> analytic backward through the solve -> encoder VJP. `x_real` holds
     the real batch's raw inputs, encoded here with the same frozen map, and
     `labels` their class ids.
+
+    Expects validated inputs: it composes the unchecked cores of those
+    public functions, so shapes, finiteness, label range and lam, tau > 0
+    are the caller's to guarantee, as `run_distill` does once per run.
     """
-    x_syn, hidden = encode(enc, inputs, return_hidden=True)
-    sol = ridge_kernel(x_syn, y_onehot, lam)
-    feats = encode(enc, x_real)
+    x_syn, hidden = _encode(enc, inputs)
+    sol = _ridge_kernel(x_syn, y_onehot, lam)
+    feats, _ = _encode(enc, x_real)
     if objective == "class_anchor":
-        loss, g = class_anchor_loss_and_grad(feats, labels, sol.w_star, tau)
+        loss, g = _class_anchor_loss_and_grad(feats, labels, sol.w_star, tau)
     elif objective == "mse":
-        loss, g = mse_outer_loss_and_grad(feats, labels, sol.w_star)
+        loss, g = _mse_outer_loss_and_grad(feats, labels, sol.w_star)
     else:
         raise ValueError(f"unknown outer objective {objective!r}")
-    grad_x = solve_backward(sol, x_syn, g)
-    return loss, encode_vjp(enc, inputs, grad_x, hidden=hidden)
+    grad_x = _solve_backward(sol, x_syn, g)
+    return loss, _encode_vjp(enc, inputs, grad_x, hidden)
 
 
 def _divergence_diagnostics(enc: Encoder, inputs: np.ndarray, lam: float) -> str:
@@ -272,6 +276,12 @@ def distill_step(
     The forward/backward pass runs at the augmented inputs (additive noise has
     identity Jacobian, so the gradient transfers unchanged), while the Adam
     update applies to the clean inputs.
+
+    Expects validated inputs, as `run_distill` hands them over: a finite real
+    set with rows in every class, inputs of the encoder's input dim, and the
+    one-hot labels of the synthetic rows. Its own guards (finite loss, the
+    gradient-norm limit, finite new inputs) keep every later step's inputs
+    valid.
     """
     inputs_aug = augment(inputs, cfg.augment_noise_sigma, rng_augment)
     x_real, labels = sample_balanced_batch(real, cfg.b_per_class, rng_batch)
@@ -325,10 +335,21 @@ def run_distill(
     closed-form probe accuracy is recorded every cfg.eval_every steps.
     Evaluation always uses the un-augmented synthetic inputs. The report's
     config holds the fields of `cfg`.
+
+    The real set is validated once, before the first step: a NaN/Inf row
+    raises NonFiniteFeatureError, a class without rows MissingClassError,
+    and an `enc` whose input dim differs from the set's DimensionError.
     """
     t0 = time.perf_counter()
+    # the one check of the data; every step after it runs unchecked
+    _check_finite_rows(real.inputs, lambda i: f"real set row {i}")
+    check_every_class(real.labels, real.class_count, "real set")
     if enc is None:
         enc = cfg.build_encoder(real.dim)
+    elif enc.input_dim != real.dim:
+        raise DimensionError(
+            f"encoder expects {enc.input_dim}-dim inputs, real set has {real.dim}"
+        )
     syn = init_synthetic(
         real.class_count, cfg.ipc, real.dim, cfg.init, real, seed=stream_seed(cfg.seed, "init")
     )

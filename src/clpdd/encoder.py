@@ -85,21 +85,26 @@ def encode(enc: Encoder, inputs: np.ndarray, return_hidden: bool = False):
     encode_vjp at the same inputs saves recomputing it.
     """
     _check_inputs(enc, inputs)
-    hidden = None
+    out, hidden = _encode(enc, inputs)
+    return (out, hidden) if return_hidden else out
+
+
+def _encode(enc: Encoder, inputs: np.ndarray):
+    """`encode(..., return_hidden=True)` on inputs already checked."""
     if enc.kind == "identity":
-        out = inputs
-    elif enc.kind == "linear":
+        return inputs, None
+    if enc.kind == "linear":
         w, b = enc.weights
         out = inputs @ w
         out += b
-    else:  # mlp1
-        w1, b1, w2, b2 = enc.weights
-        hidden = inputs @ w1
-        hidden += b1
-        np.tanh(hidden, out=hidden)
-        out = hidden @ w2
-        out += b2
-    return (out, hidden) if return_hidden else out
+        return out, None
+    w1, b1, w2, b2 = enc.weights
+    hidden = inputs @ w1
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    out = hidden @ w2
+    out += b2
+    return out, hidden
 
 
 def encode_vjp(
@@ -116,6 +121,19 @@ def encode_vjp(
         raise DimensionError(
             f"upstream must be {inputs.shape[0]} x {enc.feature_dim}, got {upstream.shape}"
         )
+    if enc.kind == "mlp1" and hidden is not None:
+        width = enc.weights[0].shape[1]
+        if hidden.shape != (inputs.shape[0], width):
+            raise DimensionError(
+                f"hidden must be {inputs.shape[0]} x {width}, got {hidden.shape}"
+            )
+    return _encode_vjp(enc, inputs, upstream, hidden)
+
+
+def _encode_vjp(
+    enc: Encoder, inputs: np.ndarray, upstream: np.ndarray, hidden: np.ndarray | None
+) -> np.ndarray:
+    """`encode_vjp` on arguments already checked."""
     if enc.kind == "identity":
         return upstream
     if enc.kind == "linear":
@@ -124,10 +142,6 @@ def encode_vjp(
     w1, b1, w2, _ = enc.weights
     if hidden is None:
         hidden = np.tanh(inputs @ w1 + b1)
-    elif hidden.shape != (inputs.shape[0], w1.shape[1]):
-        raise DimensionError(
-            f"hidden must be {inputs.shape[0]} x {w1.shape[1]}, got {hidden.shape}"
-        )
     slope = hidden * hidden
     np.subtract(1.0, slope, out=slope)  # tanh' = 1 - tanh^2
     dh = upstream @ w2.T

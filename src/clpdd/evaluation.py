@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, onehot
+from .data import Dataset, check_every_class, onehot
 from .distill import AdamState, adam_update
 from .linalg import DimensionError, row_argmax
 from .objective import _softmax_rows
@@ -41,7 +41,9 @@ def train_linear_probe(
     """Train a softmax linear classifier with Adam from random-normal init.
 
     Runs full-batch when the training set fits inside one batch (always the
-    case for one-sample-per-class synthetic sets).
+    case for one-sample-per-class synthetic sets). The class count is the
+    largest label in either split plus one; a class that no training row
+    labels raises MissingClassError.
     """
     if train_features.shape[1] != eval_features.shape[1]:
         raise DimensionError(
@@ -52,6 +54,7 @@ def train_linear_probe(
     eval_labels = np.asarray(eval_labels, dtype=np.int64)
     n, d = train_features.shape
     c = int(max(train_labels.max(), eval_labels.max())) + 1
+    check_every_class(train_labels, c, "probe training labels")
     t_onehot = onehot(train_labels, c)
 
     rng = np.random.default_rng(seed)

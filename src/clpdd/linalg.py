@@ -11,9 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-# Relative asymmetry tolerated on inputs declared symmetric.
-SYMMETRY_RTOL = 1e-10
-
 
 class LinalgError(ValueError):
     """Base class for numeric input errors."""
@@ -27,10 +24,6 @@ class NonFiniteError(LinalgError):
     """A matrix built from user input contains NaN or Inf entries."""
 
 
-class NotSymmetricError(LinalgError):
-    """A matrix declared symmetric exceeds the asymmetry tolerance."""
-
-
 class NotPositiveDefiniteError(LinalgError):
     """Cholesky hit a non-positive pivot; `pivot` is 1-based."""
 
@@ -42,19 +35,6 @@ class NotPositiveDefiniteError(LinalgError):
 def row_argmax(scores: np.ndarray) -> np.ndarray:
     """Index of the largest entry in each row; ties go to the lowest index."""
     return np.argmax(scores, axis=1)
-
-
-def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
-    """Verify symmetry to SYMMETRY_RTOL and return (a + a.T)/2."""
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{name} must be square, got {a.shape}")
-    scale_ = np.linalg.norm(a)
-    asym = np.linalg.norm(a - a.T)
-    if scale_ > 0 and asym > SYMMETRY_RTOL * scale_:
-        raise NotSymmetricError(
-            f"{name} asymmetry {asym / scale_:.3e} exceeds {SYMMETRY_RTOL:.0e} relative"
-        )
-    return 0.5 * (a + a.T)
 
 
 @dataclass(frozen=True)
@@ -77,9 +57,11 @@ class CholeskyFactor:
 
 
 def cholesky_factor(a_spd: np.ndarray) -> CholeskyFactor:
-    """Factor an SPD matrix, symmetrizing first to absorb roundoff."""
-    a_sym = _check_symmetric(a_spd, "a_spd")
-    c, info = dpotrf(a_sym, lower=1, clean=0)
+    """Factor an SPD matrix. Only its lower triangle is read: the upper one
+    is assumed to mirror it and is never checked."""
+    if a_spd.ndim != 2 or a_spd.shape[0] != a_spd.shape[1]:
+        raise DimensionError(f"a_spd must be square, got {a_spd.shape}")
+    c, info = dpotrf(a_spd, lower=1, clean=0)
     if info > 0:
         raise NotPositiveDefiniteError(info)
     if info < 0:  # pragma: no cover - only triggered by malformed calls

@@ -41,6 +41,13 @@ def class_anchor_loss_and_grad(
     if tau <= 0.0:
         raise ValueError(f"temperature must be > 0, got {tau}")
     _check_batch_w(x, labels, w_star)
+    return _class_anchor_loss_and_grad(x, labels, w_star, tau)
+
+
+def _class_anchor_loss_and_grad(
+    x: np.ndarray, labels: np.ndarray, w_star: np.ndarray, tau: float
+) -> tuple[float, np.ndarray]:
+    """`class_anchor_loss_and_grad` on arguments already checked."""
     m = x.shape[0]
     rows = np.arange(m)
     z = _shifted_logits((x @ w_star) / tau)
@@ -59,6 +66,13 @@ def mse_outer_loss_and_grad(
     """Ablation objective 0.5/M * ||X W* - T||_F^2 against the one-hot targets T
     of `labels`, and its gradient X^T (X W* - T) / M, from one residual."""
     _check_batch_w(x, labels, w_star)
+    return _mse_outer_loss_and_grad(x, labels, w_star)
+
+
+def _mse_outer_loss_and_grad(
+    x: np.ndarray, labels: np.ndarray, w_star: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """`mse_outer_loss_and_grad` on arguments already checked."""
     m = x.shape[0]
     r = x @ w_star
     r[np.arange(m), labels] -= 1.0

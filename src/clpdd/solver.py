@@ -89,6 +89,11 @@ def ridge_kernel(x: np.ndarray, y: np.ndarray, lam: float) -> ProbeSolution:
     either way `p = (Y - X W*)/lam` solves (K + lam*I) p = Y exactly.
     """
     _check_ridge_args(x, y, lam)
+    return _ridge_kernel(x, y, lam)
+
+
+def _ridge_kernel(x: np.ndarray, y: np.ndarray, lam: float) -> ProbeSolution:
+    """`ridge_kernel` on arguments already checked."""
     n, d = x.shape
     if n < d:
         factor = cholesky_factor(_add_ridge(x @ x.T, lam))
@@ -111,6 +116,11 @@ def solve_backward(sol: ProbeSolution, x: np.ndarray, g: np.ndarray) -> np.ndarr
         raise DimensionError(f"x has {x.shape[0]} rows but solution has {sol.n}")
     if g.shape != sol.w_star.shape:
         raise DimensionError(f"g must be {sol.w_star.shape}, got {g.shape}")
+    return _solve_backward(sol, x, g)
+
+
+def _solve_backward(sol: ProbeSolution, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """`solve_backward` on arguments already checked."""
     p = sol.p
     if sol.mode == "kernel":
         u = sol.factor.solve(x @ g)  # S X g, one extra N x C solve

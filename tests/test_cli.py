@@ -116,7 +116,8 @@ def test_gradcheck_primal_pipeline_takes_primal_route(monkeypatch):
         solves.append((sol.mode, x.shape[0] // y.shape[1]))
         return sol
 
-    monkeypatch.setattr(clpdd.distill, "ridge_kernel", recording_solve)
+    # meta_loss_and_grad solves through the unchecked core
+    monkeypatch.setattr(clpdd.distill, "_ridge_kernel", recording_solve)
     for i in range(10):
         gradcheck._CHECKS["pipeline_primal"](np.random.default_rng(i))
     assert solves and all(mode == "primal" and ipc > 1 for mode, ipc in solves)

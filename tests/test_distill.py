@@ -4,8 +4,18 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from clpdd.data import Dataset, datasets_equal, gen_blobs, load_features, save_features
+import clpdd.distill
+from clpdd.data import (
+    Dataset,
+    MissingClassError,
+    NonFiniteFeatureError,
+    datasets_equal,
+    gen_blobs,
+    load_features,
+    save_features,
+)
 from clpdd.distill import (
+    OUTER_OBJECTIVES,
     AdamState,
     DistillConfig,
     DistillDivergenceError,
@@ -20,7 +30,10 @@ from clpdd.distill import (
     sample_balanced_batch,
     stream_seed,
 )
-from clpdd.encoder import make_encoder
+from clpdd.encoder import ENCODER_KINDS, encode, encode_vjp, make_encoder
+from clpdd.linalg import DimensionError
+from clpdd.objective import class_anchor_loss_and_grad, mse_outer_loss_and_grad
+from clpdd.solver import ridge_kernel, solve_backward
 
 from oracles import adam_ref, balanced_picks, central_diff_grad, max_rel_err
 
@@ -204,6 +217,40 @@ def test_pipeline_gradient_all_encoders(kind):
     assert max_rel_err(analytic, fd) <= 1e-5
 
 
+def _public_chain(inputs, y, enc, x_real, labels, lam, tau, objective):
+    """meta_loss_and_grad spelled out with the checked public functions."""
+    x_syn, hidden = encode(enc, inputs, return_hidden=True)
+    sol = ridge_kernel(x_syn, y, lam)
+    feats = encode(enc, x_real)
+    if objective == "class_anchor":
+        loss, g = class_anchor_loss_and_grad(feats, labels, sol.w_star, tau)
+    else:
+        loss, g = mse_outer_loss_and_grad(feats, labels, sol.w_star)
+    grad = encode_vjp(enc, inputs, solve_backward(sol, x_syn, g), hidden=hidden)
+    return loss, grad, sol.mode
+
+
+@pytest.mark.parametrize("ipc, mode", [(1, "kernel"), (4, "primal")])
+@pytest.mark.parametrize("objective", OUTER_OBJECTIVES)
+@pytest.mark.parametrize("kind", ENCODER_KINDS)
+def test_meta_loss_cores_match_the_public_chain(kind, objective, ipc, mode):
+    # the step runs unchecked cores; they must compute the same bits as the
+    # checked functions a library caller sees
+    c, d = 3, 6  # N = c * ipc rows: 3 < d takes the kernel solve, 12 >= d the primal
+    rng = np.random.default_rng(21)
+    enc = make_encoder(kind, d, d, hidden_dim=5, seed=9)
+    inputs = 0.5 * rng.standard_normal((c * ipc, d))
+    y = np.repeat(np.eye(c), ipc, axis=0)
+    x_real, labels = 0.4 * rng.standard_normal((4 * c, d)), np.repeat(np.arange(c), 4)
+    loss, grad = meta_loss_and_grad(inputs, y, enc, x_real, labels, 0.1, 0.07, objective)
+    ref_loss, ref_grad, ref_mode = _public_chain(
+        inputs, y, enc, x_real, labels, 0.1, 0.07, objective
+    )
+    assert ref_mode == mode
+    assert loss == ref_loss
+    assert np.array_equal(grad, ref_grad)
+
+
 def test_same_seed_identical_loss_sequences():
     train, _ = _blob_task()
     cfg = _tiny_cfg(iterations=10, augment_noise_sigma=0.01)
@@ -294,6 +341,46 @@ def test_inputs_stay_finite_across_run():
     cfg = _tiny_cfg(iterations=50, augment_noise_sigma=0.01)
     syn, _ = run_distill(cfg, train)
     assert np.all(np.isfinite(syn.inputs))
+
+
+def _nan_row(train):
+    inputs = train.inputs.copy()
+    inputs[7, 2] = np.nan
+    return Dataset(inputs, train.labels, train.class_count), None
+
+
+def _class_without_rows(train):
+    return Dataset(train.inputs, train.labels, train.class_count + 1), None
+
+
+def _encoder_of_other_dim(train):
+    return train, make_encoder("identity", train.dim + 1)
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (_nan_row, NonFiniteFeatureError, r"^real set row 7 holds non-finite features"),
+        (_class_without_rows, MissingClassError, r"^real set: no rows for class ids \[3\] of 4"),
+        (_encoder_of_other_dim, DimensionError, r"^encoder expects 6-dim inputs, real set has 5"),
+    ],
+    ids=["nan_row", "class_without_rows", "encoder_dim"],
+)
+def test_run_distill_rejects_bad_data_before_the_first_step(monkeypatch, build, error, match):
+    # a library-built Dataset is never checked for finiteness or empty
+    # classes on construction; run_distill checks it once, before any step
+    steps = []
+    step = clpdd.distill.distill_step
+
+    def counted(*args, **kwargs):
+        steps.append(args[-1])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(clpdd.distill, "distill_step", counted)
+    real, enc = build(_blob_task()[0])
+    with pytest.raises(error, match=match):
+        run_distill(_tiny_cfg(), real, enc=enc)
+    assert steps == []
 
 
 def test_gradient_explosion_guard():

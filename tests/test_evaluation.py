@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clpdd.data import Dataset, gen_blobs
+from clpdd.data import Dataset, MissingClassError, gen_blobs
 from clpdd.evaluation import (
     closed_form_probe,
     pca_project_2d,
@@ -41,6 +41,15 @@ def test_probe_deterministic():
     a = train_linear_probe(train.inputs, train.labels, ev.inputs, ev.labels, epochs=30, seed=5)
     b = train_linear_probe(train.inputs, train.labels, ev.inputs, ev.labels, epochs=30, seed=5)
     assert np.array_equal(a.w, b.w)
+
+
+def test_probe_rejects_train_labels_missing_a_class():
+    # a 3-class training set scored on a 5-class eval split: classes 3 and 4
+    # could never be predicted, so the accuracy would mean nothing
+    train, _ = gen_blobs(3, 5, 20, 1.0, 1.0, seed=0)
+    _, ev = gen_blobs(5, 5, 20, 1.0, 1.0, seed=1)
+    with pytest.raises(MissingClassError, match=r"probe training labels: .*\[3, 4\] of 5"):
+        train_linear_probe(train.inputs, train.labels, ev.inputs, ev.labels, epochs=5)
 
 
 @pytest.mark.parametrize("batch_size", [256, 16])  # one full batch; shuffled mini-batches
