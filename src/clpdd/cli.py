@@ -156,7 +156,7 @@ def build_data(cfg: dict, data_seed: int | None = None):
             raise ConfigError("data=files requires data_train")
         train = load_features(cfg["data_train"])
         # balanced batches need rows of every class; an eval split may lack some
-        check_every_class(train.labels, train.class_count, cfg["data_train"])
+        check_every_class(train, train.class_count, cfg["data_train"])
         ev = load_features(cfg["data_eval"]) if cfg["data_eval"] else None
         return train, ev
     raise ConfigError(f"unknown data source {cfg['data']!r} (use 'blobs' or 'files')")

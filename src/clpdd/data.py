@@ -23,6 +23,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,14 +78,27 @@ def onehot(labels: np.ndarray, class_count: int) -> np.ndarray:
     return t
 
 
+class ClassLayout(NamedTuple):
+    """A dataset's rows grouped by class, in class-major order.
+
+    `order[starts[c] : starts[c] + counts[c]]` are class c's rows, ascending;
+    `rows[c]` is that slice, made once. Every array is read-only.
+    """
+
+    order: np.ndarray  # n row indices, class-major
+    starts: np.ndarray  # C offsets into order
+    counts: np.ndarray  # C row counts
+    rows: tuple[np.ndarray, ...]  # C read-only views into order
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A labelled set: inputs, integer labels, class count.
 
     Real splits, distilled sets and selected sets all take this form. Like
     every matrix in the package, inputs and labels are treated as immutable
-    once the dataset is built; per-class row indices are derived from the
-    labels once and reused.
+    once the dataset is built; the class layout and the NaN/Inf scan are
+    derived from them once and reused.
     """
 
     inputs: np.ndarray  # n x dim float64
@@ -117,19 +131,27 @@ class Dataset:
         return onehot(self.labels, self.class_count)
 
     @cached_property
-    def _rows_by_class(self) -> tuple[np.ndarray, ...]:
+    def class_layout(self) -> ClassLayout:
         # a stable sort keeps each class's rows in ascending order, exactly
         # as np.flatnonzero(labels == c) lists them
         order = np.argsort(self.labels, kind="stable")
-        order.setflags(write=False)
         bounds = np.searchsorted(self.labels[order], np.arange(self.class_count + 1))
-        return tuple(order[bounds[c] : bounds[c + 1]] for c in range(self.class_count))
+        starts, counts = bounds[:-1], np.diff(bounds)
+        for a in (order, starts, counts):
+            a.setflags(write=False)
+        rows = tuple(order[bounds[c] : bounds[c + 1]] for c in range(self.class_count))
+        return ClassLayout(order, starts, counts, rows)
 
     def class_indices(self, c: int) -> np.ndarray:
         """Ascending row indices of class c (read-only; empty outside [0, C))."""
         if 0 <= c < self.class_count:
-            return self._rows_by_class[c]
+            return self.class_layout.rows[c]
         return np.empty(0, dtype=np.intp)
+
+    @cached_property
+    def nonfinite_rows(self) -> tuple[int, int]:
+        """(first row holding NaN/Inf or -1, number of such rows), scanned once."""
+        return _scan_nonfinite(self.inputs)
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
@@ -232,24 +254,37 @@ def load_features(path) -> Dataset:
         )
     if n < classes:
         raise MissingClassError(f"{path}: {n} rows cannot cover {classes} classes")
-    _check_finite_rows(inputs, lambda i: f"{path}: row {i}")
-    return Dataset(inputs=inputs, labels=labels, class_count=classes)
+    dataset = Dataset(inputs=inputs, labels=labels, class_count=classes)
+    _check_finite_rows(dataset.nonfinite_rows, lambda i: f"{path}: row {i}")
+    return dataset
 
 
-def _check_finite_rows(inputs: np.ndarray, where):
-    """Reject NaN/Inf features at ingestion; `where(i)` locates row i in the file."""
+def _scan_nonfinite(inputs: np.ndarray) -> tuple[int, int]:
     bad = np.flatnonzero(~np.isfinite(inputs).all(axis=1))
-    if bad.size:
+    return (int(bad[0]) if bad.size else -1, int(bad.size))
+
+
+def _check_finite_rows(scan: tuple[int, int], where):
+    """Reject NaN/Inf features found by a `nonfinite_rows` scan; `where(i)`
+    locates row i for the message."""
+    first, count = scan
+    if count:
         raise NonFiniteFeatureError(
-            f"{where(int(bad[0]))} holds non-finite features "
-            f"({bad.size} bad row{'s' if bad.size > 1 else ''} in total)"
+            f"{where(first)} holds non-finite features "
+            f"({count} bad row{'s' if count > 1 else ''} in total)"
         )
 
 
-def check_every_class(labels: np.ndarray, class_count: int, source) -> None:
+def check_every_class(rows: Dataset | np.ndarray, class_count: int, source) -> None:
     """Raise MissingClassError, naming `source` and the ids, when some class id
-    below `class_count` labels no row."""
-    missing = np.setdiff1d(np.arange(class_count), labels)
+    below `class_count` labels no row.
+
+    `rows` is an array of labels, or a Dataset with that class count, whose
+    cached class counts are read."""
+    if isinstance(rows, Dataset):
+        missing = np.flatnonzero(rows.class_layout.counts == 0)
+    else:
+        missing = np.setdiff1d(np.arange(class_count), rows)
     if missing.size:
         raise MissingClassError(
             f"{source}: no rows for class ids {missing.tolist()} of {class_count} classes"
@@ -281,7 +316,7 @@ def _load_csv(path: Path) -> Dataset:
     inputs = np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
     if labels.size and labels.min() < 0:
         raise LabelRangeError(f"{path}: negative label")
-    _check_finite_rows(inputs, lambda i: f"{path}:{i + 2}: row {i}")
+    _check_finite_rows(_scan_nonfinite(inputs), lambda i: f"{path}:{i + 2}: row {i}")
     classes = int(labels.max()) + 1 if labels.size else 0
     check_every_class(labels, classes, f"{path} (class count inferred as max label + 1)")
     return Dataset(inputs=inputs, labels=labels, class_count=classes)

@@ -191,20 +191,50 @@ def _balanced_labels(class_count: int, b_per_class: int) -> np.ndarray:
     return labels
 
 
+def _floyd(draws: list[int], n: int, b_per_class: int) -> list[int]:
+    """Floyd's sample of b distinct positions in [0, n) from raw draws, draw k
+    uniform on [0, n - b + k]: a draw already taken is replaced by n - b + k."""
+    taken: set[int] = set()
+    for k, t in enumerate(draws):
+        if t in taken:
+            draws[k] = t = n - b_per_class + k
+        taken.add(t)
+    return draws
+
+
 def sample_balanced_batch(
     real: Dataset, b_per_class: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(inputs, labels) of exactly b_per_class rows per class, class-major;
-    small classes are drawn with replacement."""
-    picks = np.empty(real.class_count * b_per_class, dtype=np.intp)
-    for c in range(real.class_count):
-        idx = real.class_indices(c)
-        if idx.size == 0:
-            raise ValueError(f"class {c} has no samples")
-        # drawing positions consumes the stream exactly as rng.choice(idx, ...)
-        # would and picks the same rows, without its array-argument overhead
-        pos = rng.choice(idx.size, size=b_per_class, replace=idx.size < b_per_class)
-        picks[c * b_per_class : (c + 1) * b_per_class] = idx[pos]
+    """(inputs, labels) of exactly b_per_class rows per class, class-major.
+
+    One `rng.random((C, b))` call feeds the whole batch, so every batch
+    consumes exactly C*b uniforms. Each class with n >= b rows takes a uniform
+    b-subset of its rows by Floyd's algorithm (Bentley & Floyd, CACM 1987),
+    run on every class at once: draw k is floor(u_k * (n - b + k + 1)), and
+    only the classes whose draws clash go through the sequential fix-up,
+    which takes n - b + k in place of a taken draw and draws nothing new. A
+    class with fewer than b rows draws floor(u_k * n), with replacement.
+    """
+    layout = real.class_layout
+    counts = layout.counts
+    smallest = np.minimum.reduce(counts, initial=b_per_class)
+    if smallest == 0:
+        raise ValueError(f"class {int(np.argmin(counts))} has no samples")
+    u = rng.random((real.class_count, b_per_class))
+    span = counts[:, None] + np.arange(1 - b_per_class, 1)  # n - b + k + 1
+    if smallest < b_per_class:
+        span = np.where(counts[:, None] < b_per_class, counts[:, None], span)
+    pos = (u * span).astype(np.intp)
+    if b_per_class > 1:
+        ranked = np.sort(pos, axis=1)
+        clash = ranked[:, 1:] == ranked[:, :-1]
+        if smallest < b_per_class:
+            clash[counts < b_per_class] = False  # repeats are allowed there
+        if clash.any():
+            for c in np.flatnonzero(clash.any(axis=1)).tolist():
+                pos[c] = _floyd(pos[c].tolist(), int(counts[c]), b_per_class)
+    pos += layout.starts[:, None]
+    picks = layout.order[pos.ravel()]
     return real.inputs[picks], _balanced_labels(real.class_count, b_per_class)
 
 
@@ -260,6 +290,13 @@ def _divergence_diagnostics(enc: Encoder, inputs: np.ndarray, lam: float) -> str
     return f"cond(A) <= {(mu + lam) / lam:.3e}"
 
 
+def _check_encoder_dim(enc: Encoder, real: Dataset):
+    if enc.input_dim != real.dim:
+        raise DimensionError(
+            f"encoder expects {enc.input_dim}-dim inputs, real set has {real.dim}"
+        )
+
+
 def distill_step(
     inputs: np.ndarray,
     y_onehot: np.ndarray,
@@ -281,14 +318,17 @@ def distill_step(
     set with rows in every class, inputs of the encoder's input dim, and the
     one-hot labels of the synthetic rows. Its own guards (finite loss, the
     gradient-norm limit, finite new inputs) keep every later step's inputs
-    valid.
+    valid. An encoder whose input dim is not the real set's raises
+    DimensionError.
     """
+    _check_encoder_dim(enc, real)
     inputs_aug = augment(inputs, cfg.augment_noise_sigma, rng_augment)
     x_real, labels = sample_balanced_batch(real, cfg.b_per_class, rng_batch)
     loss, grad = meta_loss_and_grad(
         inputs_aug, y_onehot, enc, x_real, labels, cfg.lam, cfg.tau, cfg.outer_objective
     )
-    grad_norm = float(np.linalg.norm(grad))
+    flat = grad.ravel(order="K")
+    grad_norm = math.sqrt(flat @ flat)  # np.linalg.norm(grad), bit for bit
     if not (math.isfinite(loss) and math.isfinite(grad_norm)):
         raise DistillDivergenceError(
             f"non-finite loss/gradient at iteration {iteration} "
@@ -342,14 +382,11 @@ def run_distill(
     """
     t0 = time.perf_counter()
     # the one check of the data; every step after it runs unchecked
-    _check_finite_rows(real.inputs, lambda i: f"real set row {i}")
-    check_every_class(real.labels, real.class_count, "real set")
+    _check_finite_rows(real.nonfinite_rows, lambda i: f"real set row {i}")
+    check_every_class(real, real.class_count, "real set")
     if enc is None:
         enc = cfg.build_encoder(real.dim)
-    elif enc.input_dim != real.dim:
-        raise DimensionError(
-            f"encoder expects {enc.input_dim}-dim inputs, real set has {real.dim}"
-        )
+    _check_encoder_dim(enc, real)
     syn = init_synthetic(
         real.class_count, cfg.ipc, real.dim, cfg.init, real, seed=stream_seed(cfg.seed, "init")
     )

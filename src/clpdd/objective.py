@@ -23,12 +23,12 @@ def _check_batch_w(x: np.ndarray, labels: np.ndarray, w_star: np.ndarray):
 
 def _shifted_logits(z: np.ndarray) -> np.ndarray:
     # max subtraction is mandatory: logits at tau=0.07 overflow exp otherwise
-    return z - z.max(axis=1, keepdims=True)
+    return z - np.maximum.reduce(z, axis=1, keepdims=True)
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     e = np.exp(_shifted_logits(z))
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def class_anchor_loss_and_grad(
@@ -52,9 +52,9 @@ def _class_anchor_loss_and_grad(
     rows = np.arange(m)
     z = _shifted_logits((x @ w_star) / tau)
     e = np.exp(z)
-    row_sums = e.sum(axis=1, keepdims=True)
+    row_sums = np.add.reduce(e, axis=1, keepdims=True)
     correct = z[rows, labels]
-    loss = float((np.log(row_sums[:, 0]) - correct).mean())
+    loss = float(np.add.reduce(np.log(row_sums[:, 0]) - correct) / m)
     e /= row_sums  # now softmax(Z)
     e[rows, labels] -= 1.0
     return loss, x.T @ e / (m * tau)

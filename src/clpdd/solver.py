@@ -59,8 +59,9 @@ def _check_onehot(y: np.ndarray):
 
 
 def _add_ridge(gram: np.ndarray, lam: float) -> np.ndarray:
-    """gram + lam*I, in place on a freshly computed Gram matrix."""
-    gram.flat[:: gram.shape[0] + 1] += lam
+    """gram + lam*I, in place on a freshly computed (so C-contiguous, and
+    ravel() a view of it) Gram matrix."""
+    gram.ravel()[:: gram.shape[0] + 1] += lam
     return gram
 
 

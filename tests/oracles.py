@@ -47,13 +47,30 @@ def class_rows(labels, c):
     return np.flatnonzero(labels == c)
 
 
-def balanced_picks(labels, class_count, b_per_class, rng):
-    """Rows of a class-balanced batch, drawn by choosing from each class's rows."""
-    picks = []
+def floyd_balanced_picks(labels, class_count, b_per_class, rng):
+    """Rows of a class-balanced batch, class by class, from one
+    rng.random((C, b)) draw, and the number of draws Floyd's rule replaced.
+
+    A class of n >= b rows runs Floyd's algorithm: draw k is
+    floor(u * (n - b + k + 1)), replaced by n - b + k when already chosen. A
+    smaller class draws floor(u * n), with replacement."""
+    u = rng.random((class_count, b_per_class)).tolist()
+    picks, clashes = [], 0
     for c in range(class_count):
-        idx = np.flatnonzero(labels == c)
-        picks.append(rng.choice(idx, size=b_per_class, replace=idx.size < b_per_class))
-    return np.concatenate(picks)
+        rows = np.flatnonzero(labels == c)
+        n = rows.size
+        chosen = []
+        for k in range(b_per_class):
+            if n < b_per_class:
+                chosen.append(int(u[c][k] * n))
+                continue
+            j = n - b_per_class + k
+            t = int(u[c][k] * (j + 1))
+            if t in chosen:
+                t, clashes = j, clashes + 1
+            chosen.append(t)
+        picks.extend(rows[chosen].tolist())
+    return np.array(picks, dtype=np.intp), clashes
 
 
 def class_anchor_loss_ref(x, labels, w, tau):

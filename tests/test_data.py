@@ -10,6 +10,7 @@ from clpdd.data import (
     NonFiniteFeatureError,
     TruncatedFileError,
     VersionError,
+    check_every_class,
     datasets_equal,
     gen_blobs,
     load_features,
@@ -196,6 +197,27 @@ def test_class_indices_cached_and_equal_to_flatnonzero():
         assert not idx.flags.writeable
     assert ds.class_indices(5).size == 0
     assert ds.class_indices(-1).size == 0 and ds.class_indices(6).size == 0
+
+
+def test_class_layout_is_class_major_and_counts_rows():
+    labels = np.array([2, 0, 2, 1, 0, 2, 0])
+    ds = Dataset(np.zeros((7, 1)), labels, class_count=4)  # class 3 empty
+    layout = ds.class_layout
+    assert layout.order.tolist() == [1, 4, 6, 3, 0, 2, 5]
+    assert layout.starts.tolist() == [0, 3, 4, 7] and layout.counts.tolist() == [3, 1, 3, 0]
+    for c in range(4):
+        assert np.shares_memory(ds.class_indices(c), layout.order) or layout.counts[c] == 0
+    assert ds.class_layout is layout
+
+
+def test_check_every_class_reads_a_dataset_like_its_labels():
+    ds = Dataset(np.zeros((6, 1)), np.array([0, 2, 2, 4, 0, 4]), class_count=6)
+    messages = []
+    for rows in (ds, ds.labels):
+        with pytest.raises(MissingClassError) as ei:
+            check_every_class(rows, 6, "src")
+        messages.append(str(ei.value))
+    assert messages[0] == messages[1] == "src: no rows for class ids [1, 3, 5] of 6 classes"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

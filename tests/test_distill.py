@@ -35,7 +35,7 @@ from clpdd.linalg import DimensionError
 from clpdd.objective import class_anchor_loss_and_grad, mse_outer_loss_and_grad
 from clpdd.solver import ridge_kernel, solve_backward
 
-from oracles import adam_ref, balanced_picks, central_diff_grad, max_rel_err
+from oracles import adam_ref, central_diff_grad, floyd_balanced_picks, max_rel_err
 
 
 def _blob_task(seed=0):
@@ -92,6 +92,12 @@ def test_balanced_batch_small_class_with_replacement():
         assert any(np.array_equal(row, a) for a in allowed)
 
 
+def test_balanced_batch_rejects_a_class_without_rows():
+    ds = Dataset(np.zeros((4, 2)), np.array([0, 2, 2, 0]), class_count=3)
+    with pytest.raises(ValueError, match=r"^class 1 has no samples$"):
+        sample_balanced_batch(ds, 2, rng_stream(0, "batch"))
+
+
 def test_balanced_batch_deterministic():
     train, _ = _blob_task()
     b1 = sample_balanced_batch(train, 2, rng_stream(7, "batch"))
@@ -99,20 +105,64 @@ def test_balanced_batch_deterministic():
     assert np.array_equal(b1[0], b2[0])
 
 
-@pytest.mark.parametrize("b_per_class", [3, 8])  # 8 > the 5-row class: with replacement
-def test_balanced_batch_matches_choosing_from_class_rows(b_per_class):
+def _uneven_task():
     rng = np.random.default_rng(12)
     labels = np.repeat(np.arange(4), [20, 15, 5, 12])  # class 2 has 5 rows
     rng.shuffle(labels)
-    ds = Dataset(rng.standard_normal((labels.size, 3)), labels, 4)
+    return Dataset(rng.standard_normal((labels.size, 3)), labels, 4)
+
+
+@pytest.mark.parametrize("b_per_class", [3, 8])  # 8 > the 5-row class: with replacement
+def test_balanced_batch_matches_per_class_floyd(b_per_class):
+    ds = _uneven_task()
     ours, ref = rng_stream(4, "batch"), rng_stream(4, "batch")
+    clashes = 0
     for _ in range(5):
         x_real, labels = sample_balanced_batch(ds, b_per_class, ours)
-        picks = balanced_picks(ds.labels, 4, b_per_class, ref)
+        picks, clashed = floyd_balanced_picks(ds.labels, 4, b_per_class, ref)
+        clashes += clashed
         assert np.array_equal(x_real, ds.inputs[picks])
         assert np.array_equal(labels, ds.labels[picks])
+    assert clashes > 0  # the fix-up ran
     # both generators end in the same state: the stream is consumed identically
     assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def _copy(rng):
+    twin = np.random.default_rng(0)
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+def test_balanced_batch_draws_one_uniform_per_row():
+    ds = _uneven_task()
+    ours, ref = rng_stream(9, "batch"), rng_stream(9, "batch")
+    seen = set()
+    for _ in range(40):
+        _, clashed = floyd_balanced_picks(ds.labels, 4, 4, _copy(ours))
+        sample_balanced_batch(ds, 4, ours)
+        ref.random((4, 4))
+        assert ours.bit_generator.state == ref.bit_generator.state
+        seen.add(clashed > 0)
+    assert seen == {True, False}  # with and without a clash
+
+
+def test_balanced_batch_floyd_subsets_are_uniform():
+    # 100 classes of 6 rows, b = 4, 600 batches: 60 000 draws of a 4-subset
+    # of a 6-row class, each of the 15 subsets equally likely
+    labels = np.repeat(np.arange(100), 6)
+    ds = Dataset(np.arange(600, dtype=np.float64)[:, None], labels, 100)
+    rng = rng_stream(3, "batch")
+    hits = {}
+    for _ in range(600):
+        x_real, _ = sample_balanced_batch(ds, 4, rng)
+        within = x_real[:, 0].astype(np.int64).reshape(100, 4) % 6
+        assert all(len(set(row)) == 4 for row in within.tolist())  # no repeated row
+        for row in within.tolist():
+            key = tuple(sorted(row))
+            hits[key] = hits.get(key, 0) + 1
+    assert len(hits) == 15
+    assert all(abs(n - 4000) <= 200 for n in hits.values()), hits
 
 
 def test_adam_in_place_matches_reference_and_returns_fresh_array():
@@ -381,6 +431,36 @@ def test_run_distill_rejects_bad_data_before_the_first_step(monkeypatch, build, 
     with pytest.raises(error, match=match):
         run_distill(_tiny_cfg(), real, enc=enc)
     assert steps == []
+
+
+def test_distill_step_rejects_encoder_of_other_dim():
+    train, _ = _blob_task()  # 5-dim rows
+    cfg = _tiny_cfg()
+    syn = init_synthetic(3, 1, 6, seed=0)
+    with pytest.raises(DimensionError, match=r"^encoder expects 6-dim inputs, real set has 5"):
+        distill_step(
+            syn.inputs, syn.onehot_labels(), AdamState.like(syn.inputs), cfg,
+            make_encoder("identity", 6), train,
+            rng_stream(0, "batch"), rng_stream(0, "augment"), 0,
+        )
+
+
+def test_run_distill_does_not_rescan_a_loaded_set(tmp_path, monkeypatch):
+    save_features(_blob_task()[0], tmp_path / "train.clpf")
+    scanned = []
+    isfinite = np.isfinite
+
+    def recorded(x, *args, **kwargs):
+        scanned.append(x)
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", recorded)
+    train = load_features(tmp_path / "train.clpf")
+    assert sum(x is train.inputs for x in scanned) == 1  # the scan at load
+    scanned.clear()
+    run_distill(_tiny_cfg(), train)
+    run_distill(_tiny_cfg(outer_objective="mse"), train)
+    assert not any(x is train.inputs for x in scanned)
 
 
 def test_gradient_explosion_guard():
