@@ -24,12 +24,12 @@ from .distill import (
     AdamState,
     DistillConfig,
     DistillDivergenceError,
-    augment,
+    augment_noise,
+    balanced_batches,
     distill_step,
     init_synthetic,
     meta_loss_and_grad,
     run_distill,
-    sample_balanced_batch,
 )
 from .encoder import Encoder, encode, encode_vjp, make_encoder
 from .evaluation import (
@@ -73,7 +73,8 @@ __all__ = [
     "ProbeSolution",
     "RunReport",
     "StepMetrics",
-    "augment",
+    "augment_noise",
+    "balanced_batches",
     "battery_report",
     "class_anchor_loss_and_grad",
     "closed_form_probe",
@@ -92,7 +93,6 @@ __all__ = [
     "ridge_primal",
     "run_battery",
     "run_distill",
-    "sample_balanced_batch",
     "save_features",
     "select_centroid",
     "select_neighbor",

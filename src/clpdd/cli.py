@@ -135,7 +135,11 @@ def config_text(cfg: dict) -> str:
 
 
 def distill_config_from(cfg: dict) -> DistillConfig:
-    return DistillConfig(**{f.name: cfg[key] for key, f in _DISTILL_FIELDS.items()})
+    """The DistillConfig of a config dict; a value it rejects is a ConfigError."""
+    try:
+        return DistillConfig(**{f.name: cfg[key] for key, f in _DISTILL_FIELDS.items()})
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def build_data(cfg: dict, data_seed: int | None = None):
@@ -435,6 +439,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
+        distill_config_from(cfg)  # reject bad distillation values before any data is built
         if args.command == "gradcheck":
             code, _ = cmd_gradcheck(cfg, json_path=args.json, corrupt=args.corrupt)
             return code

@@ -316,7 +316,12 @@ def _load_csv(path: Path) -> Dataset:
     inputs = np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
     if labels.size and labels.min() < 0:
         raise LabelRangeError(f"{path}: negative label")
-    _check_finite_rows(_scan_nonfinite(inputs), lambda i: f"{path}:{i + 2}: row {i}")
+    # scanned before the label-gap check, so a file with both reports the NaN;
+    # the Dataset, built once every class has rows, keeps this scan as its own
+    scan = _scan_nonfinite(inputs)
+    _check_finite_rows(scan, lambda i: f"{path}:{i + 2}: row {i}")
     classes = int(labels.max()) + 1 if labels.size else 0
     check_every_class(labels, classes, f"{path} (class count inferred as max label + 1)")
-    return Dataset(inputs=inputs, labels=labels, class_count=classes)
+    dataset = Dataset(inputs=inputs, labels=labels, class_count=classes)
+    dataset.__dict__["nonfinite_rows"] = scan  # the cached_property's slot
+    return dataset

@@ -7,9 +7,11 @@ the synthetic inputs, which an Adam step with a cosine-annealed learning rate
 then updates. Labels stay fixed; only the inputs learn.
 """
 
+import itertools
 import math
 import time
 import zlib
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -26,6 +28,9 @@ OUTER_OBJECTIVES = ("class_anchor", "mse")
 INIT_MODES = ("random_normal", "from_real")
 
 GRAD_NORM_LIMIT = 1e6
+# doubles drawn per refill of a run's batch or noise stream (64 KB): the draws
+# of many small steps share one call, and memory does not grow with the budget
+BLOCK_DOUBLES = 1 << 13
 
 
 class DistillDivergenceError(RuntimeError):
@@ -93,6 +98,10 @@ class DistillConfig:
             raise ValueError(f"unknown init mode {self.init!r}")
         if self.lr_schedule != "cosine":
             raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
+        if self.eval_every < 1 or self.probe_batch_size < 1:
+            raise ValueError("eval_every and probe_batch_size must be >= 1")
+        if self.probe_epochs < 0 or self.feature_dim < 0 or self.hidden_dim < 0:
+            raise ValueError("probe_epochs, feature_dim and hidden_dim must be >= 0")
 
     def build_encoder(self, input_dim: int) -> Encoder:
         feature_dim = self.feature_dim if self.feature_dim > 0 else input_dim
@@ -202,52 +211,71 @@ def _floyd(draws: list[int], n: int, b_per_class: int) -> list[int]:
     return draws
 
 
-def sample_balanced_batch(
+def balanced_batches(
     real: Dataset, b_per_class: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """(inputs, labels) of exactly b_per_class rows per class, class-major.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Endless stream of (inputs, labels) batches of exactly b_per_class rows
+    per class, class-major.
 
-    One `rng.random((C, b))` call feeds the whole batch, so every batch
-    consumes exactly C*b uniforms. Each class with n >= b rows takes a uniform
-    b-subset of its rows by Floyd's algorithm (Bentley & Floyd, CACM 1987),
-    run on every class at once: draw k is floor(u_k * (n - b + k + 1)), and
-    only the classes whose draws clash go through the sequential fix-up,
-    which takes n - b + k in place of a taken draw and draws nothing new. A
-    class with fewer than b rows draws floor(u_k * n), with replacement.
+    One `rng.random((k, C, b))` call feeds k batches, with k capped so that a
+    refill holds about BLOCK_DOUBLES uniforms. PCG64 fills arrays in order, so
+    the batches and the generator's state are those of k `rng.random((C, b))`
+    calls, one per batch. Each class with n >= b rows takes a uniform b-subset
+    of its rows by Floyd's algorithm (Bentley & Floyd, CACM 1987), run on every
+    class of every batch at once: draw k is floor(u_k * (n - b + k + 1)), and
+    only the rows whose draws clash go through the sequential fix-up, which
+    takes n - b + k in place of a taken draw and draws nothing new. A class
+    with fewer than b rows draws floor(u_k * n), with replacement. A class
+    without rows raises ValueError at the first batch.
     """
     layout = real.class_layout
     counts = layout.counts
+    class_count = real.class_count
     smallest = np.minimum.reduce(counts, initial=b_per_class)
     if smallest == 0:
         raise ValueError(f"class {int(np.argmin(counts))} has no samples")
-    u = rng.random((real.class_count, b_per_class))
+    block = max(1, BLOCK_DOUBLES // (class_count * b_per_class))
     span = counts[:, None] + np.arange(1 - b_per_class, 1)  # n - b + k + 1
     if smallest < b_per_class:
         span = np.where(counts[:, None] < b_per_class, counts[:, None], span)
-    pos = (u * span).astype(np.intp)
-    if b_per_class > 1:
-        ranked = np.sort(pos, axis=1)
-        clash = ranked[:, 1:] == ranked[:, :-1]
-        if smallest < b_per_class:
-            clash[counts < b_per_class] = False  # repeats are allowed there
-        if clash.any():
-            for c in np.flatnonzero(clash.any(axis=1)).tolist():
-                pos[c] = _floyd(pos[c].tolist(), int(counts[c]), b_per_class)
-    pos += layout.starts[:, None]
-    picks = layout.order[pos.ravel()]
-    return real.inputs[picks], _balanced_labels(real.class_count, b_per_class)
+    labels = _balanced_labels(class_count, b_per_class)
+    inputs, starts = real.inputs, layout.starts[:, None]
+    while True:
+        pos = (rng.random((block, class_count, b_per_class)) * span).astype(np.intp)
+        if b_per_class > 1:
+            ranked = np.sort(pos, axis=2)
+            clash = ranked[..., 1:] == ranked[..., :-1]
+            if smallest < b_per_class:
+                clash[:, counts < b_per_class] = False  # repeats are allowed there
+            if clash.any():
+                rows = pos.reshape(-1, b_per_class)
+                for r in np.flatnonzero(clash.any(axis=2)).tolist():
+                    rows[r] = _floyd(rows[r].tolist(), int(counts[r % class_count]), b_per_class)
+        pos += starts
+        for picks in layout.order[pos.reshape(block, -1)]:
+            yield inputs[picks], labels
 
 
-def augment(inputs: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Additive i.i.d. Gaussian noise into a new array; sigma=0 is the identity."""
+def augment_noise(
+    shape: tuple[int, ...], sigma: float, rng: np.random.Generator
+) -> Iterator[np.ndarray | None]:
+    """Endless stream of sigma * N(0, 1) arrays of `shape`, one per step.
+
+    One `rng.standard_normal((k, *shape))` call, scaled by sigma once, feeds k
+    steps, with k capped so that a refill holds about BLOCK_DOUBLES values;
+    the arrays are those of k sequential draws of `shape`, bit for bit. The
+    step adds its inputs into the array it takes. With sigma = 0 nothing is
+    drawn and the stream yields None: no noise.
+    """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
-        return inputs
-    noisy = rng.standard_normal(inputs.shape)
-    noisy *= sigma
-    noisy += inputs
-    return noisy
+        yield from itertools.repeat(None)
+    block = max(1, BLOCK_DOUBLES // math.prod(shape))
+    while True:
+        noise = rng.standard_normal((block, *shape))
+        noise *= sigma
+        yield from noise
 
 
 def meta_loss_and_grad(
@@ -290,10 +318,10 @@ def _divergence_diagnostics(enc: Encoder, inputs: np.ndarray, lam: float) -> str
     return f"cond(A) <= {(mu + lam) / lam:.3e}"
 
 
-def _check_encoder_dim(enc: Encoder, real: Dataset):
-    if enc.input_dim != real.dim:
+def _check_encoder_dim(enc: Encoder, real_dim: int):
+    if enc.input_dim != real_dim:
         raise DimensionError(
-            f"encoder expects {enc.input_dim}-dim inputs, real set has {real.dim}"
+            f"encoder expects {enc.input_dim}-dim inputs, real set has {real_dim}"
         )
 
 
@@ -303,27 +331,35 @@ def distill_step(
     adam: AdamState,
     cfg: DistillConfig,
     enc: Encoder,
-    real: Dataset,
-    rng_batch: np.random.Generator,
-    rng_augment: np.random.Generator,
+    batches: Iterator[tuple[np.ndarray, np.ndarray]],
+    noise: Iterator[np.ndarray | None],
     iteration: int,
 ):
     """One outer iteration; returns (updated synthetic inputs, step metrics).
 
-    The forward/backward pass runs at the augmented inputs (additive noise has
-    identity Jacobian, so the gradient transfers unchanged), while the Adam
-    update applies to the clean inputs.
+    `batches` and `noise` are the run's two streams, built by
+    `balanced_batches(real, cfg.b_per_class, rng)` and
+    `augment_noise(inputs.shape, cfg.augment_noise_sigma, rng)`; the step
+    takes one item from each, so a stream's refill happens inside the step
+    that needs it. The noise array is consumed: the step adds the inputs into
+    it. The forward/backward pass runs at the augmented inputs (additive noise
+    has identity Jacobian, so the gradient transfers unchanged), while the
+    Adam update applies to the clean inputs.
 
-    Expects validated inputs, as `run_distill` hands them over: a finite real
-    set with rows in every class, inputs of the encoder's input dim, and the
-    one-hot labels of the synthetic rows. Its own guards (finite loss, the
-    gradient-norm limit, finite new inputs) keep every later step's inputs
-    valid. An encoder whose input dim is not the real set's raises
+    Expects validated inputs, as `run_distill` hands them over: batches from a
+    finite real set with rows in every class, inputs of the encoder's input
+    dim, and the one-hot labels of the synthetic rows. Its own guards (finite
+    loss, the gradient-norm limit, finite new inputs) keep every later step's
+    inputs valid. An encoder whose input dim is not the batch's raises
     DimensionError.
     """
-    _check_encoder_dim(enc, real)
-    inputs_aug = augment(inputs, cfg.augment_noise_sigma, rng_augment)
-    x_real, labels = sample_balanced_batch(real, cfg.b_per_class, rng_batch)
+    x_real, labels = next(batches)
+    _check_encoder_dim(enc, x_real.shape[1])
+    inputs_aug = next(noise)
+    if inputs_aug is None:
+        inputs_aug = inputs
+    else:
+        inputs_aug += inputs  # sigma * z + inputs, written into the noise array
     loss, grad = meta_loss_and_grad(
         inputs_aug, y_onehot, enc, x_real, labels, cfg.lam, cfg.tau, cfg.outer_objective
     )
@@ -386,19 +422,17 @@ def run_distill(
     check_every_class(real, real.class_count, "real set")
     if enc is None:
         enc = cfg.build_encoder(real.dim)
-    _check_encoder_dim(enc, real)
+    _check_encoder_dim(enc, real.dim)
     syn = init_synthetic(
         real.class_count, cfg.ipc, real.dim, cfg.init, real, seed=stream_seed(cfg.seed, "init")
     )
     inputs, y_onehot = syn.inputs, syn.onehot_labels()
     adam = AdamState.like(inputs)
-    rng_batch = rng_stream(cfg.seed, "batch")
-    rng_augment = rng_stream(cfg.seed, "augment")
+    batches = balanced_batches(real, cfg.b_per_class, rng_stream(cfg.seed, "batch"))
+    noise = augment_noise(inputs.shape, cfg.augment_noise_sigma, rng_stream(cfg.seed, "augment"))
     curve: list[StepMetrics] = []
     for t in range(cfg.iterations):
-        inputs, metrics = distill_step(
-            inputs, y_onehot, adam, cfg, enc, real, rng_batch, rng_augment, t
-        )
+        inputs, metrics = distill_step(inputs, y_onehot, adam, cfg, enc, batches, noise, t)
         if eval_set is not None and (t + 1) % cfg.eval_every == 0:
             metrics.eval_acc = _monitor_accuracy(enc, inputs, y_onehot, cfg.lam, eval_set)
         curve.append(metrics)

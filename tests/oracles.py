@@ -8,6 +8,8 @@ LAPACK solver, but on the N x N Gram matrix; the oracles apply it to the
 d x d matrix X^T X + lam*I directly.
 """
 
+import math
+
 import numpy as np
 
 
@@ -71,6 +73,31 @@ def floyd_balanced_picks(labels, class_count, b_per_class, rng):
             chosen.append(t)
         picks.extend(rows[chosen].tolist())
     return np.array(picks, dtype=np.intp), clashes
+
+
+def distill_loop_ref(inputs, real_inputs, real_labels, class_count, cfg, loss_and_grad,
+                     rng_batch, rng_augment):
+    """The distillation loop drawn step by step: each step takes one
+    floyd_balanced_picks batch and one sigma * standard_normal noise array,
+    then one Adam step at the cosine-annealed learning rate. `loss_and_grad(
+    x_aug, x_real, labels)` is the outer loss and its gradient; `cfg` supplies
+    the hyperparameters. Returns the final inputs and the per-step losses."""
+    m, v = np.zeros_like(inputs), np.zeros_like(inputs)
+    losses = []
+    for t in range(cfg.iterations):
+        picks, _ = floyd_balanced_picks(real_labels, class_count, cfg.b_per_class, rng_batch)
+        x_aug = inputs
+        if cfg.augment_noise_sigma > 0:
+            noise = cfg.augment_noise_sigma * rng_augment.standard_normal(inputs.shape)
+            x_aug = noise + inputs
+        loss, g = loss_and_grad(x_aug, real_inputs[picks], real_labels[picks])
+        lr = 0.5 * cfg.lr * (1.0 + math.cos(math.pi * t / cfg.iterations))
+        m, v, update = adam_ref(
+            m, v, t + 1, g, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+        )
+        inputs = inputs - update
+        losses.append(loss)
+    return inputs, losses
 
 
 def class_anchor_loss_ref(x, labels, w, tau):

@@ -267,6 +267,31 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "lambda=-1",
+        "outer_objective=foo",
+        "ipc=0",
+        "eval_every=0",
+        "eval_every=-3",
+        "probe_batch_size=0",
+        "probe_epochs=-1",
+        "feature_dim=-1",
+        "hidden_dim=-2",
+    ],
+)
+def test_main_rejects_bad_distill_values_before_building_data(
+    tmp_path, capsys, monkeypatch, setting
+):
+    built = []
+    monkeypatch.setattr(clpdd.cli, "build_data", lambda *a, **k: built.append(a))
+    assert main(["distill", "--out", str(tmp_path / "m"), "--set", setting]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert built == []
+
+
 def test_main_eval_rejects_synthetic_with_other_class_count(tmp_path, capsys):
     small = ["--set", "blob_dim=4", "--set", "probe_epochs=5"]
     assert main(["distill", "--out", str(tmp_path / "m"), "--set", "iterations=2",

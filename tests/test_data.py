@@ -246,3 +246,12 @@ def test_csv_label_gap_names_missing_classes(tmp_path):
         load_features(p)
     assert isinstance(ei.value, FeatureFileError)
     assert "[1, 3]" in str(ei.value) and str(p) in str(ei.value)
+
+
+@pytest.mark.parametrize("body", ["0,0.5\n2,nan\n4,2.0\n0,0.1\n4,0.3\n", "0,0.5\n9,nan\n"])
+def test_csv_reports_a_nan_row_before_a_label_gap(tmp_path, body):
+    # the second file has too few rows to cover its inferred class count
+    p = tmp_path / "both.csv"
+    p.write_text("label,f0\n" + body)
+    with pytest.raises(NonFiniteFeatureError, match=r"both\.csv:3: row 1 holds non-finite"):
+        load_features(p)

@@ -15,19 +15,20 @@ from clpdd.data import (
     save_features,
 )
 from clpdd.distill import (
+    BLOCK_DOUBLES,
     OUTER_OBJECTIVES,
     AdamState,
     DistillConfig,
     DistillDivergenceError,
     adam_update,
-    augment,
+    augment_noise,
+    balanced_batches,
     cosine_lr,
     distill_step,
     init_synthetic,
     meta_loss_and_grad,
     rng_stream,
     run_distill,
-    sample_balanced_batch,
     stream_seed,
 )
 from clpdd.encoder import ENCODER_KINDS, encode, encode_vjp, make_encoder
@@ -35,7 +36,13 @@ from clpdd.linalg import DimensionError
 from clpdd.objective import class_anchor_loss_and_grad, mse_outer_loss_and_grad
 from clpdd.solver import ridge_kernel, solve_backward
 
-from oracles import adam_ref, central_diff_grad, floyd_balanced_picks, max_rel_err
+from oracles import (
+    adam_ref,
+    central_diff_grad,
+    distill_loop_ref,
+    floyd_balanced_picks,
+    max_rel_err,
+)
 
 
 def _blob_task(seed=0):
@@ -72,7 +79,7 @@ def test_init_from_real_insufficient_samples():
 
 def test_balanced_batch_counts():
     train, _ = gen_blobs(5, 3, 10, 1.0, 1.0, seed=0)
-    x_real, labels = sample_balanced_batch(train, 4, rng_stream(0, "batch"))
+    x_real, labels = next(balanced_batches(train, 4, rng_stream(0, "batch")))
     assert x_real.shape[0] == 20
     for c in range(5):
         assert int(np.sum(labels == c)) == 4
@@ -84,7 +91,7 @@ def test_balanced_batch_small_class_with_replacement():
         labels=np.array([0, 0, 1, 1, 1]),
         class_count=2,
     )
-    x_real, labels = sample_balanced_batch(ds, 4, rng_stream(1, "batch"))
+    x_real, labels = next(balanced_batches(ds, 4, rng_stream(1, "batch")))
     rows_c0 = x_real[labels == 0]
     assert rows_c0.shape == (4, 2)
     allowed = ds.inputs[:2]
@@ -95,13 +102,13 @@ def test_balanced_batch_small_class_with_replacement():
 def test_balanced_batch_rejects_a_class_without_rows():
     ds = Dataset(np.zeros((4, 2)), np.array([0, 2, 2, 0]), class_count=3)
     with pytest.raises(ValueError, match=r"^class 1 has no samples$"):
-        sample_balanced_batch(ds, 2, rng_stream(0, "batch"))
+        next(balanced_batches(ds, 2, rng_stream(0, "batch")))
 
 
 def test_balanced_batch_deterministic():
     train, _ = _blob_task()
-    b1 = sample_balanced_batch(train, 2, rng_stream(7, "batch"))
-    b2 = sample_balanced_batch(train, 2, rng_stream(7, "batch"))
+    b1 = next(balanced_batches(train, 2, rng_stream(7, "batch")))
+    b2 = next(balanced_batches(train, 2, rng_stream(7, "batch")))
     assert np.array_equal(b1[0], b2[0])
 
 
@@ -112,39 +119,54 @@ def _uneven_task():
     return Dataset(rng.standard_normal((labels.size, 3)), labels, 4)
 
 
-@pytest.mark.parametrize("b_per_class", [3, 8])  # 8 > the 5-row class: with replacement
-def test_balanced_batch_matches_per_class_floyd(b_per_class):
-    ds = _uneven_task()
-    ours, ref = rng_stream(4, "batch"), rng_stream(4, "batch")
+def _assert_batches_match_per_class_floyd(ds, b_per_class, count, seed):
+    """`count` batches of one stream equal as many sequential per-class Floyd
+    draws, bitwise; returns the number of clashes the oracle fixed up."""
+    ours, ref = rng_stream(seed, "batch"), rng_stream(seed, "batch")
+    batches = balanced_batches(ds, b_per_class, ours)
     clashes = 0
-    for _ in range(5):
-        x_real, labels = sample_balanced_batch(ds, b_per_class, ours)
-        picks, clashed = floyd_balanced_picks(ds.labels, 4, b_per_class, ref)
+    for _ in range(count):
+        x_real, labels = next(batches)
+        picks, clashed = floyd_balanced_picks(ds.labels, ds.class_count, b_per_class, ref)
         clashes += clashed
         assert np.array_equal(x_real, ds.inputs[picks])
         assert np.array_equal(labels, ds.labels[picks])
+    return clashes, ours, ref
+
+
+@pytest.mark.parametrize("b_per_class", [3, 8])  # 8 > the 5-row class: with replacement
+def test_balanced_batch_matches_per_class_floyd(monkeypatch, b_per_class):
+    # five batches per refill, so twelve batches cross two refill boundaries
+    monkeypatch.setattr(clpdd.distill, "BLOCK_DOUBLES", 5 * 4 * b_per_class)
+    clashes, ours, ref = _assert_batches_match_per_class_floyd(_uneven_task(), b_per_class, 12, 4)
     assert clashes > 0  # the fix-up ran
-    # both generators end in the same state: the stream is consumed identically
+    # three refills draw exactly what fifteen per-batch draws would
+    for _ in range(3):
+        ref.random((4, b_per_class))
     assert ours.bit_generator.state == ref.bit_generator.state
 
 
-def _copy(rng):
-    twin = np.random.default_rng(0)
-    twin.bit_generator.state = rng.bit_generator.state
-    return twin
+def test_balanced_batch_refill_boundary_at_the_default_block():
+    train, _ = gen_blobs(5, 3, 10, 1.0, 1.0, seed=0)  # 8 train rows per class, b = 4
+    block = BLOCK_DOUBLES // (5 * 4)
+    clashes, _, _ = _assert_batches_match_per_class_floyd(train, 4, block + 3, 2)
+    assert clashes > 0
 
 
 def test_balanced_batch_draws_one_uniform_per_row():
+    # a refill leaves the generator as one rng.random((k, C, b)) call would,
+    # and the k - 1 batches after it draw nothing
     ds = _uneven_task()
     ours, ref = rng_stream(9, "batch"), rng_stream(9, "batch")
-    seen = set()
-    for _ in range(40):
-        _, clashed = floyd_balanced_picks(ds.labels, 4, 4, _copy(ours))
-        sample_balanced_batch(ds, 4, ours)
-        ref.random((4, 4))
+    block = BLOCK_DOUBLES // (4 * 4)
+    batches = balanced_batches(ds, 4, ours)
+    for _ in range(2):
+        next(batches)
+        ref.random((block, 4, 4))
         assert ours.bit_generator.state == ref.bit_generator.state
-        seen.add(clashed > 0)
-    assert seen == {True, False}  # with and without a clash
+        for _ in range(block - 1):
+            next(batches)
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_balanced_batch_floyd_subsets_are_uniform():
@@ -152,10 +174,10 @@ def test_balanced_batch_floyd_subsets_are_uniform():
     # of a 6-row class, each of the 15 subsets equally likely
     labels = np.repeat(np.arange(100), 6)
     ds = Dataset(np.arange(600, dtype=np.float64)[:, None], labels, 100)
-    rng = rng_stream(3, "batch")
+    batches = balanced_batches(ds, 4, rng_stream(3, "batch"))
     hits = {}
     for _ in range(600):
-        x_real, _ = sample_balanced_batch(ds, 4, rng)
+        x_real, _ = next(batches)
         within = x_real[:, 0].astype(np.int64).reshape(100, 4) % 6
         assert all(len(set(row)) == 4 for row in within.tolist())  # no repeated row
         for row in within.tolist():
@@ -182,32 +204,57 @@ def test_adam_in_place_matches_reference_and_returns_fresh_array():
         assert not np.shares_memory(update, grad)
 
 
+def _step_streams(cfg, real, shape):
+    return (
+        balanced_batches(real, cfg.b_per_class, rng_stream(cfg.seed, "batch")),
+        augment_noise(shape, cfg.augment_noise_sigma, rng_stream(cfg.seed, "augment")),
+    )
+
+
 def test_augment_leaves_inputs_untouched():
-    x = np.random.default_rng(14).standard_normal((4, 3))
-    before = x.copy()
-    noisy = augment(x, 0.1, rng_stream(2, "augment"))
-    assert np.array_equal(x, before) and not np.shares_memory(noisy, x)
-    ref = before + 0.1 * rng_stream(2, "augment").standard_normal(x.shape)
-    assert np.array_equal(noisy, ref)
+    # the step adds its inputs into the noise array, never the other way
+    train, _ = _blob_task()
+    cfg = DistillConfig(iterations=5, augment_noise_sigma=0.1)
+    syn = init_synthetic(3, 1, train.dim, seed=0)
+    before = syn.inputs.copy()
+    new_inputs, _ = distill_step(
+        syn.inputs, syn.onehot_labels(), AdamState.like(syn.inputs), cfg,
+        cfg.build_encoder(train.dim), *_step_streams(cfg, train, syn.inputs.shape), 0,
+    )
+    assert np.array_equal(syn.inputs, before)
+    assert not np.shares_memory(new_inputs, syn.inputs)
 
 
 def test_augment_identity_at_zero_sigma():
-    x = np.random.default_rng(0).standard_normal((4, 3))
-    assert np.array_equal(augment(x, 0.0, rng_stream(0, "augment")), x)
+    rng = rng_stream(0, "augment")
+    state = rng.bit_generator.state
+    noise = augment_noise((4, 3), 0.0, rng)
+    assert [next(noise) for _ in range(3)] == [None, None, None]
+    assert rng.bit_generator.state == state  # nothing drawn
 
 
 def test_augment_noise_scale():
-    x = np.zeros((1000, 100))  # 1e5 draws
-    noisy = augment(x, 0.01, rng_stream(3, "augment"))
-    std = np.std(noisy)
-    assert abs(std - 0.01) <= 0.2 * 0.01
+    noise = next(augment_noise((1000, 100), 0.01, rng_stream(3, "augment")))  # 1e5 draws
+    assert abs(np.std(noise) - 0.01) <= 0.2 * 0.01
 
 
 def test_augment_reproducible():
-    x = np.zeros((5, 5))
-    a = augment(x, 0.5, rng_stream(11, "augment"))
-    b = augment(x, 0.5, rng_stream(11, "augment"))
+    a = next(augment_noise((5, 5), 0.5, rng_stream(11, "augment")))
+    b = next(augment_noise((5, 5), 0.5, rng_stream(11, "augment")))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [(5, 16), (40, 512)])  # ~100 steps per refill, and 1
+def test_augment_noise_matches_sequential_draws(shape):
+    ours, ref = rng_stream(6, "augment"), rng_stream(6, "augment")
+    block = max(1, BLOCK_DOUBLES // (shape[0] * shape[1]))
+    refilled = rng_stream(6, "augment")
+    noise = augment_noise(shape, 0.01, ours)
+    for i in range(2 * block + 1):  # across two refill boundaries
+        assert np.array_equal(next(noise), 0.01 * ref.standard_normal(shape))
+        if i % block == 0:  # a refill draws what one (block, *shape) call would
+            refilled.standard_normal((block, *shape))
+            assert ours.bit_generator.state == refilled.bit_generator.state
 
 
 def _tiny_cfg(**kw):
@@ -225,8 +272,8 @@ def test_distill_step_zero_lr_freezes_inputs():
     syn = init_synthetic(3, 1, train.dim, seed=0)
     adam = AdamState.like(syn.inputs)
     new_inputs, metrics = distill_step(
-        syn.inputs, syn.onehot_labels(), adam, cfg, enc, train,
-        rng_stream(0, "batch"), rng_stream(0, "augment"), 0,
+        syn.inputs, syn.onehot_labels(), adam, cfg, enc,
+        *_step_streams(cfg, train, syn.inputs.shape), 0,
     )
     assert np.array_equal(new_inputs, syn.inputs)
     assert np.isfinite(metrics.outer_loss)
@@ -240,7 +287,7 @@ def test_whole_pipeline_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     inputs = 0.5 * rng.standard_normal((2, 3))
     y = np.eye(2)
-    x_real, labels = sample_balanced_batch(train, 2, rng_stream(5, "batch"))
+    x_real, labels = next(balanced_batches(train, 2, rng_stream(5, "batch")))
     for objective in ("class_anchor", "mse"):
         _, analytic = meta_loss_and_grad(inputs, y, enc, x_real, labels, 0.1, 0.07, objective)
         fd = central_diff_grad(
@@ -309,6 +356,39 @@ def test_same_seed_identical_loss_sequences():
     assert [m.outer_loss for m in rep1.curve] == [m.outer_loss for m in rep2.curve]
 
 
+@pytest.mark.parametrize(
+    "objective, ipc, sigma, block_doubles, iterations",
+    [
+        ("class_anchor", 1, 0.01, 60, 30),
+        ("mse", 1, 0.01, 60, 30),
+        ("class_anchor", 2, 0.01, 60, 30),
+        ("mse", 2, 0.0, 60, 30),
+        ("class_anchor", 2, 0.01, BLOCK_DOUBLES, 300),  # crosses one noise refill
+    ],
+)
+def test_run_distill_matches_a_loop_drawing_every_step(
+    monkeypatch, objective, ipc, sigma, block_doubles, iterations
+):
+    monkeypatch.setattr(clpdd.distill, "BLOCK_DOUBLES", block_doubles)
+    train, _ = _blob_task()
+    cfg = _tiny_cfg(
+        iterations=iterations, ipc=ipc, augment_noise_sigma=sigma, outer_objective=objective
+    )
+    syn, rep = run_distill(cfg, train)
+    init = init_synthetic(3, ipc, train.dim, seed=stream_seed(cfg.seed, "init"))
+    enc, y = cfg.build_encoder(train.dim), init.onehot_labels()
+
+    def loss_and_grad(x_aug, x_real, labels):
+        return meta_loss_and_grad(x_aug, y, enc, x_real, labels, cfg.lam, cfg.tau, objective)
+
+    ref_inputs, ref_losses = distill_loop_ref(
+        init.inputs, train.inputs, train.labels, 3, cfg, loss_and_grad,
+        rng_stream(cfg.seed, "batch"), rng_stream(cfg.seed, "augment"),
+    )
+    assert [m.outer_loss for m in rep.curve] == ref_losses
+    assert np.array_equal(syn.inputs, ref_inputs)
+
+
 def test_run_distill_zero_iterations_is_noop():
     train, _ = _blob_task()
     cfg = _tiny_cfg(iterations=0)
@@ -363,9 +443,9 @@ def test_labels_fixed_across_steps():
     inputs, y_onehot = syn.inputs, syn.onehot_labels()
     label_bytes = y_onehot.tobytes()
     adam = AdamState.like(inputs)
-    rb, ra = rng_stream(0, "batch"), rng_stream(0, "augment")
+    batches, noise = _step_streams(cfg, train, inputs.shape)
     for t in range(8):
-        inputs, _ = distill_step(inputs, y_onehot, adam, cfg, enc, train, rb, ra, t)
+        inputs, _ = distill_step(inputs, y_onehot, adam, cfg, enc, batches, noise, t)
     assert y_onehot.tobytes() == label_bytes
 
 
@@ -377,11 +457,11 @@ def test_adam_step_norm_bound():
         syn = init_synthetic(3, 1, train.dim, seed=0)
         inputs, y_onehot = syn.inputs, syn.onehot_labels()
         adam = AdamState.like(inputs)
-        rb, ra = rng_stream(0, "batch"), rng_stream(0, "augment")
+        batches, noise = _step_streams(cfg, train, inputs.shape)
         bound = np.sqrt(inputs.size)
         for t in range(cfg.iterations):
             prev = inputs
-            inputs, metrics = distill_step(inputs, y_onehot, adam, cfg, enc, train, rb, ra, t)
+            inputs, metrics = distill_step(inputs, y_onehot, adam, cfg, enc, batches, noise, t)
             assert np.isfinite(metrics.outer_loss)
             assert np.linalg.norm(inputs - prev) <= metrics.lr * bound
 
@@ -440,13 +520,13 @@ def test_distill_step_rejects_encoder_of_other_dim():
     with pytest.raises(DimensionError, match=r"^encoder expects 6-dim inputs, real set has 5"):
         distill_step(
             syn.inputs, syn.onehot_labels(), AdamState.like(syn.inputs), cfg,
-            make_encoder("identity", 6), train,
-            rng_stream(0, "batch"), rng_stream(0, "augment"), 0,
+            make_encoder("identity", 6), *_step_streams(cfg, train, syn.inputs.shape), 0,
         )
 
 
-def test_run_distill_does_not_rescan_a_loaded_set(tmp_path, monkeypatch):
-    save_features(_blob_task()[0], tmp_path / "train.clpf")
+@pytest.mark.parametrize("name", ["train.clpf", "train.csv"])
+def test_run_distill_does_not_rescan_a_loaded_set(tmp_path, monkeypatch, name):
+    save_features(_blob_task()[0], tmp_path / name)
     scanned = []
     isfinite = np.isfinite
 
@@ -455,7 +535,7 @@ def test_run_distill_does_not_rescan_a_loaded_set(tmp_path, monkeypatch):
         return isfinite(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "isfinite", recorded)
-    train = load_features(tmp_path / "train.clpf")
+    train = load_features(tmp_path / name)
     assert sum(x is train.inputs for x in scanned) == 1  # the scan at load
     scanned.clear()
     run_distill(_tiny_cfg(), train)
