@@ -9,6 +9,7 @@ per-purpose streams.
 """
 
 import argparse
+import ctypes
 import json
 import sys
 import time
@@ -85,6 +86,18 @@ CONFIG_SPEC: dict[str, tuple] = {
     "pca_export": (_parse_bool, False),
 }
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# glibc raises both thresholds by itself as blocks are freed: the mmap
+# threshold up to DEFAULT_MMAP_THRESHOLD_MAX (32 MiB on 64-bit) and the trim
+# threshold to twice it. Setting either one through mallopt turns that rule
+# off, so both are set, to the values the rule tends to. A step's freed
+# temporaries then stay in the heap for the next step instead of going back
+# to the kernel and being faulted in again.
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 64 << 20
+
 METHOD_NAMES = ("clpdd", "random", "centroid", "neighbor", "mse-ablation")
 SWEEP_PARAMS = ("tau", "lambda", "b_per_class")
 
@@ -145,16 +158,22 @@ def distill_config_from(cfg: dict) -> DistillConfig:
 def build_data(cfg: dict, data_seed: int | None = None):
     """Returns (train, eval-or-None) from the configured source."""
     if cfg["data"] == "blobs":
+        for key in ("blob_classes", "blob_dim"):
+            if cfg[key] < 1:
+                raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
         seed = cfg["blob_seed"] if data_seed is None else data_seed
-        return gen_blobs(
-            cfg["blob_classes"],
-            cfg["blob_dim"],
-            cfg["blob_per_class"],
-            cfg["blob_center_scale"],
-            cfg["blob_cluster_std"],
-            seed=seed,
-            anisotropic=cfg["blob_anisotropic"],
-        )
+        try:
+            return gen_blobs(
+                cfg["blob_classes"],
+                cfg["blob_dim"],
+                cfg["blob_per_class"],
+                cfg["blob_center_scale"],
+                cfg["blob_cluster_std"],
+                seed=seed,
+                anisotropic=cfg["blob_anisotropic"],
+            )
+        except ValueError as e:  # the rows per class cannot fill both splits
+            raise ConfigError(f"blob_per_class: {e}") from e
     if cfg["data"] == "files":
         if not cfg["data_train"]:
             raise ConfigError("data=files requires data_train")
@@ -332,16 +351,17 @@ def cmd_sweep(cfg: dict, param: str, values: list, out_dir):
         raise ConfigError(f"unknown sweep parameter {param!r} (choose from {SWEEP_PARAMS})")
     if not values:
         raise ConfigError("sweep needs a nonempty value list")
+    methods = _parse_methods(cfg)
+    # every value is parsed and checked before the first compare runs
+    runs = []
+    for raw in values:
+        value = _coerce(param, raw, "--values")
+        cfg_v = dict(cfg, **{param: value})
+        distill_config_from(cfg_v)
+        runs.append((value, cfg_v))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    caster = int if param == "b_per_class" else float
-    methods = _parse_methods(cfg)
-    rows = []
-    for raw in values:
-        value = caster(raw)
-        cfg_v = dict(cfg, **{param: value})
-        report, _ = compare_report(cfg_v)
-        rows.append((value, report))
+    rows = [(value, compare_report(cfg_v)[0]) for value, cfg_v in runs]
     header = ["param", "value"]
     for name in methods:
         header += [f"{name}_mean", f"{name}_std"]
@@ -392,6 +412,18 @@ def cmd_export_embeddings(cfg: dict, synthetic_path, out_path):
     _write_embeddings(enc, real, syn_data, out_path)
 
 
+def _keep_freed_memory():
+    """Set glibc's mmap and trim thresholds for this process; a no-op where
+    the C library has no `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def _add_common(p):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument(
@@ -437,6 +469,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, help="output CSV path")
 
     args = parser.parse_args(argv)
+    _keep_freed_memory()  # the CLI owns its process; library callers keep their allocator
     try:
         cfg = load_config(args.config, args.overrides)
         distill_config_from(cfg)  # reject bad distillation values before any data is built

@@ -19,6 +19,7 @@ CLPF layout, all little-endian:
 float32 payloads are widened to float64 on load.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -180,11 +181,16 @@ def gen_blobs(
     by a random rotation), which keeps centroid selection from being a
     near-oracle and makes the two outer objectives behave differently.
     """
-    if min(c, dim, n_per_class) < 1:
-        raise ValueError("c, dim and n_per_class must all be >= 1")
+    if min(c, dim) < 1:
+        raise ValueError("c and dim must be >= 1")
+    n_train = int(np.ceil(0.8 * n_per_class))
+    if n_per_class - n_train < 1:
+        raise ValueError(
+            f"n_per_class must be >= 5 so the 80/20 split leaves each class an "
+            f"eval row, got {n_per_class}"
+        )
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((c, dim)) * center_scale
-    n_train = int(np.ceil(0.8 * n_per_class))
     train_x, train_y, eval_x, eval_y = [], [], [], []
     for ci in range(c):
         z = rng.standard_normal((n_per_class, dim))
@@ -225,35 +231,37 @@ def load_features(path) -> Dataset:
     path = Path(path)
     if path.suffix.lower() == ".csv":
         return _load_csv(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        if raw[:4] != CLPF_MAGIC:
-            raise BadMagicError(f"{path}: not a CLPF file")
-        raise TruncatedFileError(f"{path}: header truncated")
-    magic, version, flags, n, dim, classes = _HEADER.unpack_from(raw)
-    if magic != CLPF_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if version != CLPF_VERSION:
-        raise VersionError(f"{path}: unsupported version {version}")
-    f64 = bool(flags & _FLAG_F64)
-    label_bytes = 4 * n
-    payload_bytes = (8 if f64 else 4) * n * dim
-    expected = _HEADER.size + label_bytes + payload_bytes
-    if len(raw) < expected:
-        raise TruncatedFileError(
-            f"{path}: expected {expected} bytes, found {len(raw)}"
-        )
-    labels = np.frombuffer(raw, dtype="<u4", count=n, offset=_HEADER.size).astype(np.int64)
-    payload = np.frombuffer(
-        raw, dtype="<f8" if f64 else "<f4", count=n * dim, offset=_HEADER.size + label_bytes
-    )
-    inputs = payload.astype(np.float64).reshape(n, dim)
-    if labels.size and labels.max() >= classes:
-        raise LabelRangeError(
-            f"{path}: label {labels.max()} out of range for {classes} classes"
-        )
-    if n < classes:
-        raise MissingClassError(f"{path}: {n} rows cannot cover {classes} classes")
+    with path.open("rb") as f:
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            if head[:4] != CLPF_MAGIC:
+                raise BadMagicError(f"{path}: not a CLPF file")
+            raise TruncatedFileError(f"{path}: header truncated")
+        magic, version, flags, n, dim, classes = _HEADER.unpack(head)
+        if magic != CLPF_MAGIC:
+            raise BadMagicError(f"{path}: bad magic {magic!r}")
+        if version != CLPF_VERSION:
+            raise VersionError(f"{path}: unsupported version {version}")
+        f64 = bool(flags & _FLAG_F64)
+        label_bytes = 4 * n
+        payload_bytes = (8 if f64 else 4) * n * dim
+        expected = _HEADER.size + label_bytes + payload_bytes
+        size = os.fstat(f.fileno()).st_size
+        if size < expected:
+            raise TruncatedFileError(f"{path}: expected {expected} bytes, found {size}")
+        labels = np.frombuffer(f.read(label_bytes), dtype="<u4").astype(np.int64)
+        if labels.size and labels.max() >= classes:
+            raise LabelRangeError(
+                f"{path}: label {labels.max()} out of range for {classes} classes"
+            )
+        if n < classes:
+            raise MissingClassError(f"{path}: {n} rows cannot cover {classes} classes")
+        # read straight into the array: an f64 payload is never copied, an
+        # f32 one is widened once
+        payload = np.empty((n, dim), dtype="<f8" if f64 else "<f4")
+        if f.readinto(payload) != payload_bytes:
+            raise TruncatedFileError(f"{path}: payload ends early")
+    inputs = payload.astype(np.float64, copy=False)
     dataset = Dataset(inputs=inputs, labels=labels, class_count=classes)
     _check_finite_rows(dataset.nonfinite_rows, lambda i: f"{path}: row {i}")
     return dataset

@@ -86,10 +86,19 @@ class DistillConfig:
     probe_batch_size: int = 256
 
     def __post_init__(self):
+        real = (self.lam, self.tau, self.lr, self.adam_eps, self.augment_noise_sigma, self.probe_lr)
+        if not all(map(math.isfinite, real)):
+            raise ValueError(
+                "lambda, tau, lr, adam_eps, augment_noise_sigma and probe_lr must be finite"
+            )
         if self.lam <= 0 or self.tau <= 0:
             raise ValueError("lambda and tau must be > 0")
         if self.lr < 0 or self.augment_noise_sigma < 0:
             raise ValueError("lr and augment_noise_sigma must be >= 0")
+        if self.adam_eps < 0 or self.probe_lr < 0:
+            raise ValueError("adam_eps and probe_lr must be >= 0")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+            raise ValueError("adam_beta1 and adam_beta2 must lie in [0, 1)")
         if self.iterations < 0 or self.ipc < 1 or self.b_per_class < 1:
             raise ValueError("iterations must be >= 0, ipc and b_per_class >= 1")
         if self.outer_objective not in OUTER_OBJECTIVES:

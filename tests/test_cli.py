@@ -1,5 +1,10 @@
 import json
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +222,22 @@ def test_sweep_duplicates_and_row_count(tmp_path):
     assert lines[1] == lines[2]  # duplicate values give identical rows
 
 
+@pytest.mark.parametrize(
+    "param, values", [("tau", "0.1,abc"), ("tau", "0.1,-1"), ("b_per_class", "2,2.5")]
+)
+def test_sweep_checks_every_value_before_the_first_compare(
+    tmp_path, capsys, monkeypatch, param, values
+):
+    ran = []
+    monkeypatch.setattr(clpdd.cli, "compare_report", lambda *a, **k: ran.append(a))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--param", param, "--values", values, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert ran == []
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_unknown_param(tmp_path):
     with pytest.raises(ConfigError):
         cmd_sweep(_fast_cfg(), "momentum", ["0.9"], tmp_path / "sw")
@@ -279,6 +300,16 @@ def test_main_exit_codes(tmp_path, capsys):
         "probe_epochs=-1",
         "feature_dim=-1",
         "hidden_dim=-2",
+        "adam_beta1=1.0",
+        "adam_beta2=1.0",
+        "adam_beta1=-0.1",
+        "tau=nan",
+        "lr=nan",
+        "lambda=inf",
+        "augment_noise_sigma=inf",
+        "probe_lr=nan",
+        "probe_lr=-0.01",
+        "adam_eps=-1",
     ],
 )
 def test_main_rejects_bad_distill_values_before_building_data(
@@ -290,6 +321,73 @@ def test_main_rejects_bad_distill_values_before_building_data(
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "setting, key",
+    [
+        ("blob_per_class=0", "blob_per_class"),
+        ("blob_per_class=1", "blob_per_class"),
+        ("blob_per_class=4", "blob_per_class"),  # 4 train rows, no eval row
+        ("blob_classes=0", "blob_classes"),
+        ("blob_dim=0", "blob_dim"),
+    ],
+)
+def test_main_rejects_bad_blob_counts_before_distilling(
+    tmp_path, capsys, monkeypatch, setting, key
+):
+    ran = []
+    monkeypatch.setattr(clpdd.cli, "run_distill", lambda *a, **k: ran.append(a))
+    assert main(["distill", "--out", str(tmp_path / "m"), "--set", setting]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {key}")
+    assert ran == []
+
+
+def test_main_runs_where_the_c_library_has_no_mallopt(tmp_path, monkeypatch):
+    monkeypatch.setattr(clpdd.cli.ctypes, "CDLL", lambda name: object())
+    assert main(["distill", "--out", str(tmp_path / "m"), "--set", "iterations=2",
+                 "--set", "probe_epochs=5"]) == 0
+
+
+# Counts the minor page faults of each distill_step of one CLI session.
+_STEP_FAULTS = """
+import resource, sys
+import clpdd.cli, clpdd.distill
+
+step, faults = clpdd.distill.distill_step, []
+
+def counted(*args, **kwargs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    result = step(*args, **kwargs)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return result
+
+clpdd.distill.distill_step = counted
+code = clpdd.cli.main(["distill", "--out", sys.argv[1]] + sys.argv[2:])
+print(code, *faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+def test_cli_steady_state_steps_take_no_page_faults(tmp_path):
+    # N = 50 * 10 = 500 >= d = 256 takes the primal route; each step frees
+    # several 500 x 256 double temporaries (1 MB each), more than glibc's
+    # default dynamic trim threshold would keep in the heap
+    settings = ["encoder=mlp1", "blob_classes=50", "blob_dim=256", "blob_per_class=50",
+                "ipc=10", "iterations=20", "probe_epochs=1"]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = str(Path(clpdd.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = [str(tmp_path / "m")] + [a for kv in settings for a in ("--set", kv)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _STEP_FAULTS, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    code, *faults = map(int, proc.stdout.split()[-21:])
+    assert code == 0 and len(faults) == 20
+    assert sum(faults[10:]) <= 50, faults
 
 
 def test_main_eval_rejects_synthetic_with_other_class_count(tmp_path, capsys):

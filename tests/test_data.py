@@ -85,6 +85,17 @@ def test_clpf_round_trip_keeps_classes_without_rows(tmp_path):
     assert loaded.class_indices(1).size == 0 and loaded.class_indices(3).size == 0
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0)], ids=["no-rows", "no-features"])
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+def test_clpf_round_trip_with_an_empty_payload(tmp_path, shape, dtype):
+    ds = Dataset(np.zeros(shape), np.arange(shape[0]), class_count=shape[0])
+    path = tmp_path / "empty.clpf"
+    save_features(ds, path, dtype=dtype)
+    loaded = load_features(path)
+    assert loaded.inputs.shape == shape and loaded.inputs.dtype == np.float64
+    assert datasets_equal(loaded, ds)
+
+
 def test_clpf_round_trip_f32_widens(tmp_path):
     rng = np.random.default_rng(1)
     ds = _random_dataset(rng)
