@@ -376,12 +376,8 @@ def cmd_sweep(cfg: dict, param: str, values: list, out_dir):
     return rows
 
 
-def cmd_eval(cfg: dict, synthetic_path, json_path=None) -> dict:
-    """Probe a saved synthetic set against the configured eval split."""
-    syn_data = load_features(synthetic_path)
-    train, ev = build_data(cfg)
-    if ev is None:
-        raise ConfigError("eval needs an eval split (set data_eval)")
+def _check_synthetic_fits(syn_data: Dataset, train: Dataset):
+    """A saved synthetic set must have the data's dim and class count."""
     if syn_data.dim != train.dim:
         raise ConfigError(
             f"synthetic dim {syn_data.dim} does not match data dim {train.dim}"
@@ -391,6 +387,15 @@ def cmd_eval(cfg: dict, synthetic_path, json_path=None) -> dict:
             f"synthetic set has {syn_data.class_count} classes but the data has "
             f"{train.class_count}"
         )
+
+
+def cmd_eval(cfg: dict, synthetic_path, json_path=None) -> dict:
+    """Probe a saved synthetic set against the configured eval split."""
+    syn_data = load_features(synthetic_path)
+    train, ev = build_data(cfg)
+    if ev is None:
+        raise ConfigError("eval needs an eval split (set data_eval)")
+    _check_synthetic_fits(syn_data, train)
     enc = distill_config_from(cfg).build_encoder(train.dim)
     acc = _probe_accuracy(enc, syn_data, ev, cfg, stream_seed(cfg["seed"], "probe"))
     result = {
@@ -407,6 +412,7 @@ def cmd_export_embeddings(cfg: dict, synthetic_path, out_path):
     """2-D PCA of real + synthetic features, written as x,y,label,origin CSV."""
     syn_data = load_features(synthetic_path)
     train, ev = build_data(cfg)
+    _check_synthetic_fits(syn_data, train)
     real = ev if ev is not None else train
     enc = distill_config_from(cfg).build_encoder(train.dim)
     _write_embeddings(enc, real, syn_data, out_path)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, _check_finite_rows, check_every_class
 from .encoder import Encoder, _encode, _encode_vjp, encode, make_encoder
-from .linalg import DimensionError, row_argmax
+from .linalg import DimensionError
 from .objective import _class_anchor_loss_and_grad, _mse_outer_loss_and_grad
 from .report import RunReport, StepMetrics
 from .solver import _ridge_kernel, _solve_backward, ridge_kernel
@@ -404,7 +404,7 @@ def _monitor_accuracy(
 ) -> float:
     """Cheap closed-form probe accuracy on the eval split, for the curve only."""
     sol = ridge_kernel(encode(enc, inputs), y_onehot, lam)
-    preds = row_argmax(encode(enc, eval_set.inputs) @ sol.w_star)
+    preds = np.argmax(encode(enc, eval_set.inputs) @ sol.w_star, axis=1)
     return float(np.mean(preds == eval_set.labels))
 
 

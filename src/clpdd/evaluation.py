@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import Dataset, check_every_class, onehot
 from .distill import AdamState, adam_update
-from .linalg import DimensionError, row_argmax
+from .linalg import DimensionError
 from .objective import _softmax_rows
 from .solver import ridge_kernel
 
@@ -25,7 +25,8 @@ class ProbeResult:
 
 
 def _accuracy(features: np.ndarray, labels: np.ndarray, w: np.ndarray) -> float:
-    return float(np.mean(row_argmax(features @ w) == labels))
+    # np.argmax takes the lowest index among tied scores
+    return float(np.mean(np.argmax(features @ w, axis=1) == labels))
 
 
 def train_linear_probe(

@@ -401,6 +401,37 @@ def test_main_eval_rejects_synthetic_with_other_class_count(tmp_path, capsys):
     assert err[0] == "config error: synthetic set has 3 classes but the data has 5"
 
 
+@pytest.mark.parametrize("distilled, message", [
+    (["--set", "blob_dim=8"], "synthetic dim 8 does not match data dim 16"),
+    (["--set", "blob_classes=3"], "synthetic set has 3 classes but the data has 5"),
+])
+def test_main_export_embeddings_rejects_mismatched_synthetic(tmp_path, capsys,
+                                                              distilled, message):
+    small = ["--set", "probe_epochs=5"]
+    assert main(["distill", "--out", str(tmp_path / "m"), "--set", "iterations=2",
+                 *distilled, *small]) == 0
+    capsys.readouterr()
+    out_csv = tmp_path / "emb.csv"
+    assert main(["export-embeddings", "--synthetic", str(tmp_path / "m" / "synthetic.clpf"),
+                 "--out", str(out_csv), *small]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
+    assert not out_csv.exists()
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # clpdd binds LAPACK from scipy's compiled module alone; the scipy.linalg
+    # package __init__ and what it pulls in cost start-up time and memory
+    probe = "import json, sys, clpdd.cli; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ)
+    src = str(Path(clpdd.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & {"scipy.linalg", "scipy._lib", "numpy.f2py", "numpy.testing"}
+
+
 def test_distill_runs_the_bound_step_and_probe(tmp_path, monkeypatch):
     # the benchmark times each step and each probe by wrapping these two
     # module bindings; a call that bypasses them would go untimed

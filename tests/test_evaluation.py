@@ -3,6 +3,7 @@ import pytest
 
 from clpdd.data import Dataset, MissingClassError, gen_blobs
 from clpdd.evaluation import (
+    _accuracy,
     closed_form_probe,
     pca_project_2d,
     select_centroid,
@@ -228,8 +229,10 @@ def test_argmax_accuracy_scale_invariance():
     feats = rng.standard_normal((20, 4))
     labels = rng.integers(0, 3, size=20)
     w = rng.standard_normal((4, 3))
-    from clpdd.linalg import row_argmax
+    assert _accuracy(feats, labels, w) == _accuracy(feats, labels, 3.7 * w)
 
-    base = np.mean(row_argmax(feats @ w) == labels)
-    scaled = np.mean(row_argmax(feats @ (3.7 * w)) == labels)
-    assert base == scaled
+
+def test_accuracy_tie_breaks_low():
+    scores = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
+    assert _accuracy(scores, np.array([0, 1]), np.eye(3)) == 1.0
+    assert _accuracy(scores, np.array([1, 2]), np.eye(3)) == 0.0

@@ -1,12 +1,26 @@
+import re
+
 import numpy as np
 import pytest
 
+import clpdd.linalg
 from clpdd.linalg import (
     DimensionError,
     NotPositiveDefiniteError,
     cholesky_factor,
-    row_argmax,
 )
+
+
+def test_lapack_routines_are_scipys():
+    from scipy.linalg import lapack
+
+    assert clpdd.linalg.dpotrf is lapack.dpotrf
+    assert clpdd.linalg.dpotrs is lapack.dpotrs
+
+
+def test_lapack_loader_names_the_directory_searched(tmp_path):
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+        clpdd.linalg._load_flapack(tmp_path)
 
 
 def test_cholesky_scaled_identity():
@@ -70,8 +84,3 @@ def test_cholesky_factor_reuse():
     for _ in range(3):
         b = rng.standard_normal((5, 2))
         assert np.linalg.norm(a @ f.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
-
-
-def test_row_argmax_tie_breaks_low():
-    scores = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
-    assert row_argmax(scores).tolist() == [0, 1]
