@@ -1,7 +1,7 @@
 """Where do distilled points sit relative to the real clusters?
 
 Runs a short distillation, selects the centroid and nearest-neighbor
-baselines, and projects everything to 2-D with the power-iteration PCA.
+baselines, and projects everything to 2-D with the eigendecomposition PCA.
 Unlike centroid picks, the distilled rows do not sit on class means: they
 drift outward along discriminative directions (a temperature-scaled softmax
 gains confidence by growing anchor norms), and the neighbor baseline then
@@ -25,8 +25,9 @@ train, ev = gen_blobs(
 cfg = DistillConfig(iterations=600, seed=2)
 syn, _ = run_distill(cfg, train, ev)
 
-centroid = select_centroid(train, train.inputs, ipc=1)
-neighbor = select_neighbor(train, train.inputs, syn.inputs, syn.labels)
+# the default identity encoder: train and syn are already feature sets
+centroid = select_centroid(train, ipc=1)
+neighbor = select_neighbor(train, syn)
 
 # one joint projection so every set lands in the same coordinates
 stacked = np.vstack([train.inputs, syn.inputs, centroid.inputs, neighbor.inputs])

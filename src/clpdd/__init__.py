@@ -27,14 +27,11 @@ from .distill import (
     augment_noise,
     balanced_batches,
     distill_step,
-    init_synthetic,
-    meta_loss_and_grad,
     run_distill,
 )
 from .encoder import Encoder, encode, encode_vjp, make_encoder
 from .evaluation import (
     ProbeResult,
-    closed_form_probe,
     pca_project_2d,
     select_centroid,
     select_neighbor,
@@ -77,16 +74,13 @@ __all__ = [
     "balanced_batches",
     "battery_report",
     "class_anchor_loss_and_grad",
-    "closed_form_probe",
     "distill_step",
     "encode",
     "encode_vjp",
     "gd_steady_state",
     "gen_blobs",
-    "init_synthetic",
     "load_features",
     "make_encoder",
-    "meta_loss_and_grad",
     "mse_outer_loss_and_grad",
     "pca_project_2d",
     "ridge_kernel",

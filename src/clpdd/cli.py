@@ -22,6 +22,7 @@ from .data import (
     Dataset,
     FeatureFileError,
     check_every_class,
+    feature_shape,
     gen_blobs,
     load_features,
     save_features,
@@ -180,35 +181,64 @@ def build_data(cfg: dict, data_seed: int | None = None):
         train = load_features(cfg["data_train"])
         # balanced batches need rows of every class; an eval split may lack some
         check_every_class(train, train.class_count, cfg["data_train"])
-        ev = load_features(cfg["data_eval"]) if cfg["data_eval"] else None
-        return train, ev
+        return train, _load_eval(cfg, train.dim, train.class_count)
     raise ConfigError(f"unknown data source {cfg['data']!r} (use 'blobs' or 'files')")
 
 
-def _probe_accuracy(enc, train: Dataset, eval_set: Dataset, cfg: dict, probe_seed: int) -> float:
-    res = train_linear_probe(
-        encode(enc, train.inputs),
-        train.labels,
-        encode(enc, eval_set.inputs),
-        eval_set.labels,
-        epochs=cfg["probe_epochs"],
-        lr=cfg["probe_lr"],
-        batch_size=cfg["probe_batch_size"],
-        seed=probe_seed,
-    )
-    return res.eval_acc
+def _load_eval(cfg: dict, dim: int, class_count: int) -> Dataset | None:
+    """The data_eval split, or None; it must have the train split's dim and
+    no class past its class count."""
+    if not cfg["data_eval"]:
+        return None
+    ev = load_features(cfg["data_eval"])
+    if ev.dim != dim or ev.class_count > class_count:
+        raise FeatureFileError(
+            f"eval split {cfg['data_eval']} ({ev.dim}-d, {ev.class_count} classes) does not "
+            f"fit train split {cfg['data_train']} ({dim}-d, {class_count} classes)"
+        )
+    return ev
 
 
-def _write_embeddings(enc, real: Dataset, syn: Dataset, path):
-    real_feats = encode(enc, real.inputs)
-    syn_feats = encode(enc, syn.inputs)
-    proj, _ = pca_project_2d(np.vstack([real_feats, syn_feats]))
-    lines = ["x,y,label,origin"]
-    for i in range(real.n):
-        lines.append(f"{float(proj[i, 0])!r},{float(proj[i, 1])!r},{real.labels[i]},real")
-    for j in range(syn_feats.shape[0]):
-        k = real.n + j
-        lines.append(f"{float(proj[k, 0])!r},{float(proj[k, 1])!r},{syn.labels[j]},synthetic")
+def _eval_split_for(syn_data: Dataset, cfg: dict) -> Dataset | None:
+    """The eval split (or None) of the data a saved synthetic set is probed
+    on, which must match the set's dim and class count. Of a CLPF train file
+    only the header is read: these commands never touch the train rows."""
+    if cfg["data"] == "files" and cfg["data_train"]:
+        dim, class_count = feature_shape(cfg["data_train"])
+        ev = _load_eval(cfg, dim, class_count)
+    else:
+        train, ev = build_data(cfg)
+        dim, class_count = train.dim, train.class_count
+    if syn_data.dim != dim:
+        raise ConfigError(f"synthetic dim {syn_data.dim} does not match data dim {dim}")
+    if syn_data.class_count != class_count:
+        raise ConfigError(
+            f"synthetic set has {syn_data.class_count} classes but the data has {class_count}"
+        )
+    return ev
+
+
+def _features(enc, data: Dataset) -> Dataset:
+    """`data` with its rows passed through the encoder."""
+    return Dataset(encode(enc, data.inputs), data.labels, data.class_count)
+
+
+def _probe_accuracy(train: Dataset, eval_set: Dataset, cfg: dict, probe_seed: int) -> float:
+    return train_linear_probe(
+        train, eval_set, epochs=cfg["probe_epochs"], lr=cfg["probe_lr"],
+        batch_size=cfg["probe_batch_size"], seed=probe_seed,
+    ).eval_acc
+
+
+def _write_embeddings(real: Dataset, syn: Dataset, path):
+    """2-D PCA of real and synthetic feature rows as x,y,label,origin CSV."""
+    proj, _ = pca_project_2d(np.vstack([real.inputs, syn.inputs]))
+    labels = np.concatenate([real.labels, syn.labels])
+    origins = ["real"] * real.n + ["synthetic"] * syn.n
+    lines = ["x,y,label,origin"] + [
+        f"{float(x)!r},{float(y)!r},{label},{origin}"
+        for (x, y), label, origin in zip(proj, labels, origins)
+    ]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -237,8 +267,12 @@ def cmd_distill(cfg: dict, out_dir) -> RunReport:
     syn, report = run_distill(dcfg, train, ev, enc=enc)
     synthetic_path = out / "synthetic.clpf"
     save_features(syn, synthetic_path)
+    if ev is not None or cfg["pca_export"]:
+        # the PCA shows the eval split, or the train split when there is none
+        real_feats = _features(enc, ev if ev is not None else train)
+        syn_feats = _features(enc, syn)
     if ev is not None:
-        acc = _probe_accuracy(enc, syn, ev, cfg, stream_seed(cfg["seed"], "probe"))
+        acc = _probe_accuracy(syn_feats, real_feats, cfg, stream_seed(cfg["seed"], "probe"))
         report.accuracies["clpdd"] = MethodAccuracy([acc])
     report.config = dict(cfg)
     report.synthetic_path = str(synthetic_path)
@@ -246,7 +280,7 @@ def cmd_distill(cfg: dict, out_dir) -> RunReport:
     report.save_json(out / "report.json")
     report.save_curve_csv(out / "curve.csv")
     if cfg["pca_export"]:
-        _write_embeddings(enc, ev if ev is not None else train, syn, out / "embeddings.csv")
+        _write_embeddings(real_feats, syn_feats, out / "embeddings.csv")
     return report
 
 
@@ -280,30 +314,32 @@ def _compare_one_seed(cfg: dict, methods: list[str], index: int):
         raise ConfigError("compare needs an eval split (set data_eval)")
     dcfg = replace(distill_config_from(cfg), seed=run_seed)
     enc = dcfg.build_encoder(train.dim)
-    probe_seed = stream_seed(run_seed, "probe")
 
-    accs: dict[str, float] = {}
+    distilled: dict[str, Dataset] = {}
     curve = []
-    syn = None
     if "clpdd" in methods:
-        syn, rep = run_distill(dcfg, train, ev, enc=enc)
-        accs["clpdd"] = _probe_accuracy(enc, syn, ev, cfg, probe_seed)
+        distilled["clpdd"], rep = run_distill(dcfg, train, ev, enc=enc)
         curve = rep.curve
     if "mse-ablation" in methods:
-        syn_mse, _ = run_distill(replace(dcfg, outer_objective="mse"), train, ev, enc=enc)
-        accs["mse-ablation"] = _probe_accuracy(enc, syn_mse, ev, cfg, probe_seed)
+        distilled["mse-ablation"], _ = run_distill(
+            replace(dcfg, outer_objective="mse"), train, ev, enc=enc
+        )
+    # past the last step, each split and each set is encoded once; the
+    # feature baselines pick rows of the encoded train split as they are
+    feats = {name: _features(enc, syn) for name, syn in distilled.items()}
     if "random" in methods:
         sel = select_random(train, cfg["ipc"], seed=stream_seed(run_seed, "select"))
-        accs["random"] = _probe_accuracy(enc, sel, ev, cfg, probe_seed)
+        feats["random"] = _features(enc, sel)
     if "centroid" in methods or "neighbor" in methods:
-        real_feats = encode(enc, train.inputs)
+        real_feats = _features(enc, train)
         if "centroid" in methods:
-            sel = select_centroid(train, real_feats, cfg["ipc"])
-            accs["centroid"] = _probe_accuracy(enc, sel, ev, cfg, probe_seed)
+            feats["centroid"] = select_centroid(real_feats, cfg["ipc"])
         if "neighbor" in methods:
-            sel = select_neighbor(train, real_feats, encode(enc, syn.inputs), syn.labels)
-            accs["neighbor"] = _probe_accuracy(enc, sel, ev, cfg, probe_seed)
-    return accs, curve, syn
+            feats["neighbor"] = select_neighbor(real_feats, feats["clpdd"])
+    ev_feats = _features(enc, ev)
+    probe_seed = stream_seed(run_seed, "probe")
+    accs = {name: _probe_accuracy(f, ev_feats, cfg, probe_seed) for name, f in feats.items()}
+    return accs, curve, distilled.get("clpdd")
 
 
 def compare_report(cfg: dict):
@@ -376,28 +412,16 @@ def cmd_sweep(cfg: dict, param: str, values: list, out_dir):
     return rows
 
 
-def _check_synthetic_fits(syn_data: Dataset, train: Dataset):
-    """A saved synthetic set must have the data's dim and class count."""
-    if syn_data.dim != train.dim:
-        raise ConfigError(
-            f"synthetic dim {syn_data.dim} does not match data dim {train.dim}"
-        )
-    if syn_data.class_count != train.class_count:
-        raise ConfigError(
-            f"synthetic set has {syn_data.class_count} classes but the data has "
-            f"{train.class_count}"
-        )
-
-
 def cmd_eval(cfg: dict, synthetic_path, json_path=None) -> dict:
     """Probe a saved synthetic set against the configured eval split."""
     syn_data = load_features(synthetic_path)
-    train, ev = build_data(cfg)
+    ev = _eval_split_for(syn_data, cfg)
     if ev is None:
         raise ConfigError("eval needs an eval split (set data_eval)")
-    _check_synthetic_fits(syn_data, train)
-    enc = distill_config_from(cfg).build_encoder(train.dim)
-    acc = _probe_accuracy(enc, syn_data, ev, cfg, stream_seed(cfg["seed"], "probe"))
+    enc = distill_config_from(cfg).build_encoder(syn_data.dim)
+    acc = _probe_accuracy(
+        _features(enc, syn_data), _features(enc, ev), cfg, stream_seed(cfg["seed"], "probe")
+    )
     result = {
         "synthetic_path": str(synthetic_path),
         "n_synthetic": syn_data.n,
@@ -411,11 +435,10 @@ def cmd_eval(cfg: dict, synthetic_path, json_path=None) -> dict:
 def cmd_export_embeddings(cfg: dict, synthetic_path, out_path):
     """2-D PCA of real + synthetic features, written as x,y,label,origin CSV."""
     syn_data = load_features(synthetic_path)
-    train, ev = build_data(cfg)
-    _check_synthetic_fits(syn_data, train)
-    real = ev if ev is not None else train
-    enc = distill_config_from(cfg).build_encoder(train.dim)
-    _write_embeddings(enc, real, syn_data, out_path)
+    ev = _eval_split_for(syn_data, cfg)
+    real = ev if ev is not None else build_data(cfg)[0]
+    enc = distill_config_from(cfg).build_encoder(syn_data.dim)
+    _write_embeddings(_features(enc, real), _features(enc, syn_data), out_path)
 
 
 def _keep_freed_memory():
@@ -512,6 +535,9 @@ def main(argv=None) -> int:
         return 2
     except FeatureFileError as e:
         print(f"feature file error: {e}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as e:
+        print(f"no such file: {e.filename}", file=sys.stderr)
         return 2
 
 

@@ -232,23 +232,9 @@ def load_features(path) -> Dataset:
     if path.suffix.lower() == ".csv":
         return _load_csv(path)
     with path.open("rb") as f:
-        head = f.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            if head[:4] != CLPF_MAGIC:
-                raise BadMagicError(f"{path}: not a CLPF file")
-            raise TruncatedFileError(f"{path}: header truncated")
-        magic, version, flags, n, dim, classes = _HEADER.unpack(head)
-        if magic != CLPF_MAGIC:
-            raise BadMagicError(f"{path}: bad magic {magic!r}")
-        if version != CLPF_VERSION:
-            raise VersionError(f"{path}: unsupported version {version}")
-        f64 = bool(flags & _FLAG_F64)
+        f64, n, dim, classes = _read_header(f, path)
         label_bytes = 4 * n
         payload_bytes = (8 if f64 else 4) * n * dim
-        expected = _HEADER.size + label_bytes + payload_bytes
-        size = os.fstat(f.fileno()).st_size
-        if size < expected:
-            raise TruncatedFileError(f"{path}: expected {expected} bytes, found {size}")
         labels = np.frombuffer(f.read(label_bytes), dtype="<u4").astype(np.int64)
         if labels.size and labels.max() >= classes:
             raise LabelRangeError(
@@ -265,6 +251,37 @@ def load_features(path) -> Dataset:
     dataset = Dataset(inputs=inputs, labels=labels, class_count=classes)
     _check_finite_rows(dataset.nonfinite_rows, lambda i: f"{path}: row {i}")
     return dataset
+
+
+def feature_shape(path) -> tuple[int, int]:
+    """(dim, class_count) of a feature file: a CLPF file's header alone, or a
+    CSV file loaded whole (its class count comes from its labels)."""
+    if Path(path).suffix.lower() == ".csv":
+        dataset = _load_csv(Path(path))
+        return dataset.dim, dataset.class_count
+    with open(path, "rb") as f:
+        return _read_header(f, path)[2:]
+
+
+def _read_header(f, path) -> tuple[bool, int, int, int]:
+    """(f64 payload, n, dim, class count) of the open CLPF file `f`, checked
+    against the file's size; `f` is left at the start of the labels."""
+    head = f.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        if head[:4] != CLPF_MAGIC:
+            raise BadMagicError(f"{path}: not a CLPF file")
+        raise TruncatedFileError(f"{path}: header truncated")
+    magic, version, flags, n, dim, classes = _HEADER.unpack(head)
+    if magic != CLPF_MAGIC:
+        raise BadMagicError(f"{path}: bad magic {magic!r}")
+    if version != CLPF_VERSION:
+        raise VersionError(f"{path}: unsupported version {version}")
+    f64 = bool(flags & _FLAG_F64)
+    expected = _HEADER.size + 4 * n + (8 if f64 else 4) * n * dim
+    size = os.fstat(f.fileno()).st_size
+    if size < expected:
+        raise TruncatedFileError(f"{path}: expected {expected} bytes, found {size}")
+    return f64, n, dim, classes
 
 
 def _scan_nonfinite(inputs: np.ndarray) -> tuple[int, int]:

@@ -1,19 +1,20 @@
 """Post-distillation probing, real-sample selection baselines, and PCA export.
 
-Synthetic and selected sets are scored the same way: train a linear probe on
-their frozen features and report argmax accuracy (ties always resolve to the
-lowest class index, so results are stable across platforms).
+Distilled, selected and real sets are all scored the same way: a linear
+probe is trained on a feature Dataset (rows already passed through the frozen
+encoder) and reports argmax accuracy (ties always resolve to the lowest class
+index, so results are stable across platforms). The selection baselines pick
+rows of the Dataset they are given, so on features they return features.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_every_class, onehot
+from .data import Dataset, check_every_class
 from .distill import AdamState, adam_update
 from .linalg import DimensionError
 from .objective import _softmax_rows
-from .solver import ridge_kernel
 
 
 @dataclass(frozen=True)
@@ -30,10 +31,8 @@ def _accuracy(features: np.ndarray, labels: np.ndarray, w: np.ndarray) -> float:
 
 
 def train_linear_probe(
-    train_features: np.ndarray,
-    train_labels: np.ndarray,
-    eval_features: np.ndarray,
-    eval_labels: np.ndarray,
+    train: Dataset,
+    eval_set: Dataset,
     epochs: int = 500,
     lr: float = 0.01,
     batch_size: int = 256,
@@ -41,34 +40,33 @@ def train_linear_probe(
 ) -> ProbeResult:
     """Train a softmax linear classifier with Adam from random-normal init.
 
-    Runs full-batch when the training set fits inside one batch (always the
-    case for one-sample-per-class synthetic sets). The class count is the
-    largest label in either split plus one; a class that no training row
-    labels raises MissingClassError.
+    Both splits are feature Datasets. Runs full-batch when the training set
+    fits inside one batch (always the case for one-sample-per-class
+    synthetic sets). The class count is `train.class_count`; a class that no
+    training row labels, or an eval class past that count, raises
+    MissingClassError.
     """
-    if train_features.shape[1] != eval_features.shape[1]:
-        raise DimensionError(
-            f"feature dims differ: train {train_features.shape[1]}, "
-            f"eval {eval_features.shape[1]}"
-        )
-    train_labels = np.asarray(train_labels, dtype=np.int64)
-    eval_labels = np.asarray(eval_labels, dtype=np.int64)
-    n, d = train_features.shape
-    c = int(max(train_labels.max(), eval_labels.max())) + 1
-    check_every_class(train_labels, c, "probe training labels")
-    t_onehot = onehot(train_labels, c)
+    if train.dim != eval_set.dim:
+        raise DimensionError(f"feature dims differ: train {train.dim}, eval {eval_set.dim}")
+    # an eval class the training rows lack could never be predicted
+    check_every_class(
+        train.labels, max(train.class_count, eval_set.class_count), "probe training labels"
+    )
+    x_train, c = train.inputs, train.class_count
+    n, d = x_train.shape
+    t_onehot = train.onehot_labels()
 
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((d, c)) / np.sqrt(d)
     adam = AdamState.like(w)
     b1, b2, eps = 0.9, 0.999, 1e-8
     # full batch: the one batch is the whole set in its own order, gathered once
-    full = [(train_features[np.arange(n)], t_onehot)] if n <= batch_size else None
+    full = [(x_train[np.arange(n)], t_onehot)] if n <= batch_size else None
     for _ in range(epochs):
         if full is None:
             order = rng.permutation(n)
             batches = (
-                (train_features[idx], t_onehot[idx])
+                (x_train[idx], t_onehot[idx])
                 for idx in (order[s : s + batch_size] for s in range(0, n, batch_size))
             )
         else:
@@ -79,27 +77,9 @@ def train_linear_probe(
             w -= adam_update(adam, x.T @ pi / x.shape[0], lr, b1, b2, eps)
     return ProbeResult(
         w=w,
-        train_acc=_accuracy(train_features, train_labels, w),
-        eval_acc=_accuracy(eval_features, eval_labels, w),
+        train_acc=_accuracy(x_train, train.labels, w),
+        eval_acc=_accuracy(eval_set.inputs, eval_set.labels, w),
         epochs_run=epochs,
-    )
-
-
-def closed_form_probe(
-    train_features: np.ndarray,
-    y_onehot: np.ndarray,
-    lam: float,
-    eval_features: np.ndarray,
-    eval_labels: np.ndarray,
-) -> ProbeResult:
-    """Ridge probe used as a fast evaluator (no iterative training)."""
-    sol = ridge_kernel(train_features, y_onehot, lam)
-    train_labels = np.argmax(y_onehot, axis=1)
-    return ProbeResult(
-        w=sol.w_star,
-        train_acc=_accuracy(train_features, train_labels, sol.w_star),
-        eval_acc=_accuracy(eval_features, np.asarray(eval_labels, dtype=np.int64), sol.w_star),
-        epochs_run=0,
     )
 
 
@@ -119,51 +99,31 @@ def select_random(real: Dataset, ipc: int, seed: int = 0) -> Dataset:
     return _selection(real, np.concatenate(picked))
 
 
-def select_centroid(real: Dataset, features: np.ndarray, ipc: int) -> Dataset:
-    """The ipc samples per class nearest the class feature mean, ties by index."""
-    if features.shape[0] != real.n:
-        raise DimensionError(f"got {features.shape[0]} feature rows for {real.n} samples")
+def select_centroid(real: Dataset, ipc: int) -> Dataset:
+    """The ipc rows per class nearest the class mean, ties by index."""
     picked = []
     for c in range(real.class_count):
         idx = real.class_indices(c)
         if idx.size < ipc:
             raise ValueError(f"class {c} has {idx.size} samples, needs >= {ipc}")
-        mean = features[idx].mean(axis=0)
-        d2 = np.sum((features[idx] - mean) ** 2, axis=1)
+        x = real.inputs[idx]
+        d2 = np.sum((x - x.mean(axis=0)) ** 2, axis=1)
         # stable sort: equidistant candidates resolve to the lower index
         picked.append(idx[np.argsort(d2, kind="stable")[:ipc]])
     return _selection(real, np.concatenate(picked))
 
 
-def select_neighbor(
-    real: Dataset,
-    real_features: np.ndarray,
-    synthetic_features: np.ndarray,
-    synthetic_labels: np.ndarray | None = None,
-) -> Dataset:
-    """Per synthetic row, the nearest same-class real sample, ties by index.
+def select_neighbor(real: Dataset, synthetic: Dataset) -> Dataset:
+    """Per synthetic row, the nearest real row of its class, ties by index.
 
-    Labels default to the class-major layout used by init_synthetic (row i
-    belongs to class i // ipc). Each picked row keeps its label from `real`.
+    Each picked row keeps its label from `real`.
     """
-    if real_features.shape[0] != real.n:
-        raise DimensionError(
-            f"got {real_features.shape[0]} feature rows for {real.n} samples"
-        )
-    n_syn = synthetic_features.shape[0]
-    if synthetic_labels is None:
-        if n_syn % real.class_count != 0:
-            raise ValueError(
-                f"{n_syn} synthetic rows do not split evenly over "
-                f"{real.class_count} classes; pass synthetic_labels"
-            )
-        synthetic_labels = np.repeat(np.arange(real.class_count), n_syn // real.class_count)
     picked = []
-    for i in range(n_syn):
-        idx = real.class_indices(int(synthetic_labels[i]))
+    for row, label in zip(synthetic.inputs, synthetic.labels):
+        idx = real.class_indices(int(label))
         if idx.size == 0:
-            raise ValueError(f"class {synthetic_labels[i]} has no samples")
-        d2 = np.sum((real_features[idx] - synthetic_features[i]) ** 2, axis=1)
+            raise ValueError(f"class {label} has no samples")
+        d2 = np.sum((real.inputs[idx] - row) ** 2, axis=1)
         picked.append(idx[int(np.argmin(d2))])  # argmin returns first minimum
     return _selection(real, np.asarray(picked))
 

@@ -534,3 +534,114 @@ def test_main_reports_file_with_fewer_rows_than_classes(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith("feature file error:") and "few.clpf" in err[0]
     assert "3 rows cannot cover 5 classes" in err[0]
+
+
+def _record_encodes(monkeypatch):
+    """Record, in order, each run_distill call and each clpdd.cli.encode
+    call's inputs array."""
+    events = []
+    encode, run_distill = clpdd.cli.encode, clpdd.cli.run_distill
+
+    def recording_encode(enc, inputs, *args, **kwargs):
+        events.append(("encode", inputs))
+        return encode(enc, inputs, *args, **kwargs)
+
+    def recording_run_distill(*args, **kwargs):
+        events.append(("distill", None))
+        return run_distill(*args, **kwargs)
+
+    monkeypatch.setattr(clpdd.cli, "encode", recording_encode)
+    monkeypatch.setattr(clpdd.cli, "run_distill", recording_run_distill)
+    return events
+
+
+def test_compare_seed_encodes_each_split_and_set_once(tmp_path, monkeypatch):
+    # five methods: the eval and train splits, the two distilled sets and the
+    # random picks; centroid and neighbor pick rows of the encoded train split
+    events = _record_encodes(monkeypatch)
+    splits = []
+    build = clpdd.cli.build_data
+
+    def recording_build(*args, **kwargs):
+        splits[:] = build(*args, **kwargs)
+        return tuple(splits)
+
+    monkeypatch.setattr(clpdd.cli, "build_data", recording_build)
+    cmd_compare(_fast_cfg(compare_seeds=1), tmp_path / "cmp")
+    train, ev = splits
+    kinds = [kind for kind, _ in events]
+    # nothing is encoded before the last step, where it would delay the first
+    assert kinds == ["distill", "distill"] + ["encode"] * 5
+    encoded = [inputs for kind, inputs in events if kind == "encode"]
+    assert sum(x is train.inputs for x in encoded) == 1
+    assert sum(x is ev.inputs for x in encoded) == 1
+
+
+def test_distill_encodes_eval_split_and_synthetic_set_once(tmp_path, monkeypatch):
+    events = _record_encodes(monkeypatch)
+    cmd_distill(_fast_cfg(pca_export=True), tmp_path / "run")
+    assert [kind for kind, _ in events] == ["distill", "encode", "encode"]
+
+
+def _train_and_eval_files(tmp_path, eval_classes=3, eval_dim=4):
+    train, _ = gen_blobs(3, 4, 20, 0.5, 0.5, seed=0)
+    _, ev = gen_blobs(eval_classes, eval_dim, 20, 0.5, 0.5, seed=1)
+    save_features(train, tmp_path / "train.clpf")
+    save_features(ev, tmp_path / "eval.clpf")
+    return _fast_cfg(
+        data="files",
+        data_train=str(tmp_path / "train.clpf"),
+        data_eval=str(tmp_path / "eval.clpf"),
+    )
+
+
+def _argv(cfg, *command):
+    argv = list(command)
+    for key in ("data", "data_train", "data_eval", "iterations", "probe_epochs",
+                "compare_seeds"):
+        argv += ["--set", f"{key}={cfg[key]}"]
+    return argv
+
+
+@pytest.mark.parametrize("eval_classes, eval_dim", [(3, 6), (5, 4)])  # wider; more classes
+@pytest.mark.parametrize("command", ["distill", "eval", "compare"])
+def test_main_rejects_eval_split_that_does_not_fit_train(tmp_path, capsys, monkeypatch,
+                                                         command, eval_classes, eval_dim):
+    cfg = _train_and_eval_files(tmp_path, eval_classes, eval_dim)
+    syn = tmp_path / "syn.clpf"
+    save_features(Dataset(np.zeros((3, 4)), np.arange(3), class_count=3), syn)
+    ran = []
+    monkeypatch.setattr(clpdd.cli, "run_distill", lambda *a, **k: ran.append(a))
+    where = ["--synthetic", str(syn)] if command == "eval" else ["--out", str(tmp_path / "o")]
+    assert main(_argv(cfg, command, *where)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("feature file error: ")
+    assert "train.clpf" in err[0] and "eval.clpf" in err[0]
+    assert ran == []
+
+
+@pytest.mark.parametrize("missing", ["config", "data_train", "synthetic"])
+def test_main_reports_a_missing_input_path(tmp_path, capsys, missing):
+    path = tmp_path / "absent"
+    argv = {
+        "config": ["distill", "--out", str(tmp_path / "o"), "--config", str(path)],
+        "data_train": ["distill", "--out", str(tmp_path / "o"),
+                       "--set", "data=files", "--set", f"data_train={path}"],
+        "synthetic": ["eval", "--synthetic", str(path)],
+    }[missing]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(path) in err[0]
+
+
+def test_eval_and_export_read_only_the_header_of_a_clpf_train_file(tmp_path, monkeypatch):
+    cfg = _train_and_eval_files(tmp_path)
+    report = cmd_distill(cfg, tmp_path / "run")
+    loaded = []
+    load = clpdd.cli.load_features
+    monkeypatch.setattr(clpdd.cli, "load_features", lambda p: loaded.append(str(p)) or load(p))
+    syn = tmp_path / "run" / "synthetic.clpf"
+    result = cmd_eval(cfg, syn)
+    cmd_export_embeddings(cfg, syn, tmp_path / "emb.csv")
+    assert result["eval_acc"] == report.accuracies["clpdd"].mean
+    assert cfg["data_eval"] in loaded and cfg["data_train"] not in loaded

@@ -12,12 +12,14 @@ from clpdd.data import (
     VersionError,
     check_every_class,
     datasets_equal,
+    feature_shape,
     gen_blobs,
     load_features,
     onehot,
     save_features,
 )
-from clpdd.evaluation import closed_form_probe
+from clpdd.evaluation import _accuracy
+from clpdd.solver import ridge_kernel
 
 from oracles import class_rows
 
@@ -41,10 +43,8 @@ def test_blobs_split_arithmetic():
 def test_blobs_separable_probe_accuracy():
     for seed in range(5):
         train, ev = gen_blobs(3, 8, 50, center_scale=10.0, cluster_std=1.0, seed=seed)
-        res = closed_form_probe(
-            train.inputs, train.onehot_labels(), 0.1, ev.inputs, ev.labels
-        )
-        assert res.eval_acc >= 0.99
+        w_ridge = ridge_kernel(train.inputs, train.onehot_labels(), 0.1).w_star
+        assert _accuracy(ev.inputs, ev.labels, w_ridge) >= 0.99
 
 
 def test_blobs_deterministic():
@@ -140,6 +140,26 @@ def test_clpf_truncation(tmp_path):
     path.write_bytes(raw[:10])  # inside the header
     with pytest.raises(TruncatedFileError):
         load_features(path)
+
+
+@pytest.mark.parametrize("name", ["s.clpf", "s.csv"])
+def test_feature_shape_matches_the_loaded_file(tmp_path, name):
+    ds = Dataset(np.random.default_rng(6).standard_normal((7, 3)), np.arange(7) % 4, 4)
+    save_features(ds, tmp_path / name)
+    loaded = load_features(tmp_path / name)
+    assert feature_shape(tmp_path / name) == (loaded.dim, loaded.class_count) == (ds.dim, 4)
+
+
+def test_feature_shape_checks_the_clpf_header(tmp_path):
+    path = tmp_path / "h.clpf"
+    save_features(_random_dataset(np.random.default_rng(7)), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) - 5])
+    with pytest.raises(TruncatedFileError):
+        feature_shape(path)
+    path.write_bytes(b"NOPE" + raw[4:])
+    with pytest.raises(BadMagicError):
+        feature_shape(path)
 
 
 def test_clpf_label_out_of_range(tmp_path):

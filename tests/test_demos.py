@@ -1,11 +1,15 @@
 """Each demo script runs to completion against the package in this checkout."""
 
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import clpdd
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -26,3 +30,18 @@ def test_demo_runs(script, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a function in clpdd.__all__ is shown in the README, run by a demo, or
+    # used by the CLI; one that only tests and internals call is not public
+    text = "\n".join(
+        p.read_text() for p in (ROOT / "README.md", ROOT / "src" / "clpdd" / "cli.py", *DEMOS)
+    )
+    uncalled = [
+        name
+        for name in clpdd.__all__
+        if inspect.isfunction(getattr(clpdd, name))
+        and not re.search(rf"\b{name}\(", text)
+    ]
+    assert uncalled == []

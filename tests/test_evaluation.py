@@ -4,13 +4,14 @@ import pytest
 from clpdd.data import Dataset, MissingClassError, gen_blobs
 from clpdd.evaluation import (
     _accuracy,
-    closed_form_probe,
     pca_project_2d,
     select_centroid,
     select_neighbor,
     select_random,
     train_linear_probe,
 )
+from clpdd.linalg import DimensionError
+from clpdd.solver import ridge_kernel
 
 from oracles import softmax_probe_ref
 
@@ -18,11 +19,10 @@ from oracles import softmax_probe_ref
 def test_probe_zero_epochs_is_chance_level():
     rng = np.random.default_rng(0)
     c, n = 4, 1000
-    train_x = rng.standard_normal((40, 6))
-    train_y = np.arange(40) % c
-    eval_x = rng.standard_normal((n, 6))
-    eval_y = np.arange(n) % c  # balanced labels, independent of features
-    res = train_linear_probe(train_x, train_y, eval_x, eval_y, epochs=0, seed=1)
+    train = Dataset(rng.standard_normal((40, 6)), np.arange(40) % c, c)
+    # balanced labels, independent of features
+    ev = Dataset(rng.standard_normal((n, 6)), np.arange(n) % c, c)
+    res = train_linear_probe(train, ev, epochs=0, seed=1)
     p = 1.0 / c
     assert abs(res.eval_acc - p) <= 3.0 * np.sqrt(p * (1 - p) / n)
     assert res.epochs_run == 0
@@ -31,16 +31,14 @@ def test_probe_zero_epochs_is_chance_level():
 def test_probe_separable_blobs_perfect_train():
     for seed in range(5):
         train, ev = gen_blobs(3, 6, 30, center_scale=10.0, cluster_std=1.0, seed=seed)
-        res = train_linear_probe(
-            train.inputs, train.labels, ev.inputs, ev.labels, epochs=200, seed=seed
-        )
+        res = train_linear_probe(train, ev, epochs=200, seed=seed)
         assert res.train_acc == 1.0
 
 
 def test_probe_deterministic():
     train, ev = gen_blobs(3, 5, 20, 1.0, 1.0, seed=0)
-    a = train_linear_probe(train.inputs, train.labels, ev.inputs, ev.labels, epochs=30, seed=5)
-    b = train_linear_probe(train.inputs, train.labels, ev.inputs, ev.labels, epochs=30, seed=5)
+    a = train_linear_probe(train, ev, epochs=30, seed=5)
+    b = train_linear_probe(train, ev, epochs=30, seed=5)
     assert np.array_equal(a.w, b.w)
 
 
@@ -50,46 +48,46 @@ def test_probe_rejects_train_labels_missing_a_class():
     train, _ = gen_blobs(3, 5, 20, 1.0, 1.0, seed=0)
     _, ev = gen_blobs(5, 5, 20, 1.0, 1.0, seed=1)
     with pytest.raises(MissingClassError, match=r"probe training labels: .*\[3, 4\] of 5"):
-        train_linear_probe(train.inputs, train.labels, ev.inputs, ev.labels, epochs=5)
+        train_linear_probe(train, ev, epochs=5)
+
+
+def test_probe_rejects_a_class_with_no_training_rows():
+    train = Dataset(np.eye(4), np.array([0, 2, 0, 2]), class_count=3)
+    _, ev = gen_blobs(3, 4, 10, 1.0, 1.0, seed=0)
+    with pytest.raises(MissingClassError, match=r"probe training labels: .*\[1\] of 3"):
+        train_linear_probe(train, ev, epochs=5)
+
+
+def test_probe_takes_class_count_from_train():
+    # an eval split that lacks the top class still leaves it a column of w
+    train, ev = gen_blobs(3, 5, 20, 1.0, 1.0, seed=0)
+    ev2 = Dataset(ev.inputs[ev.labels < 2], ev.labels[ev.labels < 2], class_count=2)
+    assert train_linear_probe(train, ev2, epochs=5).w.shape == (5, 3)
+
+
+def test_probe_rejects_feature_dims_that_differ():
+    train, _ = gen_blobs(3, 5, 20, 1.0, 1.0, seed=0)
+    _, ev = gen_blobs(3, 4, 20, 1.0, 1.0, seed=0)
+    with pytest.raises(DimensionError, match="train 5, eval 4"):
+        train_linear_probe(train, ev, epochs=5)
 
 
 @pytest.mark.parametrize("batch_size", [256, 16])  # one full batch; shuffled mini-batches
 def test_probe_matches_reference_bitwise(batch_size):
     train, ev = gen_blobs(3, 5, 20, 1.0, 1.0, seed=4)
-    res = train_linear_probe(
-        train.inputs, train.labels, ev.inputs, ev.labels, epochs=25, batch_size=batch_size, seed=2
-    )
+    res = train_linear_probe(train, ev, epochs=25, batch_size=batch_size, seed=2)
     ref = softmax_probe_ref(train.inputs, train.labels, 3, 25, 0.01, batch_size, seed=2)
     assert np.array_equal(res.w, ref)
 
 
-def test_closed_form_probe_trivially_separable():
-    labels = np.array([0, 1, 2, 0, 1, 2])
-    x = np.eye(3)[labels]  # features are the one-hot embedded labels
-    y = np.eye(3)[labels]
-    res = closed_form_probe(x, y, 0.01, x, labels)
-    assert res.eval_acc == 1.0
-
-
-def test_closed_form_probe_zero_features_tie_break():
-    labels = np.array([1, 0, 2, 1, 1])
-    x = np.zeros((5, 4))
-    y = np.eye(3)[labels]
-    res = closed_form_probe(x, y, 0.1, x, labels)
-    # all scores zero: argmax picks class 0 everywhere
-    assert res.eval_acc == pytest.approx(np.mean(labels == 0))
-
-
 @pytest.mark.parametrize("center_scale,cluster_std", [(2.0, 0.5), (10.0, 1.0)])
 def test_evaluator_agreement_on_blobs(center_scale, cluster_std):
-    # closed form and 500-epoch trained probe agree within 2 accuracy points
+    # the ridge solution and a 500-epoch trained probe agree within 2 accuracy points
     for seed in range(5):
         train, ev = gen_blobs(3, 8, 200, center_scale, cluster_std, seed=seed)
-        cf = closed_form_probe(train.inputs, train.onehot_labels(), 0.1, ev.inputs, ev.labels)
-        tp = train_linear_probe(
-            train.inputs, train.labels, ev.inputs, ev.labels, epochs=500, seed=seed
-        )
-        assert abs(cf.eval_acc - tp.eval_acc) <= 0.02
+        w_ridge = ridge_kernel(train.inputs, train.onehot_labels(), 0.1).w_star
+        tp = train_linear_probe(train, ev, epochs=500, seed=seed)
+        assert abs(_accuracy(ev.inputs, ev.labels, w_ridge) - tp.eval_acc) <= 0.02
 
 
 def _dataset():
@@ -125,7 +123,7 @@ def test_select_centroid_one_dimensional():
         labels=np.array([0, 0, 0]),
         class_count=1,
     )
-    sel = select_centroid(ds, ds.inputs, 1)
+    sel = select_centroid(ds, 1)
     assert sel.inputs[0, 0] == 1.0
 
 
@@ -135,16 +133,16 @@ def test_select_centroid_tie_breaks_low_index():
         labels=np.array([0, 0, 0]),
         class_count=1,
     )
-    sel = select_centroid(ds, ds.inputs, 1)
+    sel = select_centroid(ds, 1)
     assert sel.inputs[0, 0] == 0.0
-    sel2 = select_centroid(ds, ds.inputs, 2)
+    sel2 = select_centroid(ds, 2)
     assert sel2.inputs[:, 0].tolist() == [0.0, 1.0]
 
 
 def test_select_centroid_matches_brute_force():
     ds = _dataset()
     feats = ds.inputs
-    sel = select_centroid(ds, feats, 1)
+    sel = select_centroid(ds, 1)
     for c in range(ds.class_count):
         idx = np.flatnonzero(ds.labels == c)
         mean = feats[idx].mean(axis=0)
@@ -154,32 +152,32 @@ def test_select_centroid_matches_brute_force():
 
 def test_select_neighbor_exact_row():
     ds = _dataset()
-    syn_feats = np.stack([ds.inputs[ds.labels == c][0] for c in range(4)])
-    sel = select_neighbor(ds, ds.inputs, syn_feats)
-    assert np.array_equal(sel.inputs, syn_feats)
+    syn = Dataset(np.stack([ds.inputs[ds.labels == c][0] for c in range(4)]), np.arange(4), 4)
+    sel = select_neighbor(ds, syn)
+    assert np.array_equal(sel.inputs, syn.inputs)
 
 
 def test_select_neighbor_matches_brute_force_and_class_constraint():
     ds = _dataset()
     rng = np.random.default_rng(1)
-    syn_feats = rng.standard_normal((4, 5))
-    sel = select_neighbor(ds, ds.inputs, syn_feats)
+    syn = Dataset(rng.standard_normal((4, 5)), np.arange(4), 4)
+    sel = select_neighbor(ds, syn)
     for c in range(4):
         idx = np.flatnonzero(ds.labels == c)
-        best = min(idx, key=lambda i: (np.sum((ds.inputs[i] - syn_feats[c]) ** 2), i))
+        best = min(idx, key=lambda i: (np.sum((ds.inputs[i] - syn.inputs[c]) ** 2), i))
         assert np.array_equal(sel.inputs[c], ds.inputs[best])
         assert sel.labels[c] == c
 
 
 def test_select_neighbor_keeps_labels_of_rows_it_picks():
-    # explicit labels that are not class-major: row 0 is class 1, row 1 class 0
+    # synthetic labels that are not class-major: row 0 is class 1, row 1 class 0
     ds = Dataset(
         inputs=np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]]),
         labels=np.array([0, 0, 1, 1]),
         class_count=2,
     )
-    syn_feats = np.array([[5.0, 5.0], [0.0, 0.0]])
-    sel = select_neighbor(ds, ds.inputs, syn_feats, np.array([1, 0]))
+    syn = Dataset(np.array([[5.0, 5.0], [0.0, 0.0]]), np.array([1, 0]), class_count=2)
+    sel = select_neighbor(ds, syn)
     assert sel.inputs.tolist() == [[5.0, 5.0], [0.0, 0.0]]
     assert sel.labels.tolist() == [1, 0]
 
