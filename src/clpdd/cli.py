@@ -179,10 +179,28 @@ def build_data(cfg: dict, data_seed: int | None = None):
         if not cfg["data_train"]:
             raise ConfigError("data=files requires data_train")
         train = load_features(cfg["data_train"])
+        _check_has_features(train.dim, cfg["data_train"])
         # balanced batches need rows of every class; an eval split may lack some
         check_every_class(train, train.class_count, cfg["data_train"])
         return train, _load_eval(cfg, train.dim, train.class_count)
     raise ConfigError(f"unknown data source {cfg['data']!r} (use 'blobs' or 'files')")
+
+
+def _check_has_features(dim: int, path):
+    if dim == 0:
+        raise FeatureFileError(f"{path}: rows have no features (dim 0)")
+
+
+def _check_ipc_fits(train: Dataset, cfg: dict, methods=()):
+    """from_real init and the random and centroid baselines pick ipc rows of
+    every train class; a class with fewer rows is a ConfigError."""
+    if cfg["init"] != "from_real" and not {"random", "centroid"} & set(methods):
+        return
+    counts = train.class_layout.counts
+    short = np.flatnonzero(counts < cfg["ipc"])
+    if short.size:
+        c = int(short[0])
+        raise ConfigError(f"ipc={cfg['ipc']} exceeds the {counts[c]} train rows of class {c}")
 
 
 def _load_eval(cfg: dict, dim: int, class_count: int) -> Dataset | None:
@@ -205,6 +223,7 @@ def _eval_split_for(syn_data: Dataset, cfg: dict) -> Dataset | None:
     only the header is read: these commands never touch the train rows."""
     if cfg["data"] == "files" and cfg["data_train"]:
         dim, class_count = feature_shape(cfg["data_train"])
+        _check_has_features(dim, cfg["data_train"])
         ev = _load_eval(cfg, dim, class_count)
     else:
         train, ev = build_data(cfg)
@@ -262,6 +281,7 @@ def cmd_distill(cfg: dict, out_dir) -> RunReport:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train, ev = build_data(cfg)
+    _check_ipc_fits(train, cfg)
     dcfg = distill_config_from(cfg)
     enc = dcfg.build_encoder(train.dim)
     syn, report = run_distill(dcfg, train, ev, enc=enc)
@@ -312,6 +332,9 @@ def _compare_one_seed(cfg: dict, methods: list[str], index: int):
     train, ev = build_data(cfg, data_seed=data_seed)
     if ev is None:
         raise ConfigError("compare needs an eval split (set data_eval)")
+    # every seed's split has the same class counts, so only the first seed's
+    # check can fail, before any step
+    _check_ipc_fits(train, cfg, methods)
     dcfg = replace(distill_config_from(cfg), seed=run_seed)
     enc = dcfg.build_encoder(train.dim)
 

@@ -13,7 +13,6 @@ import time
 import zlib
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .encoder import Encoder, _encode, _encode_vjp, encode, make_encoder
 from .linalg import DimensionError
 from .objective import _class_anchor_loss_and_grad, _mse_outer_loss_and_grad
 from .report import RunReport, StepMetrics
-from .solver import _ridge_kernel, _solve_backward, ridge_kernel
+from .solver import _ridge_kernel, _solve_backward
 
 OUTER_OBJECTIVES = ("class_anchor", "mse")
 INIT_MODES = ("random_normal", "from_real")
@@ -201,25 +200,6 @@ def init_synthetic(
     return Dataset(inputs, labels, c)
 
 
-@lru_cache(maxsize=8)
-def _balanced_labels(class_count: int, b_per_class: int) -> np.ndarray:
-    """Labels of every class-major balanced batch (read-only)."""
-    labels = np.repeat(np.arange(class_count, dtype=np.int64), b_per_class)
-    labels.setflags(write=False)
-    return labels
-
-
-def _floyd(draws: list[int], n: int, b_per_class: int) -> list[int]:
-    """Floyd's sample of b distinct positions in [0, n) from raw draws, draw k
-    uniform on [0, n - b + k]: a draw already taken is replaced by n - b + k."""
-    taken: set[int] = set()
-    for k, t in enumerate(draws):
-        if t in taken:
-            draws[k] = t = n - b_per_class + k
-        taken.add(t)
-    return draws
-
-
 def balanced_batches(
     real: Dataset, b_per_class: int, rng: np.random.Generator
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -230,36 +210,31 @@ def balanced_batches(
     refill holds about BLOCK_DOUBLES uniforms. PCG64 fills arrays in order, so
     the batches and the generator's state are those of k `rng.random((C, b))`
     calls, one per batch. Each class with n >= b rows takes a uniform b-subset
-    of its rows by Floyd's algorithm (Bentley & Floyd, CACM 1987), run on every
-    class of every batch at once: draw k is floor(u_k * (n - b + k + 1)), and
-    only the rows whose draws clash go through the sequential fix-up, which
-    takes n - b + k in place of a taken draw and draws nothing new. A class
-    with fewer than b rows draws floor(u_k * n), with replacement. A class
-    without rows raises ValueError at the first batch.
+    of its rows by Floyd's algorithm (Bentley & Floyd, CACM 1987): draw k is
+    floor(u_k * (n - b + k + 1)), and a draw equal to one of draws 0..k-1
+    becomes n - b + k, with nothing new drawn. The rule only looks back, so it
+    runs one draw position at a time, on every class of every batch of a
+    refill at once. A class with fewer than b rows draws floor(u_k * n), with
+    replacement. A class without rows raises ValueError at the first batch.
     """
     layout = real.class_layout
     counts = layout.counts
     class_count = real.class_count
-    smallest = np.minimum.reduce(counts, initial=b_per_class)
-    if smallest == 0:
+    if not counts.all():
         raise ValueError(f"class {int(np.argmin(counts))} has no samples")
     block = max(1, BLOCK_DOUBLES // (class_count * b_per_class))
-    span = counts[:, None] + np.arange(1 - b_per_class, 1)  # n - b + k + 1
-    if smallest < b_per_class:
-        span = np.where(counts[:, None] < b_per_class, counts[:, None], span)
-    labels = _balanced_labels(class_count, b_per_class)
+    floyd = counts >= b_per_class  # the classes drawn without replacement
+    last = counts[:, None] + np.arange(-b_per_class, 0)  # n - b + k
+    span = np.where(floyd[:, None], last + 1, counts[:, None])
+    labels = np.repeat(np.arange(class_count, dtype=np.int64), b_per_class)
+    labels.setflags(write=False)
     inputs, starts = real.inputs, layout.starts[:, None]
     while True:
         pos = (rng.random((block, class_count, b_per_class)) * span).astype(np.intp)
-        if b_per_class > 1:
-            ranked = np.sort(pos, axis=2)
-            clash = ranked[..., 1:] == ranked[..., :-1]
-            if smallest < b_per_class:
-                clash[:, counts < b_per_class] = False  # repeats are allowed there
-            if clash.any():
-                rows = pos.reshape(-1, b_per_class)
-                for r in np.flatnonzero(clash.any(axis=2)).tolist():
-                    rows[r] = _floyd(rows[r].tolist(), int(counts[r % class_count]), b_per_class)
+        for k in range(1, b_per_class):
+            taken = (pos[..., :k] == pos[..., k, None]).any(axis=2)
+            taken &= floyd
+            np.copyto(pos[..., k], last[:, k], where=taken)
         pos += starts
         for picks in layout.order[pos.reshape(block, -1)]:
             yield inputs[picks], labels
@@ -402,9 +377,12 @@ def distill_step(
 def _monitor_accuracy(
     enc: Encoder, inputs: np.ndarray, y_onehot: np.ndarray, lam: float, eval_set: Dataset
 ) -> float:
-    """Cheap closed-form probe accuracy on the eval split, for the curve only."""
-    sol = ridge_kernel(encode(enc, inputs), y_onehot, lam)
-    preds = np.argmax(encode(enc, eval_set.inputs) @ sol.w_star, axis=1)
+    """Cheap closed-form probe accuracy on the eval split, for the curve only.
+
+    Runs the unchecked cores: the loop hands over inputs its step guards and
+    an eval split `run_distill` checked."""
+    sol = _ridge_kernel(_encode(enc, inputs)[0], y_onehot, lam)
+    preds = np.argmax(_encode(enc, eval_set.inputs)[0] @ sol.w_star, axis=1)
     return float(np.mean(preds == eval_set.labels))
 
 
@@ -421,14 +399,19 @@ def run_distill(
     Evaluation always uses the un-augmented synthetic inputs. The report's
     config holds the fields of `cfg`.
 
-    The real set is validated once, before the first step: a NaN/Inf row
+    The data is validated once, before the first step: a NaN/Inf real row
     raises NonFiniteFeatureError, a class without rows MissingClassError,
-    and an `enc` whose input dim differs from the set's DimensionError.
+    and rows without features, an eval split of another dim or an `enc`
+    whose input dim differs from the real set's DimensionError.
     """
     t0 = time.perf_counter()
     # the one check of the data; every step after it runs unchecked
     _check_finite_rows(real.nonfinite_rows, lambda i: f"real set row {i}")
     check_every_class(real, real.class_count, "real set")
+    if real.dim == 0:
+        raise DimensionError("real set rows have no features (dim 0)")
+    if eval_set is not None and eval_set.dim != real.dim:
+        raise DimensionError(f"eval split is {eval_set.dim}-dim, real set {real.dim}-dim")
     if enc is None:
         enc = cfg.build_encoder(real.dim)
     _check_encoder_dim(enc, real.dim)

@@ -77,20 +77,16 @@ def _check_inputs(enc: Encoder, inputs: np.ndarray):
         )
 
 
-def encode(enc: Encoder, inputs: np.ndarray, return_hidden: bool = False):
-    """Map inputs (n x input_dim) to features (n x feature_dim).
-
-    With return_hidden=True the result is (features, hidden), where hidden is
-    the mlp1 tanh activation (None for the other kinds); passing it on to
-    encode_vjp at the same inputs saves recomputing it.
-    """
+def encode(enc: Encoder, inputs: np.ndarray) -> np.ndarray:
+    """Map inputs (n x input_dim) to features (n x feature_dim)."""
     _check_inputs(enc, inputs)
-    out, hidden = _encode(enc, inputs)
-    return (out, hidden) if return_hidden else out
+    return _encode(enc, inputs)[0]
 
 
 def _encode(enc: Encoder, inputs: np.ndarray):
-    """`encode(..., return_hidden=True)` on inputs already checked."""
+    """(features, hidden) of inputs already checked, where hidden is the mlp1
+    tanh activation (None for the other kinds); passing it on to
+    `_encode_vjp` at the same inputs saves recomputing it."""
     if enc.kind == "identity":
         return inputs, None
     if enc.kind == "linear":
@@ -107,33 +103,25 @@ def _encode(enc: Encoder, inputs: np.ndarray):
     return out, hidden
 
 
-def encode_vjp(
-    enc: Encoder, inputs: np.ndarray, upstream: np.ndarray, hidden: np.ndarray | None = None
-) -> np.ndarray:
+def encode_vjp(enc: Encoder, inputs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Apply the transposed encoder Jacobian at `inputs` to `upstream` rows.
 
-    Returns d<upstream, encode(inputs)>/d inputs, shape n x input_dim. For
-    mlp1, `hidden` may carry the activation that encode(inputs,
-    return_hidden=True) returned; it is read, never modified.
+    Returns d<upstream, encode(inputs)>/d inputs, shape n x input_dim.
     """
     _check_inputs(enc, inputs)
     if upstream.shape != (inputs.shape[0], enc.feature_dim):
         raise DimensionError(
             f"upstream must be {inputs.shape[0]} x {enc.feature_dim}, got {upstream.shape}"
         )
-    if enc.kind == "mlp1" and hidden is not None:
-        width = enc.weights[0].shape[1]
-        if hidden.shape != (inputs.shape[0], width):
-            raise DimensionError(
-                f"hidden must be {inputs.shape[0]} x {width}, got {hidden.shape}"
-            )
-    return _encode_vjp(enc, inputs, upstream, hidden)
+    return _encode_vjp(enc, inputs, upstream, None)
 
 
 def _encode_vjp(
     enc: Encoder, inputs: np.ndarray, upstream: np.ndarray, hidden: np.ndarray | None
 ) -> np.ndarray:
-    """`encode_vjp` on arguments already checked."""
+    """`encode_vjp` on arguments already checked; for mlp1, `hidden` is the
+    activation `_encode` returned at `inputs`, or None to recompute it. It is
+    read, never modified."""
     if enc.kind == "identity":
         return upstream
     if enc.kind == "linear":

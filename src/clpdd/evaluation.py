@@ -20,9 +20,7 @@ from .objective import _softmax_rows
 @dataclass(frozen=True)
 class ProbeResult:
     w: np.ndarray  # d x C
-    train_acc: float
     eval_acc: float
-    epochs_run: int
 
 
 def _accuracy(features: np.ndarray, labels: np.ndarray, w: np.ndarray) -> float:
@@ -75,12 +73,7 @@ def train_linear_probe(
             pi = _softmax_rows(x @ w)
             pi -= t
             w -= adam_update(adam, x.T @ pi / x.shape[0], lr, b1, b2, eps)
-    return ProbeResult(
-        w=w,
-        train_acc=_accuracy(x_train, train.labels, w),
-        eval_acc=_accuracy(eval_set.inputs, eval_set.labels, w),
-        epochs_run=epochs,
-    )
+    return ProbeResult(w=w, eval_acc=_accuracy(eval_set.inputs, eval_set.labels, w))
 
 
 def _selection(real: Dataset, picked: np.ndarray) -> Dataset:

@@ -620,6 +620,54 @@ def test_main_rejects_eval_split_that_does_not_fit_train(tmp_path, capsys, monke
     assert ran == []
 
 
+@pytest.mark.parametrize("command", ["distill", "eval", "compare"])
+def test_main_rejects_a_train_file_without_features(tmp_path, capsys, monkeypatch, command):
+    cfg = _train_and_eval_files(tmp_path)
+    cfg["data_train"] = str(tmp_path / "bare.clpf")
+    save_features(Dataset(np.zeros((6, 0)), np.arange(6) % 3, class_count=3), cfg["data_train"])
+    syn = tmp_path / "syn.clpf"
+    save_features(Dataset(np.zeros((3, 4)), np.arange(3), class_count=3), syn)
+    ran = []
+    monkeypatch.setattr(clpdd.cli, "run_distill", lambda *a, **k: ran.append(a))
+    where = ["--synthetic", str(syn)] if command == "eval" else ["--out", str(tmp_path / "o")]
+    assert main(_argv(cfg, command, *where)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"feature file error: {cfg['data_train']}: rows have no features (dim 0)"]
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "command, sets",
+    [
+        ("compare", []),  # the random and centroid baselines pick ipc rows per class
+        ("compare", ["compare_methods=clpdd,centroid"]),
+        ("compare", ["compare_methods=clpdd", "init=from_real"]),
+        ("distill", ["init=from_real"]),
+    ],
+)
+def test_main_rejects_ipc_past_the_smallest_train_class(tmp_path, capsys, monkeypatch,
+                                                        command, sets):
+    ran = []
+    monkeypatch.setattr(clpdd.cli, "run_distill", lambda *a, **k: ran.append(a))
+    argv = [command, "--out", str(tmp_path / "o"), "--set", "ipc=201"]  # 200 train rows each
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: ipc=201 exceeds the 200 train rows of class 0"]
+    assert ran == []
+
+
+def test_ipc_past_a_class_distills_from_a_random_normal_init(tmp_path):
+    # only from_real init and the random and centroid baselines pick real rows
+    cfg = _fast_cfg(ipc=21)  # 20 train rows per class
+    report = cmd_distill(cfg, tmp_path / "run")
+    assert len(report.curve) == cfg["iterations"]
+    report = cmd_compare(dict(cfg, compare_methods="clpdd,neighbor", compare_seeds=1),
+                         tmp_path / "cmp")
+    assert set(report.accuracies) == {"clpdd", "neighbor"}
+
+
 @pytest.mark.parametrize("missing", ["config", "data_train", "synthetic"])
 def test_main_reports_a_missing_input_path(tmp_path, capsys, missing):
     path = tmp_path / "absent"

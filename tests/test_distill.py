@@ -134,7 +134,9 @@ def _assert_batches_match_per_class_floyd(ds, b_per_class, count, seed):
     return clashes, ours, ref
 
 
-@pytest.mark.parametrize("b_per_class", [3, 8])  # 8 > the 5-row class: with replacement
+# b = 5 and b = 12 draw all n = b rows of the 5- and 12-row classes; b = 8 and
+# b = 12 sample the 5-row class with replacement
+@pytest.mark.parametrize("b_per_class", [3, 5, 8, 12])
 def test_balanced_batch_matches_per_class_floyd(monkeypatch, b_per_class):
     # five batches per refill, so twelve batches cross two refill boundaries
     monkeypatch.setattr(clpdd.distill, "BLOCK_DOUBLES", 5 * 4 * b_per_class)
@@ -315,15 +317,16 @@ def test_pipeline_gradient_all_encoders(kind):
 
 
 def _public_chain(inputs, y, enc, x_real, labels, lam, tau, objective):
-    """meta_loss_and_grad spelled out with the checked public functions."""
-    x_syn, hidden = encode(enc, inputs, return_hidden=True)
+    """meta_loss_and_grad spelled out with the checked public functions;
+    `encode_vjp` recomputes the mlp1 activation that the core reuses."""
+    x_syn = encode(enc, inputs)
     sol = ridge_kernel(x_syn, y, lam)
     feats = encode(enc, x_real)
     if objective == "class_anchor":
         loss, g = class_anchor_loss_and_grad(feats, labels, sol.w_star, tau)
     else:
         loss, g = mse_outer_loss_and_grad(feats, labels, sol.w_star)
-    grad = encode_vjp(enc, inputs, solve_backward(sol, x_syn, g), hidden=hidden)
+    grad = encode_vjp(enc, inputs, solve_backward(sol, x_syn, g))
     return loss, grad, sol.mode
 
 
@@ -473,18 +476,26 @@ def test_inputs_stay_finite_across_run():
     assert np.all(np.isfinite(syn.inputs))
 
 
-def _nan_row(train):
+def _nan_row(train, ev):
     inputs = train.inputs.copy()
     inputs[7, 2] = np.nan
-    return Dataset(inputs, train.labels, train.class_count), None
+    return Dataset(inputs, train.labels, train.class_count), ev, None
 
 
-def _class_without_rows(train):
-    return Dataset(train.inputs, train.labels, train.class_count + 1), None
+def _class_without_rows(train, ev):
+    return Dataset(train.inputs, train.labels, train.class_count + 1), ev, None
 
 
-def _encoder_of_other_dim(train):
-    return train, make_encoder("identity", train.dim + 1)
+def _rows_without_features(train, ev):
+    return Dataset(np.zeros((train.n, 0)), train.labels, train.class_count), None, None
+
+
+def _eval_split_of_other_dim(train, ev):
+    return train, Dataset(ev.inputs[:, :4], ev.labels, ev.class_count), None
+
+
+def _encoder_of_other_dim(train, ev):
+    return train, ev, make_encoder("identity", train.dim + 1)
 
 
 @pytest.mark.parametrize(
@@ -492,9 +503,11 @@ def _encoder_of_other_dim(train):
     [
         (_nan_row, NonFiniteFeatureError, r"^real set row 7 holds non-finite features"),
         (_class_without_rows, MissingClassError, r"^real set: no rows for class ids \[3\] of 4"),
+        (_rows_without_features, DimensionError, r"^real set rows have no features \(dim 0\)$"),
+        (_eval_split_of_other_dim, DimensionError, r"^eval split is 4-dim, real set 5-dim$"),
         (_encoder_of_other_dim, DimensionError, r"^encoder expects 6-dim inputs, real set has 5"),
     ],
-    ids=["nan_row", "class_without_rows", "encoder_dim"],
+    ids=["nan_row", "class_without_rows", "no_features", "eval_dim", "encoder_dim"],
 )
 def test_run_distill_rejects_bad_data_before_the_first_step(monkeypatch, build, error, match):
     # a library-built Dataset is never checked for finiteness or empty
@@ -507,9 +520,9 @@ def test_run_distill_rejects_bad_data_before_the_first_step(monkeypatch, build, 
         return step(*args, **kwargs)
 
     monkeypatch.setattr(clpdd.distill, "distill_step", counted)
-    real, enc = build(_blob_task()[0])
+    real, ev, enc = build(*_blob_task())
     with pytest.raises(error, match=match):
-        run_distill(_tiny_cfg(), real, enc=enc)
+        run_distill(_tiny_cfg(), real, ev, enc=enc)
     assert steps == []
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clpdd.encoder import Encoder, encode, encode_vjp, make_encoder
+from clpdd.encoder import Encoder, _encode, _encode_vjp, encode, encode_vjp, make_encoder
 from clpdd.linalg import DimensionError
 
 from oracles import central_diff_grad, max_rel_err, mlp1_vjp_ref
@@ -100,20 +100,19 @@ def test_vjp_reuses_stored_hidden_bitwise():
     enc = make_encoder("mlp1", 6, 5, hidden_dim=7, seed=3)
     x = rng.standard_normal((8, 6))
     u = rng.standard_normal((8, 5))
-    feats, hidden = encode(enc, x, return_hidden=True)
+    feats, hidden = _encode(enc, x)
     assert np.array_equal(feats, encode(enc, x))
     kept = hidden.copy()
-    reused = encode_vjp(enc, x, u, hidden=hidden)
+    reused = _encode_vjp(enc, x, u, hidden)
     assert np.array_equal(hidden, kept)  # read, not overwritten
+    assert np.array_equal(reused, _encode_vjp(enc, x, u, None))
     assert np.array_equal(reused, encode_vjp(enc, x, u))
     assert np.array_equal(reused, mlp1_vjp_ref(enc.weights, x, u))
-    with pytest.raises(DimensionError):
-        encode_vjp(enc, x, u, hidden=hidden[:, :3])
 
 
 @pytest.mark.parametrize("kind", ["identity", "linear"])
 def test_no_hidden_activation_outside_mlp1(kind):
     enc = make_encoder(kind, 3, 3, seed=2)
     x = np.random.default_rng(1).standard_normal((2, 3))
-    feats, hidden = encode(enc, x, return_hidden=True)
+    feats, hidden = _encode(enc, x)
     assert hidden is None and np.array_equal(feats, encode(enc, x))
