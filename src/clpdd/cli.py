@@ -84,7 +84,6 @@ CONFIG_SPEC: dict[str, tuple] = {
     # compare/sweep
     "compare_seeds": (int, 5),
     "compare_methods": (str, "clpdd,random,centroid,neighbor,mse-ablation"),
-    "pca_export": (_parse_bool, False),
 }
 
 # glibc's mallopt parameters (malloc.h)
@@ -159,9 +158,14 @@ def distill_config_from(cfg: dict) -> DistillConfig:
 def build_data(cfg: dict, data_seed: int | None = None):
     """Returns (train, eval-or-None) from the configured source."""
     if cfg["data"] == "blobs":
+        for key in ("data_train", "data_eval"):
+            if cfg[key]:
+                raise ConfigError(f"{key} is set, but data=blobs ignores it; set data=files")
         for key in ("blob_classes", "blob_dim"):
             if cfg[key] < 1:
                 raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
+        if cfg["blob_seed"] < 0:
+            raise ConfigError(f"blob_seed must be >= 0, got {cfg['blob_seed']}")
         seed = cfg["blob_seed"] if data_seed is None else data_seed
         try:
             return gen_blobs(
@@ -179,16 +183,18 @@ def build_data(cfg: dict, data_seed: int | None = None):
         if not cfg["data_train"]:
             raise ConfigError("data=files requires data_train")
         train = load_features(cfg["data_train"])
-        _check_has_features(train.dim, cfg["data_train"])
+        _check_train_shape(train.dim, train.class_count, cfg["data_train"])
         # balanced batches need rows of every class; an eval split may lack some
         check_every_class(train, train.class_count, cfg["data_train"])
         return train, _load_eval(cfg, train.dim, train.class_count)
     raise ConfigError(f"unknown data source {cfg['data']!r} (use 'blobs' or 'files')")
 
 
-def _check_has_features(dim: int, path):
+def _check_train_shape(dim: int, class_count: int, path):
     if dim == 0:
         raise FeatureFileError(f"{path}: rows have no features (dim 0)")
+    if class_count == 0:
+        raise FeatureFileError(f"{path}: no classes (class count 0)")
 
 
 def _check_ipc_fits(train: Dataset, cfg: dict, methods=()):
@@ -223,7 +229,7 @@ def _eval_split_for(syn_data: Dataset, cfg: dict) -> Dataset | None:
     only the header is read: these commands never touch the train rows."""
     if cfg["data"] == "files" and cfg["data_train"]:
         dim, class_count = feature_shape(cfg["data_train"])
-        _check_has_features(dim, cfg["data_train"])
+        _check_train_shape(dim, class_count, cfg["data_train"])
         ev = _load_eval(cfg, dim, class_count)
     else:
         train, ev = build_data(cfg)
@@ -249,22 +255,10 @@ def _probe_accuracy(train: Dataset, eval_set: Dataset, cfg: dict, probe_seed: in
     ).eval_acc
 
 
-def _write_embeddings(real: Dataset, syn: Dataset, path):
-    """2-D PCA of real and synthetic feature rows as x,y,label,origin CSV."""
-    proj, _ = pca_project_2d(np.vstack([real.inputs, syn.inputs]))
-    labels = np.concatenate([real.labels, syn.labels])
-    origins = ["real"] * real.n + ["synthetic"] * syn.n
-    lines = ["x,y,label,origin"] + [
-        f"{float(x)!r},{float(y)!r},{label},{origin}"
-        for (x, y), label, origin in zip(proj, labels, origins)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def cmd_gradcheck(cfg: dict, json_path=None, corrupt: str | None = None):
+def cmd_gradcheck(cfg: dict, json_path=None):
     """Full finite-difference battery; returns (exit code, report dict)."""
     t0 = time.perf_counter()
-    results = run_battery(seed=cfg["seed"], corrupt=corrupt)
+    results = run_battery(seed=cfg["seed"])
     report = battery_report(results)
     report["wall_seconds"] = time.perf_counter() - t0
     if json_path is not None:
@@ -276,7 +270,7 @@ def cmd_gradcheck(cfg: dict, json_path=None, corrupt: str | None = None):
 
 
 def cmd_distill(cfg: dict, out_dir) -> RunReport:
-    """Distill once; writes synthetic.clpf, report.json, curve.csv (+ PCA CSV)."""
+    """Distill once; writes synthetic.clpf, report.json and curve.csv."""
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -287,20 +281,16 @@ def cmd_distill(cfg: dict, out_dir) -> RunReport:
     syn, report = run_distill(dcfg, train, ev, enc=enc)
     synthetic_path = out / "synthetic.clpf"
     save_features(syn, synthetic_path)
-    if ev is not None or cfg["pca_export"]:
-        # the PCA shows the eval split, or the train split when there is none
-        real_feats = _features(enc, ev if ev is not None else train)
-        syn_feats = _features(enc, syn)
     if ev is not None:
-        acc = _probe_accuracy(syn_feats, real_feats, cfg, stream_seed(cfg["seed"], "probe"))
+        acc = _probe_accuracy(
+            _features(enc, syn), _features(enc, ev), cfg, stream_seed(cfg["seed"], "probe")
+        )
         report.accuracies["clpdd"] = MethodAccuracy([acc])
     report.config = dict(cfg)
     report.synthetic_path = str(synthetic_path)
     report.wall_seconds = time.perf_counter() - t0
     report.save_json(out / "report.json")
     report.save_curve_csv(out / "curve.csv")
-    if cfg["pca_export"]:
-        _write_embeddings(real_feats, syn_feats, out / "embeddings.csv")
     return report
 
 
@@ -456,12 +446,22 @@ def cmd_eval(cfg: dict, synthetic_path, json_path=None) -> dict:
 
 
 def cmd_export_embeddings(cfg: dict, synthetic_path, out_path):
-    """2-D PCA of real + synthetic features, written as x,y,label,origin CSV."""
+    """2-D PCA of real + synthetic features, written as x,y,label,origin CSV.
+
+    The real rows are the eval split's, or the train split's when there is
+    none."""
     syn_data = load_features(synthetic_path)
     ev = _eval_split_for(syn_data, cfg)
     real = ev if ev is not None else build_data(cfg)[0]
     enc = distill_config_from(cfg).build_encoder(syn_data.dim)
-    _write_embeddings(_features(enc, real), _features(enc, syn_data), out_path)
+    proj, _ = pca_project_2d(np.vstack([encode(enc, real.inputs), encode(enc, syn_data.inputs)]))
+    labels = np.concatenate([real.labels, syn_data.labels])
+    origins = ["real"] * real.n + ["synthetic"] * syn_data.n
+    lines = ["x,y,label,origin"] + [
+        f"{float(x)!r},{float(y)!r},{label},{origin}"
+        for (x, y), label, origin in zip(proj, labels, origins)
+    ]
+    Path(out_path).write_text("\n".join(lines) + "\n")
 
 
 def _keep_freed_memory():
@@ -494,7 +494,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("gradcheck", help="run the finite-difference gradient battery")
     _add_common(p)
     p.add_argument("--json", help="write the battery report to this path")
-    p.add_argument("--corrupt", help=argparse.SUPPRESS)  # negative-control test hook
 
     p = sub.add_parser("distill", help="distill a synthetic set and write artifacts")
     _add_common(p)
@@ -526,7 +525,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.overrides)
         distill_config_from(cfg)  # reject bad distillation values before any data is built
         if args.command == "gradcheck":
-            code, _ = cmd_gradcheck(cfg, json_path=args.json, corrupt=args.corrupt)
+            code, _ = cmd_gradcheck(cfg, json_path=args.json)
             return code
         if args.command == "distill":
             report = cmd_distill(cfg, args.out)

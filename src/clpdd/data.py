@@ -155,15 +155,6 @@ class Dataset:
         return _scan_nonfinite(self.inputs)
 
 
-def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    return (
-        a.class_count == b.class_count
-        and a.inputs.shape == b.inputs.shape
-        and np.array_equal(a.inputs, b.inputs)
-        and np.array_equal(a.labels, b.labels)
-    )
-
-
 def gen_blobs(
     c: int,
     dim: int,

@@ -98,8 +98,8 @@ class DistillConfig:
             raise ValueError("adam_eps and probe_lr must be >= 0")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise ValueError("adam_beta1 and adam_beta2 must lie in [0, 1)")
-        if self.iterations < 0 or self.ipc < 1 or self.b_per_class < 1:
-            raise ValueError("iterations must be >= 0, ipc and b_per_class >= 1")
+        if self.iterations < 0 or self.seed < 0 or self.ipc < 1 or self.b_per_class < 1:
+            raise ValueError("iterations and seed must be >= 0, ipc and b_per_class >= 1")
         if self.outer_objective not in OUTER_OBJECTIVES:
             raise ValueError(f"unknown outer objective {self.outer_objective!r}")
         if self.init not in INIT_MODES:
@@ -399,13 +399,16 @@ def run_distill(
     Evaluation always uses the un-augmented synthetic inputs. The report's
     config holds the fields of `cfg`.
 
-    The data is validated once, before the first step: a NaN/Inf real row
-    raises NonFiniteFeatureError, a class without rows MissingClassError,
-    and rows without features, an eval split of another dim or an `enc`
-    whose input dim differs from the real set's DimensionError.
+    The data is validated once, before the first step: a real set without
+    classes raises ValueError, a NaN/Inf real row NonFiniteFeatureError, a
+    class without rows MissingClassError, and rows without features, an eval
+    split of another dim or an `enc` whose input dim differs from the real
+    set's DimensionError.
     """
     t0 = time.perf_counter()
     # the one check of the data; every step after it runs unchecked
+    if real.class_count == 0:
+        raise ValueError("real set has no classes (class count 0)")
     _check_finite_rows(real.nonfinite_rows, lambda i: f"real set row {i}")
     check_every_class(real, real.class_count, "real set")
     if real.dim == 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, check_every_class
-from .distill import AdamState, adam_update
+from .distill import AdamState, DistillConfig, adam_update
 from .linalg import DimensionError
 from .objective import _softmax_rows
 
@@ -31,9 +31,9 @@ def _accuracy(features: np.ndarray, labels: np.ndarray, w: np.ndarray) -> float:
 def train_linear_probe(
     train: Dataset,
     eval_set: Dataset,
-    epochs: int = 500,
-    lr: float = 0.01,
-    batch_size: int = 256,
+    epochs: int = DistillConfig.probe_epochs,
+    lr: float = DistillConfig.probe_lr,
+    batch_size: int = DistillConfig.probe_batch_size,
     seed: int = 0,
 ) -> ProbeResult:
     """Train a softmax linear classifier with Adam from random-normal init.

@@ -65,12 +65,8 @@ def _add_ridge(gram: np.ndarray, lam: float) -> np.ndarray:
     return gram
 
 
-def _primal_factor(x: np.ndarray, lam: float) -> CholeskyFactor:
-    return cholesky_factor(_add_ridge(x.T @ x, lam))
-
-
 def _primal_solve(x: np.ndarray, y: np.ndarray, lam: float):
-    factor = _primal_factor(x, lam)
+    factor = cholesky_factor(_add_ridge(x.T @ x, lam))
     w = factor.solve(x.T @ y)
     return w, factor
 

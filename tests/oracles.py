@@ -49,6 +49,16 @@ def class_rows(labels, c):
     return np.flatnonzero(labels == c)
 
 
+def datasets_equal(a, b):
+    """Same class count, and inputs and labels equal in shape and value."""
+    return (
+        a.class_count == b.class_count
+        and a.inputs.shape == b.inputs.shape
+        and np.array_equal(a.inputs, b.inputs)
+        and np.array_equal(a.labels, b.labels)
+    )
+
+
 def floyd_balanced_picks(labels, class_count, b_per_class, rng):
     """Rows of a class-balanced batch, class by class, from one
     rng.random((C, b)) draw, and the number of draws Floyd's rule replaced.

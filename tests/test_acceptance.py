@@ -13,14 +13,13 @@ from clpdd.data import (
     BadMagicError,
     Dataset,
     TruncatedFileError,
-    datasets_equal,
     load_features,
     save_features,
 )
 from clpdd.distill import DistillConfig
 from clpdd.solver import gd_steady_state, ridge_kernel, ridge_primal
 
-from oracles import dense_max_eig, random_onehot
+from oracles import datasets_equal, dense_max_eig, random_onehot
 
 
 def _report(criterion: int, ok: bool, detail: str):

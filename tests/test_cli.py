@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import platform
@@ -11,6 +12,7 @@ import pytest
 
 import clpdd.cli
 import clpdd.distill
+import clpdd.gradcheck
 from clpdd.cli import (
     CONFIG_SPEC,
     ConfigError,
@@ -31,6 +33,7 @@ from clpdd.cli import (
 )
 from clpdd.data import Dataset, MissingClassError, gen_blobs, save_features
 from clpdd.distill import DistillConfig
+from clpdd.evaluation import train_linear_probe
 from clpdd.gradcheck import CHECK_NAMES
 from clpdd.solver import ridge_kernel
 
@@ -58,11 +61,12 @@ def test_config_file_round_trip(tmp_path):
 
 def test_config_unknown_key_diagnostics(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("# comment\nlambda=0.1\nbogus=3\n")
-    with pytest.raises(ConfigError) as ei:
-        parse_config_file(path)
-    assert "bad.cfg:3" in str(ei.value)
-    assert "bogus" in str(ei.value)
+    for line in ("bogus=3", "pca_export=true"):  # export-embeddings writes the PCA CSV
+        path.write_text(f"# comment\nlambda=0.1\n{line}\n")
+        with pytest.raises(ConfigError) as ei:
+            parse_config_file(path)
+        assert "bad.cfg:3" in str(ei.value)
+        assert line.partition("=")[0] in str(ei.value)
 
 
 def test_config_bad_value_diagnostics(tmp_path):
@@ -102,8 +106,20 @@ def test_gradcheck_passes_and_reports(tmp_path):
     assert len(on_disk["checks"]) == len(CHECK_NAMES)
 
 
-def test_gradcheck_corrupted_backward_fails():
-    code, report = cmd_gradcheck(default_config(), corrupt="solver_backward")
+def _corrupt_check(monkeypatch, name):
+    """Perturb the analytic gradient of one battery check (a negative control)."""
+    check = clpdd.gradcheck._CHECKS[name]
+
+    def corrupted(rng):
+        analytic, fd = check(rng)
+        return analytic * 1.001 + 1e-3, fd
+
+    monkeypatch.setitem(clpdd.gradcheck._CHECKS, name, corrupted)
+
+
+def test_gradcheck_corrupted_backward_fails(monkeypatch):
+    _corrupt_check(monkeypatch, "solver_backward")
+    code, report = cmd_gradcheck(default_config())
     assert code == 1
     failing = [c for c in report["checks"] if not c["passed"]]
     assert [c["name"] for c in failing] == ["solver_backward"]
@@ -130,16 +146,13 @@ def test_gradcheck_primal_pipeline_takes_primal_route(monkeypatch):
 
 def test_distill_writes_artifacts(tmp_path):
     out = tmp_path / "run"
-    cfg = _fast_cfg(pca_export=True)
+    cfg = _fast_cfg()
     report = cmd_distill(cfg, out)
     assert (out / "synthetic.clpf").exists()
     assert (out / "report.json").exists()
     assert (out / "curve.csv").exists()
-    assert (out / "embeddings.csv").exists()
     assert len(report.curve) == cfg["iterations"]
     assert set(report.accuracies) == {"clpdd"}
-    header = (out / "embeddings.csv").read_text().splitlines()[0]
-    assert header == "x,y,label,origin"
 
 
 def test_distill_zero_iterations(tmp_path):
@@ -277,9 +290,11 @@ def test_files_data_source(tmp_path):
     assert "clpdd" in report.accuracies
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["gradcheck", "--set", "seed=0"]) == 0
-    assert main(["gradcheck", "--corrupt", "mse_grad"]) == 1
+    with monkeypatch.context() as m:
+        _corrupt_check(m, "mse_grad")
+        assert main(["gradcheck"]) == 1
     assert main(["distill", "--out", str(tmp_path / "m"), "--set", "iterations=2",
                  "--set", "blob_per_class=10", "--set", "blob_classes=2",
                  "--set", "blob_dim=4", "--set", "probe_epochs=5"]) == 0
@@ -310,6 +325,7 @@ def test_main_exit_codes(tmp_path, capsys):
         "probe_lr=nan",
         "probe_lr=-0.01",
         "adam_eps=-1",
+        "seed=-1",
     ],
 )
 def test_main_rejects_bad_distill_values_before_building_data(
@@ -331,6 +347,7 @@ def test_main_rejects_bad_distill_values_before_building_data(
         ("blob_per_class=4", "blob_per_class"),  # 4 train rows, no eval row
         ("blob_classes=0", "blob_classes"),
         ("blob_dim=0", "blob_dim"),
+        ("blob_seed=-1", "blob_seed"),
     ],
 )
 def test_main_rejects_bad_blob_counts_before_distilling(
@@ -471,6 +488,10 @@ def test_config_spec_covers_serialization():
 
 def test_cli_defaults_are_distill_config_defaults():
     assert distill_config_from(default_config()) == DistillConfig()
+    probe = inspect.signature(train_linear_probe).parameters
+    assert (probe["epochs"].default, probe["lr"].default, probe["batch_size"].default) == (
+        DistillConfig.probe_epochs, DistillConfig.probe_lr, DistillConfig.probe_batch_size
+    )
 
 
 def test_each_distill_field_set_by_exactly_one_key(monkeypatch):
@@ -579,7 +600,7 @@ def test_compare_seed_encodes_each_split_and_set_once(tmp_path, monkeypatch):
 
 def test_distill_encodes_eval_split_and_synthetic_set_once(tmp_path, monkeypatch):
     events = _record_encodes(monkeypatch)
-    cmd_distill(_fast_cfg(pca_export=True), tmp_path / "run")
+    cmd_distill(_fast_cfg(), tmp_path / "run")
     assert [kind for kind, _ in events] == ["distill", "encode", "encode"]
 
 
@@ -620,20 +641,48 @@ def test_main_rejects_eval_split_that_does_not_fit_train(tmp_path, capsys, monke
     assert ran == []
 
 
-@pytest.mark.parametrize("command", ["distill", "eval", "compare"])
-def test_main_rejects_a_train_file_without_features(tmp_path, capsys, monkeypatch, command):
+def _main_on_train_file(tmp_path, capsys, monkeypatch, command, train):
+    """Run `command` through main on `train` saved as data_train; returns
+    (exit code, stderr lines, data_train path, run_distill calls)."""
     cfg = _train_and_eval_files(tmp_path)
-    cfg["data_train"] = str(tmp_path / "bare.clpf")
-    save_features(Dataset(np.zeros((6, 0)), np.arange(6) % 3, class_count=3), cfg["data_train"])
+    cfg["data_train"] = str(tmp_path / "bad-train.clpf")
+    save_features(train, cfg["data_train"])
     syn = tmp_path / "syn.clpf"
     save_features(Dataset(np.zeros((3, 4)), np.arange(3), class_count=3), syn)
     ran = []
     monkeypatch.setattr(clpdd.cli, "run_distill", lambda *a, **k: ran.append(a))
     where = ["--synthetic", str(syn)] if command == "eval" else ["--out", str(tmp_path / "o")]
-    assert main(_argv(cfg, command, *where)) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"feature file error: {cfg['data_train']}: rows have no features (dim 0)"]
+    code = main(_argv(cfg, command, *where))
+    return code, capsys.readouterr().err.strip().splitlines(), cfg["data_train"], ran
+
+
+@pytest.mark.parametrize("command", ["distill", "eval", "compare"])
+def test_main_rejects_a_train_file_without_features(tmp_path, capsys, monkeypatch, command):
+    train = Dataset(np.zeros((6, 0)), np.arange(6) % 3, class_count=3)
+    code, err, path, ran = _main_on_train_file(tmp_path, capsys, monkeypatch, command, train)
+    assert code == 2
+    assert err == [f"feature file error: {path}: rows have no features (dim 0)"]
     assert ran == []
+
+
+@pytest.mark.parametrize("command", ["distill", "eval", "compare"])
+def test_main_rejects_a_train_file_without_classes(tmp_path, capsys, monkeypatch, command):
+    train = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), class_count=0)
+    code, err, path, ran = _main_on_train_file(tmp_path, capsys, monkeypatch, command, train)
+    assert code == 2
+    assert err == [f"feature file error: {path}: no classes (class count 0)"]
+    assert ran == []
+
+
+@pytest.mark.parametrize("key", ["data_train", "data_eval"])
+def test_main_rejects_a_data_file_under_blobs(tmp_path, capsys, monkeypatch, key):
+    built = []
+    monkeypatch.setattr(clpdd.cli, "gen_blobs", lambda *a, **k: built.append(a))
+    argv = ["distill", "--out", str(tmp_path / "o"), "--set", f"{key}={tmp_path / 'x.clpf'}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config error: {key} is set, but data=blobs ignores it; set data=files"]
+    assert built == []
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from clpdd.data import (
     TruncatedFileError,
     VersionError,
     check_every_class,
-    datasets_equal,
     feature_shape,
     gen_blobs,
     load_features,
@@ -21,7 +20,7 @@ from clpdd.data import (
 from clpdd.evaluation import _accuracy
 from clpdd.solver import ridge_kernel
 
-from oracles import class_rows
+from oracles import class_rows, datasets_equal
 
 
 def test_blobs_zero_variance_collapses_to_centers():

@@ -9,7 +9,6 @@ from clpdd.data import (
     Dataset,
     MissingClassError,
     NonFiniteFeatureError,
-    datasets_equal,
     gen_blobs,
     load_features,
     save_features,
@@ -39,6 +38,7 @@ from clpdd.solver import ridge_kernel, solve_backward
 from oracles import (
     adam_ref,
     central_diff_grad,
+    datasets_equal,
     distill_loop_ref,
     floyd_balanced_picks,
     max_rel_err,
@@ -482,6 +482,10 @@ def _nan_row(train, ev):
     return Dataset(inputs, train.labels, train.class_count), ev, None
 
 
+def _no_classes(train, ev):
+    return Dataset(np.zeros((0, train.dim)), np.zeros(0, dtype=np.int64), 0), ev, None
+
+
 def _class_without_rows(train, ev):
     return Dataset(train.inputs, train.labels, train.class_count + 1), ev, None
 
@@ -506,8 +510,9 @@ def _encoder_of_other_dim(train, ev):
         (_rows_without_features, DimensionError, r"^real set rows have no features \(dim 0\)$"),
         (_eval_split_of_other_dim, DimensionError, r"^eval split is 4-dim, real set 5-dim$"),
         (_encoder_of_other_dim, DimensionError, r"^encoder expects 6-dim inputs, real set has 5"),
+        (_no_classes, ValueError, r"^real set has no classes \(class count 0\)$"),
     ],
-    ids=["nan_row", "class_without_rows", "no_features", "eval_dim", "encoder_dim"],
+    ids=["nan_row", "class_without_rows", "no_features", "eval_dim", "encoder_dim", "no_classes"],
 )
 def test_run_distill_rejects_bad_data_before_the_first_step(monkeypatch, build, error, match):
     # a library-built Dataset is never checked for finiteness or empty
