@@ -14,6 +14,7 @@ from .data import (
     LabelRangeError,
     MissingClassError,
     NonFiniteFeatureError,
+    ShapeError,
     TruncatedFileError,
     VersionError,
     gen_blobs,
@@ -63,6 +64,7 @@ __all__ = [
     "LabelRangeError",
     "MissingClassError",
     "NonFiniteFeatureError",
+    "ShapeError",
     "TruncatedFileError",
     "VersionError",
     "MethodAccuracy",

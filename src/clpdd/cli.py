@@ -183,18 +183,10 @@ def build_data(cfg: dict, data_seed: int | None = None):
         if not cfg["data_train"]:
             raise ConfigError("data=files requires data_train")
         train = load_features(cfg["data_train"])
-        _check_train_shape(train.dim, train.class_count, cfg["data_train"])
         # balanced batches need rows of every class; an eval split may lack some
         check_every_class(train, train.class_count, cfg["data_train"])
         return train, _load_eval(cfg, train.dim, train.class_count)
     raise ConfigError(f"unknown data source {cfg['data']!r} (use 'blobs' or 'files')")
-
-
-def _check_train_shape(dim: int, class_count: int, path):
-    if dim == 0:
-        raise FeatureFileError(f"{path}: rows have no features (dim 0)")
-    if class_count == 0:
-        raise FeatureFileError(f"{path}: no classes (class count 0)")
 
 
 def _check_ipc_fits(train: Dataset, cfg: dict, methods=()):
@@ -229,7 +221,6 @@ def _eval_split_for(syn_data: Dataset, cfg: dict) -> Dataset | None:
     only the header is read: these commands never touch the train rows."""
     if cfg["data"] == "files" and cfg["data_train"]:
         dim, class_count = feature_shape(cfg["data_train"])
-        _check_train_shape(dim, class_count, cfg["data_train"])
         ev = _load_eval(cfg, dim, class_count)
     else:
         train, ev = build_data(cfg)
@@ -272,12 +263,12 @@ def cmd_gradcheck(cfg: dict, json_path=None):
 def cmd_distill(cfg: dict, out_dir) -> RunReport:
     """Distill once; writes synthetic.clpf, report.json and curve.csv."""
     t0 = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     train, ev = build_data(cfg)
     _check_ipc_fits(train, cfg)
     dcfg = distill_config_from(cfg)
     enc = dcfg.build_encoder(train.dim)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     syn, report = run_distill(dcfg, train, ev, enc=enc)
     synthetic_path = out / "synthetic.clpf"
     save_features(syn, synthetic_path)
@@ -382,9 +373,9 @@ def compare_report(cfg: dict):
 
 
 def cmd_compare(cfg: dict, out_dir) -> RunReport:
+    report, first_syn = compare_report(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report, first_syn = compare_report(cfg)
     if first_syn is not None:
         synthetic_path = out / "synthetic.clpf"
         save_features(first_syn, synthetic_path)
@@ -408,8 +399,6 @@ def cmd_sweep(cfg: dict, param: str, values: list, out_dir):
         cfg_v = dict(cfg, **{param: value})
         distill_config_from(cfg_v)
         runs.append((value, cfg_v))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = [(value, compare_report(cfg_v)[0]) for value, cfg_v in runs]
     header = ["param", "value"]
     for name in methods:
@@ -421,6 +410,8 @@ def cmd_sweep(cfg: dict, param: str, values: list, out_dir):
             acc = report.accuracies[name]
             cells += [repr(acc.mean), repr(acc.std)]
         lines.append(",".join(cells))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     return rows
 

@@ -35,7 +35,7 @@ _HEADER = struct.Struct("<4sHHQQI")
 
 
 class FeatureFileError(ValueError):
-    """Base class for feature-file parse failures."""
+    """Base class for a feature file, or a labelled set, that no Dataset can hold."""
 
 
 class BadMagicError(FeatureFileError):
@@ -54,18 +54,30 @@ class LabelRangeError(FeatureFileError):
     pass
 
 
+class ShapeError(FeatureFileError):
+    """Inputs not n x dim with dim >= 1, labels not n long, or no classes."""
+
+
 class NonFiniteFeatureError(FeatureFileError):
-    """A feature payload holds NaN or Inf."""
+    """A feature payload holds NaN or Inf; `row` is the first such row."""
+
+    def __init__(self, row: int, count: int):
+        self.row = row
+        super().__init__(
+            f"row {row} holds non-finite features "
+            f"({count} bad row{'s' if count > 1 else ''} in total)"
+        )
 
 
 class MissingClassError(FeatureFileError):
-    """Some class id below the class count labels no row."""
+    """Fewer rows than classes, or some class id below the class count
+    labels no row."""
 
 
 def _check_label_range(labels: np.ndarray, class_count: int):
     # a negative id would index from the end instead of failing
     if labels.size and (labels.min() < 0 or labels.max() >= class_count):
-        raise ValueError(
+        raise LabelRangeError(
             f"labels must lie in [0, {class_count}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
@@ -96,10 +108,12 @@ class ClassLayout(NamedTuple):
 class Dataset:
     """A labelled set: inputs, integer labels, class count.
 
-    Real splits, distilled sets and selected sets all take this form. Like
-    every matrix in the package, inputs and labels are treated as immutable
-    once the dataset is built; the class layout and the NaN/Inf scan are
-    derived from them once and reused.
+    Real splits, distilled and selected sets all take this form, and only
+    it decides what a labelled set is: finite n x dim inputs with dim >= 1,
+    n labels in [0, class_count), class_count >= 1 and n >= class_count (a
+    class may have no rows). Building a set that breaks this, which scans its
+    inputs once, raises a FeatureFileError subclass. Inputs and labels are
+    then treated as immutable; the class layout is derived once and reused.
     """
 
     inputs: np.ndarray  # n x dim float64
@@ -107,18 +121,17 @@ class Dataset:
     class_count: int
 
     def __post_init__(self):
-        if self.inputs.shape[0] != self.labels.shape[0]:
-            raise ValueError(
-                f"{self.inputs.shape[0]} inputs but {self.labels.shape[0]} labels"
-            )
-        if self.inputs.shape[0] < self.class_count:
-            raise ValueError(
-                f"{self.inputs.shape[0]} samples cannot cover {self.class_count} classes"
-            )
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
-            raise LabelRangeError(
-                f"labels must lie in [0, {self.class_count})"
-            )
+        x, y = self.inputs, self.labels
+        if x.ndim != 2 or y.shape != x.shape[:1]:
+            raise ShapeError(f"inputs must be n x dim and labels n long, got {x.shape}, {y.shape}")
+        _check_shape(self.dim, self.class_count)
+        # scanned before the row count, so a file with both faults reports the NaN
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+        if bad.size:
+            raise NonFiniteFeatureError(int(bad[0]), bad.size)
+        if self.n < self.class_count:
+            raise MissingClassError(f"{self.n} rows cannot cover {self.class_count} classes")
+        _check_label_range(self.labels, self.class_count)
 
     @property
     def n(self) -> int:
@@ -149,10 +162,25 @@ class Dataset:
             return self.class_layout.rows[c]
         return np.empty(0, dtype=np.intp)
 
-    @cached_property
-    def nonfinite_rows(self) -> tuple[int, int]:
-        """(first row holding NaN/Inf or -1, number of such rows), scanned once."""
-        return _scan_nonfinite(self.inputs)
+
+def _check_shape(dim: int, class_count: int, where: str = ""):
+    """The dim and class-count half of the Dataset rule; `where` leads the message."""
+    if dim == 0:
+        raise ShapeError(f"{where}rows have no features (dim 0)")
+    if class_count < 1:
+        raise ShapeError(f"{where}no classes (class count {class_count})")
+
+
+def _file_dataset(path, inputs, labels, class_count: int, first_line: int | None = None):
+    """The Dataset of rows read from `path`; its error names the file and,
+    where row i sits on line i + first_line, a non-finite row's line."""
+    try:
+        return Dataset(inputs, labels, class_count)
+    except FeatureFileError as e:
+        row = getattr(e, "row", None)
+        line = "" if first_line is None or row is None else f":{row + first_line}"
+        e.args = (f"{path}{line}: {e}",)
+        raise
 
 
 def gen_blobs(
@@ -224,24 +252,13 @@ def load_features(path) -> Dataset:
         return _load_csv(path)
     with path.open("rb") as f:
         f64, n, dim, classes = _read_header(f, path)
-        label_bytes = 4 * n
-        payload_bytes = (8 if f64 else 4) * n * dim
-        labels = np.frombuffer(f.read(label_bytes), dtype="<u4").astype(np.int64)
-        if labels.size and labels.max() >= classes:
-            raise LabelRangeError(
-                f"{path}: label {labels.max()} out of range for {classes} classes"
-            )
-        if n < classes:
-            raise MissingClassError(f"{path}: {n} rows cannot cover {classes} classes")
+        labels = np.frombuffer(f.read(4 * n), dtype="<u4").astype(np.int64)
         # read straight into the array: an f64 payload is never copied, an
         # f32 one is widened once
         payload = np.empty((n, dim), dtype="<f8" if f64 else "<f4")
-        if f.readinto(payload) != payload_bytes:
+        if f.readinto(payload) != payload.nbytes:
             raise TruncatedFileError(f"{path}: payload ends early")
-    inputs = payload.astype(np.float64, copy=False)
-    dataset = Dataset(inputs=inputs, labels=labels, class_count=classes)
-    _check_finite_rows(dataset.nonfinite_rows, lambda i: f"{path}: row {i}")
-    return dataset
+    return _file_dataset(path, payload.astype(np.float64, copy=False), labels, classes)
 
 
 def feature_shape(path) -> tuple[int, int]:
@@ -256,7 +273,8 @@ def feature_shape(path) -> tuple[int, int]:
 
 def _read_header(f, path) -> tuple[bool, int, int, int]:
     """(f64 payload, n, dim, class count) of the open CLPF file `f`, checked
-    against the file's size; `f` is left at the start of the labels."""
+    against the file's size and the Dataset rule's dim and class-count half;
+    `f` is left at the start of the labels."""
     head = f.read(_HEADER.size)
     if len(head) < _HEADER.size:
         if head[:4] != CLPF_MAGIC:
@@ -267,28 +285,13 @@ def _read_header(f, path) -> tuple[bool, int, int, int]:
         raise BadMagicError(f"{path}: bad magic {magic!r}")
     if version != CLPF_VERSION:
         raise VersionError(f"{path}: unsupported version {version}")
+    _check_shape(dim, classes, f"{path}: ")
     f64 = bool(flags & _FLAG_F64)
     expected = _HEADER.size + 4 * n + (8 if f64 else 4) * n * dim
     size = os.fstat(f.fileno()).st_size
     if size < expected:
         raise TruncatedFileError(f"{path}: expected {expected} bytes, found {size}")
     return f64, n, dim, classes
-
-
-def _scan_nonfinite(inputs: np.ndarray) -> tuple[int, int]:
-    bad = np.flatnonzero(~np.isfinite(inputs).all(axis=1))
-    return (int(bad[0]) if bad.size else -1, int(bad.size))
-
-
-def _check_finite_rows(scan: tuple[int, int], where):
-    """Reject NaN/Inf features found by a `nonfinite_rows` scan; `where(i)`
-    locates row i for the message."""
-    first, count = scan
-    if count:
-        raise NonFiniteFeatureError(
-            f"{where(first)} holds non-finite features "
-            f"({count} bad row{'s' if count > 1 else ''} in total)"
-        )
 
 
 def check_every_class(rows: Dataset | np.ndarray, class_count: int, source) -> None:
@@ -326,18 +329,15 @@ def _load_csv(path: Path) -> Dataset:
         parts = line.split(",")
         if len(parts) != dim + 1:
             raise TruncatedFileError(f"{path}:{ln}: expected {dim + 1} fields")
-        labels.append(int(parts[0]))
-        rows.append([float(v) for v in parts[1:]])
+        try:
+            labels.append(int(parts[0]))
+            rows.append([float(v) for v in parts[1:]])
+        except ValueError:
+            raise FeatureFileError(f"{path}:{ln}: expected an integer label, then numbers")
     labels = np.asarray(labels, dtype=np.int64)
     inputs = np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
-    if labels.size and labels.min() < 0:
-        raise LabelRangeError(f"{path}: negative label")
-    # scanned before the label-gap check, so a file with both reports the NaN;
-    # the Dataset, built once every class has rows, keeps this scan as its own
-    scan = _scan_nonfinite(inputs)
-    _check_finite_rows(scan, lambda i: f"{path}:{i + 2}: row {i}")
-    classes = int(labels.max()) + 1 if labels.size else 0
-    check_every_class(labels, classes, f"{path} (class count inferred as max label + 1)")
-    dataset = Dataset(inputs=inputs, labels=labels, class_count=classes)
-    dataset.__dict__["nonfinite_rows"] = scan  # the cached_property's slot
+    # labels that are all negative still count one class, and fail its label range
+    classes = int(labels.max(initial=0)) + 1 if labels.size else 0
+    dataset = _file_dataset(path, inputs, labels, classes, first_line=2)
+    check_every_class(dataset, classes, f"{path} (class count inferred as max label + 1)")
     return dataset

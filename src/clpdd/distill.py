@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, _check_finite_rows, check_every_class
-from .encoder import Encoder, _encode, _encode_vjp, encode, make_encoder
+from .data import Dataset, check_every_class
+from .encoder import ENCODER_KINDS, Encoder, _encode, _encode_vjp, encode, make_encoder
 from .linalg import DimensionError
 from .objective import _class_anchor_loss_and_grad, _mse_outer_loss_and_grad
 from .report import RunReport, StepMetrics
@@ -110,6 +110,12 @@ class DistillConfig:
             raise ValueError("eval_every and probe_batch_size must be >= 1")
         if self.probe_epochs < 0 or self.feature_dim < 0 or self.hidden_dim < 0:
             raise ValueError("probe_epochs, feature_dim and hidden_dim must be >= 0")
+        if self.encoder_kind not in ENCODER_KINDS:
+            raise ValueError(f"unknown encoder {self.encoder_kind!r} (choose from {ENCODER_KINDS})")
+        if self.feature_dim > 0 and self.encoder_kind == "identity":
+            raise ValueError("feature_dim is set, but encoder=identity keeps the input dim")
+        if self.hidden_dim > 0 and self.encoder_kind != "mlp1":
+            raise ValueError(f"hidden_dim is set, but encoder={self.encoder_kind} has no hidden layer")
 
     def build_encoder(self, input_dim: int) -> Encoder:
         feature_dim = self.feature_dim if self.feature_dim > 0 else input_dim
@@ -215,8 +221,11 @@ def balanced_batches(
     becomes n - b + k, with nothing new drawn. The rule only looks back, so it
     runs one draw position at a time, on every class of every batch of a
     refill at once. A class with fewer than b rows draws floor(u_k * n), with
-    replacement. A class without rows raises ValueError at the first batch.
+    replacement. A class without rows, or b_per_class < 1, raises ValueError
+    at the first batch.
     """
+    if b_per_class < 1:
+        raise ValueError(f"b_per_class must be >= 1, got {b_per_class}")
     layout = real.class_layout
     counts = layout.counts
     class_count = real.class_count
@@ -249,10 +258,13 @@ def augment_noise(
     steps, with k capped so that a refill holds about BLOCK_DOUBLES values;
     the arrays are those of k sequential draws of `shape`, bit for bit. The
     step adds its inputs into the array it takes. With sigma = 0 nothing is
-    drawn and the stream yields None: no noise.
+    drawn and the stream yields None: no noise. A negative sigma, or a shape
+    with an extent below 1, raises ValueError at the first step.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if min(shape, default=1) < 1:
+        raise ValueError(f"shape must have extents >= 1, got {shape}")
     if sigma == 0.0:
         yield from itertools.repeat(None)
     block = max(1, BLOCK_DOUBLES // math.prod(shape))
@@ -399,20 +411,14 @@ def run_distill(
     Evaluation always uses the un-augmented synthetic inputs. The report's
     config holds the fields of `cfg`.
 
-    The data is validated once, before the first step: a real set without
-    classes raises ValueError, a NaN/Inf real row NonFiniteFeatureError, a
-    class without rows MissingClassError, and rows without features, an eval
-    split of another dim or an `enc` whose input dim differs from the real
-    set's DimensionError.
+    Each `Dataset` checked its own rows when it was built. What the run needs
+    beyond that is checked once, before the first step: a real class without
+    rows raises MissingClassError, and an eval split of another dim or an
+    `enc` whose input dim differs from the real set's DimensionError.
     """
     t0 = time.perf_counter()
-    # the one check of the data; every step after it runs unchecked
-    if real.class_count == 0:
-        raise ValueError("real set has no classes (class count 0)")
-    _check_finite_rows(real.nonfinite_rows, lambda i: f"real set row {i}")
+    # the one check of the run; every step after it runs unchecked
     check_every_class(real, real.class_count, "real set")
-    if real.dim == 0:
-        raise DimensionError("real set rows have no features (dim 0)")
     if eval_set is not None and eval_set.dim != real.dim:
         raise DimensionError(f"eval split is {eval_set.dim}-dim, real set {real.dim}-dim")
     if enc is None:

@@ -9,6 +9,8 @@ d x d matrix X^T X + lam*I directly.
 """
 
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -57,6 +59,17 @@ def datasets_equal(a, b):
         and np.array_equal(a.inputs, b.inputs)
         and np.array_equal(a.labels, b.labels)
     )
+
+
+def write_clpf(path, inputs, labels, class_count, dtype="f64"):
+    """Write a CLPF file from its documented layout, all little-endian: magic
+    b"CLPF", u16 version 1, u16 flags (bit0 set: float64 payload), u64 n, u64
+    dim, u32 class count, n u32 labels, then n x dim floats, row-major. Any
+    payload is written as given, also one that no Dataset would hold."""
+    inputs = np.asarray(inputs, dtype="<f8" if dtype == "f64" else "<f4")
+    n, dim = inputs.shape
+    header = struct.pack("<4sHHQQI", b"CLPF", 1, int(dtype == "f64"), n, dim, class_count)
+    Path(path).write_bytes(header + np.asarray(labels, dtype="<u4").tobytes() + inputs.tobytes())
 
 
 def floyd_balanced_picks(labels, class_count, b_per_class, rng):

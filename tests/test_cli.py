@@ -37,6 +37,8 @@ from clpdd.evaluation import train_linear_probe
 from clpdd.gradcheck import CHECK_NAMES
 from clpdd.solver import ridge_kernel
 
+from oracles import write_clpf
+
 
 def _fast_cfg(**kw):
     cfg = default_config()
@@ -326,6 +328,9 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         "probe_lr=-0.01",
         "adam_eps=-1",
         "seed=-1",
+        "feature_dim=8",  # the default identity encoder keeps the input dim
+        "hidden_dim=7",  # the default identity encoder has no hidden layer
+        "encoder=bogus",
     ],
 )
 def test_main_rejects_bad_distill_values_before_building_data(
@@ -641,25 +646,25 @@ def test_main_rejects_eval_split_that_does_not_fit_train(tmp_path, capsys, monke
     assert ran == []
 
 
-def _main_on_train_file(tmp_path, capsys, monkeypatch, command, train):
-    """Run `command` through main on `train` saved as data_train; returns
-    (exit code, stderr lines, data_train path, run_distill calls)."""
+def _main_on_data_file(tmp_path, capsys, monkeypatch, command, key, path):
+    """Run `command` through main with `path` as its `key` file (data_train or
+    data_eval); returns (exit code, stderr lines, run_distill calls)."""
     cfg = _train_and_eval_files(tmp_path)
-    cfg["data_train"] = str(tmp_path / "bad-train.clpf")
-    save_features(train, cfg["data_train"])
+    cfg[key] = str(path)
     syn = tmp_path / "syn.clpf"
     save_features(Dataset(np.zeros((3, 4)), np.arange(3), class_count=3), syn)
     ran = []
     monkeypatch.setattr(clpdd.cli, "run_distill", lambda *a, **k: ran.append(a))
     where = ["--synthetic", str(syn)] if command == "eval" else ["--out", str(tmp_path / "o")]
     code = main(_argv(cfg, command, *where))
-    return code, capsys.readouterr().err.strip().splitlines(), cfg["data_train"], ran
+    return code, capsys.readouterr().err.strip().splitlines(), ran
 
 
 @pytest.mark.parametrize("command", ["distill", "eval", "compare"])
 def test_main_rejects_a_train_file_without_features(tmp_path, capsys, monkeypatch, command):
-    train = Dataset(np.zeros((6, 0)), np.arange(6) % 3, class_count=3)
-    code, err, path, ran = _main_on_train_file(tmp_path, capsys, monkeypatch, command, train)
+    path = tmp_path / "bad-train.clpf"
+    write_clpf(path, np.zeros((6, 0)), np.arange(6) % 3, 3)
+    code, err, ran = _main_on_data_file(tmp_path, capsys, monkeypatch, command, "data_train", path)
     assert code == 2
     assert err == [f"feature file error: {path}: rows have no features (dim 0)"]
     assert ran == []
@@ -667,11 +672,48 @@ def test_main_rejects_a_train_file_without_features(tmp_path, capsys, monkeypatc
 
 @pytest.mark.parametrize("command", ["distill", "eval", "compare"])
 def test_main_rejects_a_train_file_without_classes(tmp_path, capsys, monkeypatch, command):
-    train = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), class_count=0)
-    code, err, path, ran = _main_on_train_file(tmp_path, capsys, monkeypatch, command, train)
+    path = tmp_path / "bad-train.clpf"
+    write_clpf(path, np.zeros((0, 4)), [], 0)
+    code, err, ran = _main_on_data_file(tmp_path, capsys, monkeypatch, command, "data_train", path)
     assert code == 2
     assert err == [f"feature file error: {path}: no classes (class count 0)"]
     assert ran == []
+
+
+@pytest.mark.parametrize("name", ["empty.clpf", "empty.csv"])
+@pytest.mark.parametrize("command", ["distill", "eval", "compare"])
+def test_main_rejects_an_eval_split_without_rows(tmp_path, capsys, monkeypatch, command, name):
+    # a CLPF header counting no rows and no classes, or a CSV header alone
+    path = tmp_path / name
+    if name.endswith(".clpf"):
+        write_clpf(path, np.zeros((0, 4)), [], 0)
+    else:
+        path.write_text("label,f0,f1,f2,f3\n")
+    code, err, ran = _main_on_data_file(tmp_path, capsys, monkeypatch, command, "data_eval", path)
+    assert code == 2
+    assert err == [f"feature file error: {path}: no classes (class count 0)"]
+    assert ran == []
+
+
+def test_main_rejects_a_csv_value_that_is_not_a_number(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "text.csv"
+    path.write_text("label,f0,f1,f2,f3\n0,0.1,0.2,0.3,0.4\nx,0.1,0.2,0.3,0.4\n")
+    code, err, ran = _main_on_data_file(tmp_path, capsys, monkeypatch, "distill", "data_train",
+                                        path)
+    assert code == 2
+    assert err == [f"feature file error: {path}:3: expected an integer label, then numbers"]
+    assert ran == []
+
+
+@pytest.mark.parametrize("command", ["distill", "compare", "sweep"])
+def test_main_leaves_no_out_directory_after_a_rejection(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    argv = [command, "--out", str(out), "--set", "blob_seed=-1"]
+    if command == "sweep":
+        argv += ["--param", "tau", "--values", "0.05"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: blob_seed must be >= 0")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["data_train", "data_eval"])

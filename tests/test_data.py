@@ -8,6 +8,7 @@ from clpdd.data import (
     LabelRangeError,
     MissingClassError,
     NonFiniteFeatureError,
+    ShapeError,
     TruncatedFileError,
     VersionError,
     check_every_class,
@@ -20,7 +21,7 @@ from clpdd.data import (
 from clpdd.evaluation import _accuracy
 from clpdd.solver import ridge_kernel
 
-from oracles import class_rows, datasets_equal
+from oracles import class_rows, datasets_equal, write_clpf
 
 
 def test_blobs_zero_variance_collapses_to_centers():
@@ -84,15 +85,29 @@ def test_clpf_round_trip_keeps_classes_without_rows(tmp_path):
     assert loaded.class_indices(1).size == 0 and loaded.class_indices(3).size == 0
 
 
-@pytest.mark.parametrize("shape", [(0, 3), (2, 0)], ids=["no-rows", "no-features"])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_save_features_writes_the_documented_clpf_layout(tmp_path, dtype):
+    ds = _random_dataset(np.random.default_rng(12))
+    save_features(ds, tmp_path / "lib.clpf", dtype=dtype)
+    write_clpf(tmp_path / "doc.clpf", ds.inputs, ds.labels, ds.class_count, dtype=dtype)
+    assert (tmp_path / "lib.clpf").read_bytes() == (tmp_path / "doc.clpf").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [((0, 3), "no classes (class count 0)"), ((2, 0), "rows have no features (dim 0)")],
+    ids=["no-rows", "no-features"],
+)
 @pytest.mark.parametrize("dtype", ["f64", "f32"])
-def test_clpf_round_trip_with_an_empty_payload(tmp_path, shape, dtype):
-    ds = Dataset(np.zeros(shape), np.arange(shape[0]), class_count=shape[0])
+def test_clpf_round_trip_with_an_empty_payload(tmp_path, shape, message, dtype):
+    # a file with no rows (so no classes) or no features holds no Dataset;
+    # its header alone is rejected, also where only the header is read
     path = tmp_path / "empty.clpf"
-    save_features(ds, path, dtype=dtype)
-    loaded = load_features(path)
-    assert loaded.inputs.shape == shape and loaded.inputs.dtype == np.float64
-    assert datasets_equal(loaded, ds)
+    write_clpf(path, np.zeros(shape), np.arange(shape[0]), shape[0], dtype=dtype)
+    for read in (load_features, feature_shape):
+        with pytest.raises(ShapeError) as ei:
+            read(path)
+        assert str(ei.value) == f"{path}: {message}"
 
 
 def test_clpf_round_trip_f32_widens(tmp_path):
@@ -205,13 +220,24 @@ def test_dataset_rejects_out_of_range_labels():
 
 
 def test_dataset_rejects_row_count_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeError):
         Dataset(np.zeros((3, 2)), np.array([0, 1]), class_count=2)
 
 
 def test_dataset_rejects_fewer_samples_than_classes():
-    with pytest.raises(ValueError):
+    with pytest.raises(MissingClassError, match=r"^2 rows cannot cover 3 classes$"):
         Dataset(np.zeros((2, 2)), np.array([0, 1]), class_count=3)
+
+
+@pytest.mark.parametrize(
+    "inputs, labels",
+    [(np.zeros(4), np.arange(4) % 2), (np.zeros((4, 2, 1)), np.arange(4) % 2),
+     (np.zeros((4, 2)), np.zeros((4, 1), dtype=np.int64))],
+    ids=["1-d-inputs", "3-d-inputs", "2-d-labels"],
+)
+def test_dataset_rejects_inputs_that_are_not_rows(inputs, labels):
+    with pytest.raises(ShapeError, match=r"^inputs must be n x dim and labels n long"):
+        Dataset(inputs, labels, class_count=2)
 
 
 def test_class_indices_cached_and_equal_to_flatnonzero():
@@ -259,7 +285,11 @@ def test_load_rejects_non_finite_payload(tmp_path, bad, suffix):
     inputs[3, 1] = bad
     inputs[6, 0] = bad
     path = tmp_path / f"nan{suffix}"
-    save_features(Dataset(inputs, ds.labels, ds.class_count), path)
+    if suffix == ".clpf":
+        write_clpf(path, inputs, ds.labels, ds.class_count)
+    else:
+        rows = [f"{y}," + ",".join(map(repr, map(float, x))) for x, y in zip(inputs, ds.labels)]
+        path.write_text("label,f0,f1,f2\n" + "\n".join(rows) + "\n")
     with pytest.raises(NonFiniteFeatureError) as ei:
         load_features(path)
     assert isinstance(ei.value, FeatureFileError)
@@ -284,4 +314,24 @@ def test_csv_reports_a_nan_row_before_a_label_gap(tmp_path, body):
     p = tmp_path / "both.csv"
     p.write_text("label,f0\n" + body)
     with pytest.raises(NonFiniteFeatureError, match=r"both\.csv:3: row 1 holds non-finite"):
+        load_features(p)
+
+
+@pytest.mark.parametrize(
+    "row", ["x,0.5,1.0", "1.5,0.5,1.0", "1,abc,1.0"], ids=["label-x", "label-1.5", "feature-abc"]
+)
+def test_csv_rejects_a_value_that_is_not_a_number(tmp_path, row):
+    p = tmp_path / "text.csv"
+    p.write_text(f"label,f0,f1\n0,0.1,0.2\n{row}\n1,0.3,0.4\n")
+    with pytest.raises(FeatureFileError) as ei:
+        load_features(p)
+    assert str(ei.value) == f"{p}:3: expected an integer label, then numbers"
+
+
+
+@pytest.mark.parametrize("labels", ["0,-1,1", "-3,-3"], ids=["one-negative", "all-negative"])
+def test_csv_rejects_a_negative_label(tmp_path, labels):
+    p = tmp_path / "neg.csv"
+    p.write_text("label,f0\n" + "".join(f"{y},0.5\n" for y in labels.split(",")))
+    with pytest.raises(LabelRangeError, match=r"neg\.csv: labels must lie in \[0, "):
         load_features(p)

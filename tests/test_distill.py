@@ -9,6 +9,7 @@ from clpdd.data import (
     Dataset,
     MissingClassError,
     NonFiniteFeatureError,
+    ShapeError,
     gen_blobs,
     load_features,
     save_features,
@@ -244,6 +245,26 @@ def test_augment_reproducible():
     a = next(augment_noise((5, 5), 0.5, rng_stream(11, "augment")))
     b = next(augment_noise((5, 5), 0.5, rng_stream(11, "augment")))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "stream, arg, match",
+    [
+        ("noise", (0, 3), r"^shape must have extents >= 1, got \(0, 3\)$"),
+        ("noise", (3, 0), r"^shape must have extents >= 1, got \(3, 0\)$"),
+        ("batch", 0, r"^b_per_class must be >= 1, got 0$"),
+        ("batch", -1, r"^b_per_class must be >= 1, got -1$"),
+    ],
+    ids=["noise-no-rows", "noise-no-columns", "batch-b-0", "batch-b-negative"],
+)
+def test_streams_reject_an_empty_draw(stream, arg, match):
+    rng = rng_stream(0, stream)
+    if stream == "noise":
+        draws = augment_noise(arg, 0.01, rng)
+    else:
+        draws = balanced_batches(_blob_task()[0], arg, rng)
+    with pytest.raises(ValueError, match=match):
+        next(draws)
 
 
 @pytest.mark.parametrize("shape", [(5, 16), (40, 512)])  # ~100 steps per refill, and 1
@@ -505,18 +526,30 @@ def _encoder_of_other_dim(train, ev):
 @pytest.mark.parametrize(
     "build, error, match",
     [
-        (_nan_row, NonFiniteFeatureError, r"^real set row 7 holds non-finite features"),
+        (_nan_row, NonFiniteFeatureError, r"^row 7 holds non-finite features \(1 bad row in"),
+        (_rows_without_features, ShapeError, r"^rows have no features \(dim 0\)$"),
+        (_no_classes, ShapeError, r"^no classes \(class count 0\)$"),
+    ],
+    ids=["nan_row", "no_features", "no_classes"],
+)
+def test_run_distill_never_sees_a_set_the_dataset_rejects(build, error, match):
+    # a Dataset checks its own rows when it is built, so run_distill need not
+    with pytest.raises(error, match=match):
+        build(*_blob_task())
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
         (_class_without_rows, MissingClassError, r"^real set: no rows for class ids \[3\] of 4"),
-        (_rows_without_features, DimensionError, r"^real set rows have no features \(dim 0\)$"),
         (_eval_split_of_other_dim, DimensionError, r"^eval split is 4-dim, real set 5-dim$"),
         (_encoder_of_other_dim, DimensionError, r"^encoder expects 6-dim inputs, real set has 5"),
-        (_no_classes, ValueError, r"^real set has no classes \(class count 0\)$"),
     ],
-    ids=["nan_row", "class_without_rows", "no_features", "eval_dim", "encoder_dim", "no_classes"],
+    ids=["class_without_rows", "eval_dim", "encoder_dim"],
 )
 def test_run_distill_rejects_bad_data_before_the_first_step(monkeypatch, build, error, match):
-    # a library-built Dataset is never checked for finiteness or empty
-    # classes on construction; run_distill checks it once, before any step
+    # a set may lack rows of a class, and its dims are the run's to match:
+    # run_distill checks both once, before any step
     steps = []
     step = clpdd.distill.distill_step
 
