@@ -30,10 +30,10 @@ print(f"task: {train.class_count} classes, d={train.dim}, "
       f"{train.n} train / {ev.n} eval samples")
 
 cfg = DistillConfig(iterations=1000, seed=0)
-syn, report = run_distill(cfg, train, ev)
+syn, curve = run_distill(cfg, train, ev)
 
 print("\ndistillation trace (loss is the class-anchor outer objective):")
-for m in report.curve:
+for m in curve:
     if m.eval_acc is not None:
         print(f"  iter {m.iteration + 1:4d}: outer loss {m.outer_loss:.4f}, "
               f"closed-form eval acc {m.eval_acc:.3f}")

@@ -27,7 +27,7 @@ from .data import (
     load_features,
     save_features,
 )
-from .distill import DistillConfig, run_distill, stream_seed
+from .distill import DistillConfig, DistillDivergenceError, run_distill, stream_seed
 from .encoder import encode
 from .evaluation import (
     pca_project_2d,
@@ -189,7 +189,7 @@ def build_data(cfg: dict, data_seed: int | None = None):
     raise ConfigError(f"unknown data source {cfg['data']!r} (use 'blobs' or 'files')")
 
 
-def _check_ipc_fits(train: Dataset, cfg: dict, methods=()):
+def _check_ipc_fits(train: Dataset, cfg: dict, methods: list[str]):
     """from_real init and the random and centroid baselines pick ipc rows of
     every train class; a class with fewer rows is a ConfigError."""
     if cfg["init"] != "from_real" and not {"random", "centroid"} & set(methods):
@@ -234,9 +234,22 @@ def _eval_split_for(syn_data: Dataset, cfg: dict) -> Dataset | None:
     return ev
 
 
-def _features(enc, data: Dataset) -> Dataset:
-    """`data` with its rows passed through the encoder."""
-    return Dataset(encode(enc, data.inputs), data.labels, data.class_count)
+def _split_name(cfg: dict, key: str) -> str:
+    """The file of the data_train or data_eval split, or what it is under blobs."""
+    return cfg[key] or f"the blob {key.removeprefix('data_')} split"
+
+
+def _features(enc, data: Dataset, source: str) -> Dataset:
+    """`data` with its rows passed through the encoder. Features no Dataset
+    can hold (an encoder that overflows) raise FeatureFileError naming
+    `source`, the set's file or what it is, and the encoder kind."""
+    try:
+        with np.errstate(all="ignore"):  # the Dataset check reports what overflows
+            feats = encode(enc, data.inputs)
+        return Dataset(feats, data.labels, data.class_count)
+    except FeatureFileError as e:
+        e.args = (f"{source} encoded with encoder={enc.kind}: {e}",)
+        raise
 
 
 def _probe_accuracy(train: Dataset, eval_set: Dataset, cfg: dict, probe_seed: int) -> float:
@@ -260,31 +273,6 @@ def cmd_gradcheck(cfg: dict, json_path=None):
     return (0 if report["passed"] else 1), report
 
 
-def cmd_distill(cfg: dict, out_dir) -> RunReport:
-    """Distill once; writes synthetic.clpf, report.json and curve.csv."""
-    t0 = time.perf_counter()
-    train, ev = build_data(cfg)
-    _check_ipc_fits(train, cfg)
-    dcfg = distill_config_from(cfg)
-    enc = dcfg.build_encoder(train.dim)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    syn, report = run_distill(dcfg, train, ev, enc=enc)
-    synthetic_path = out / "synthetic.clpf"
-    save_features(syn, synthetic_path)
-    if ev is not None:
-        acc = _probe_accuracy(
-            _features(enc, syn), _features(enc, ev), cfg, stream_seed(cfg["seed"], "probe")
-        )
-        report.accuracies["clpdd"] = MethodAccuracy([acc])
-    report.config = dict(cfg)
-    report.synthetic_path = str(synthetic_path)
-    report.wall_seconds = time.perf_counter() - t0
-    report.save_json(out / "report.json")
-    report.save_curve_csv(out / "curve.csv")
-    return report
-
-
 def _parse_methods(cfg: dict) -> list[str]:
     methods = []
     for token in cfg["compare_methods"].split(","):
@@ -306,13 +294,12 @@ def _parse_methods(cfg: dict) -> list[str]:
     return methods
 
 
-def _compare_one_seed(cfg: dict, methods: list[str], index: int):
-    """All requested methods for one run seed; returns (accs, curve)."""
+def _run_seed(cfg: dict, methods: list[str], index: int):
+    """Every requested method for one run seed; returns (accs, curve, clpdd's
+    set or None). Without an eval split nothing is probed and accs is {}."""
     run_seed = cfg["seed"] + index
     data_seed = cfg["blob_seed"] + index if cfg["data"] == "blobs" else None
     train, ev = build_data(cfg, data_seed=data_seed)
-    if ev is None:
-        raise ConfigError("compare needs an eval split (set data_eval)")
     # every seed's split has the same class counts, so only the first seed's
     # check can fail, before any step
     _check_ipc_fits(train, cfg, methods)
@@ -322,28 +309,70 @@ def _compare_one_seed(cfg: dict, methods: list[str], index: int):
     distilled: dict[str, Dataset] = {}
     curve = []
     if "clpdd" in methods:
-        distilled["clpdd"], rep = run_distill(dcfg, train, ev, enc=enc)
-        curve = rep.curve
+        distilled["clpdd"], curve = run_distill(dcfg, train, ev, enc=enc)
     if "mse-ablation" in methods:
         distilled["mse-ablation"], _ = run_distill(
             replace(dcfg, outer_objective="mse"), train, ev, enc=enc
         )
+    if ev is None:
+        return {}, curve, distilled.get("clpdd")
     # past the last step, each split and each set is encoded once; the
     # feature baselines pick rows of the encoded train split as they are
-    feats = {name: _features(enc, syn) for name, syn in distilled.items()}
+    feats = {name: _features(enc, syn, f"the {name} set") for name, syn in distilled.items()}
     if "random" in methods:
         sel = select_random(train, cfg["ipc"], seed=stream_seed(run_seed, "select"))
-        feats["random"] = _features(enc, sel)
+        feats["random"] = _features(enc, sel, "the random set")
     if "centroid" in methods or "neighbor" in methods:
-        real_feats = _features(enc, train)
+        real_feats = _features(enc, train, _split_name(cfg, "data_train"))
         if "centroid" in methods:
             feats["centroid"] = select_centroid(real_feats, cfg["ipc"])
         if "neighbor" in methods:
             feats["neighbor"] = select_neighbor(real_feats, feats["clpdd"])
-    ev_feats = _features(enc, ev)
+    ev_feats = _features(enc, ev, _split_name(cfg, "data_eval"))
     probe_seed = stream_seed(run_seed, "probe")
     accs = {name: _probe_accuracy(f, ev_feats, cfg, probe_seed) for name, f in feats.items()}
     return accs, curve, distilled.get("clpdd")
+
+
+def _run(cfg: dict, methods: list[str], seeds: int):
+    """The methods over `seeds` run seeds; returns (report, first seed's
+    clpdd set or None)."""
+    t0 = time.perf_counter()
+    runs = [_run_seed(cfg, methods, i) for i in range(seeds)]
+    accuracies = {
+        name: MethodAccuracy([accs[name] for accs, _, _ in runs])
+        for name in METHOD_NAMES
+        if name in runs[0][0]
+    }
+    report = RunReport(
+        config=dict(cfg),
+        curve=runs[0][1],
+        accuracies=accuracies,
+        seeds=[cfg["seed"] + i for i in range(seeds)],
+        wall_seconds=time.perf_counter() - t0,
+    )
+    return report, runs[0][2]
+
+
+def _write_run(report: RunReport, syn: Dataset | None, out_dir) -> RunReport:
+    """Make `out_dir` and write synthetic.clpf (when there is a set),
+    report.json and curve.csv into it."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if syn is not None:
+        synthetic_path = out / "synthetic.clpf"
+        save_features(syn, synthetic_path)
+        report.synthetic_path = str(synthetic_path)
+    report.save_json(out / "report.json")
+    report.save_curve_csv(out / "curve.csv")
+    return report
+
+
+def cmd_distill(cfg: dict, out_dir) -> RunReport:
+    """`compare` with one seed and clpdd alone, whose eval split is optional:
+    without one nothing is probed. Writes synthetic.clpf, report.json and
+    curve.csv."""
+    return _write_run(*_run(cfg, ["clpdd"], 1), out_dir)
 
 
 def compare_report(cfg: dict):
@@ -351,38 +380,17 @@ def compare_report(cfg: dict):
 
     Returns (report, first seed's distilled set or None).
     """
-    t0 = time.perf_counter()
     methods = _parse_methods(cfg)
-    k = cfg["compare_seeds"]
-    if k < 1:
+    if cfg["compare_seeds"] < 1:
         raise ConfigError("compare_seeds must be >= 1")
-    runs = [_compare_one_seed(cfg, methods, i) for i in range(k)]
-    accuracies = {
-        name: MethodAccuracy([accs[name] for accs, _, _ in runs])
-        for name in METHOD_NAMES
-        if name in methods
-    }
-    report = RunReport(
-        config=dict(cfg),
-        curve=runs[0][1],
-        accuracies=accuracies,
-        seeds=[cfg["seed"] + i for i in range(k)],
-        wall_seconds=time.perf_counter() - t0,
-    )
-    return report, runs[0][2]
+    # blobs always have an eval split; a files source names its own
+    if cfg["data"] == "files" and not cfg["data_eval"]:
+        raise ConfigError("compare needs an eval split (set data_eval)")
+    return _run(cfg, methods, cfg["compare_seeds"])
 
 
 def cmd_compare(cfg: dict, out_dir) -> RunReport:
-    report, first_syn = compare_report(cfg)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if first_syn is not None:
-        synthetic_path = out / "synthetic.clpf"
-        save_features(first_syn, synthetic_path)
-        report.synthetic_path = str(synthetic_path)
-    report.save_json(out / "report.json")
-    report.save_curve_csv(out / "curve.csv")
-    return report
+    return _write_run(*compare_report(cfg), out_dir)
 
 
 def cmd_sweep(cfg: dict, param: str, values: list, out_dir):
@@ -424,7 +432,10 @@ def cmd_eval(cfg: dict, synthetic_path, json_path=None) -> dict:
         raise ConfigError("eval needs an eval split (set data_eval)")
     enc = distill_config_from(cfg).build_encoder(syn_data.dim)
     acc = _probe_accuracy(
-        _features(enc, syn_data), _features(enc, ev), cfg, stream_seed(cfg["seed"], "probe")
+        _features(enc, syn_data, str(synthetic_path)),
+        _features(enc, ev, _split_name(cfg, "data_eval")),
+        cfg,
+        stream_seed(cfg["seed"], "probe"),
     )
     result = {
         "synthetic_path": str(synthetic_path),
@@ -443,9 +454,11 @@ def cmd_export_embeddings(cfg: dict, synthetic_path, out_path):
     none."""
     syn_data = load_features(synthetic_path)
     ev = _eval_split_for(syn_data, cfg)
-    real = ev if ev is not None else build_data(cfg)[0]
+    real, key = (ev, "data_eval") if ev is not None else (build_data(cfg)[0], "data_train")
     enc = distill_config_from(cfg).build_encoder(syn_data.dim)
-    proj, _ = pca_project_2d(np.vstack([encode(enc, real.inputs), encode(enc, syn_data.inputs)]))
+    feats = [_features(enc, real, _split_name(cfg, key)),
+             _features(enc, syn_data, str(synthetic_path))]
+    proj, _ = pca_project_2d(np.vstack([f.inputs for f in feats]))
     labels = np.concatenate([real.labels, syn_data.labels])
     origins = ["real"] * real.n + ["synthetic"] * syn_data.n
     lines = ["x,y,label,origin"] + [
@@ -515,6 +528,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.overrides)
         distill_config_from(cfg)  # reject bad distillation values before any data is built
+        if args.command in ("distill", "compare", "sweep"):
+            out = Path(args.out)
+            if out.exists() and not out.is_dir():
+                raise ConfigError(f"--out {out} exists and is not a directory")
         if args.command == "gradcheck":
             code, _ = cmd_gradcheck(cfg, json_path=args.json)
             return code
@@ -552,6 +569,13 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"no such file: {e.filename}", file=sys.stderr)
         return 2
+    except OSError as e:  # a path that is there but cannot be used as asked
+        where = "" if e.filename is None else f"{e.filename}: "
+        print(f"file error: {where}{e.strerror or e}", file=sys.stderr)
+        return 2
+    except DistillDivergenceError as e:  # a failed run, not a usage error
+        print(f"divergence: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

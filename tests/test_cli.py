@@ -784,3 +784,102 @@ def test_eval_and_export_read_only_the_header_of_a_clpf_train_file(tmp_path, mon
     cmd_export_embeddings(cfg, syn, tmp_path / "emb.csv")
     assert result["eval_acc"] == report.accuracies["clpdd"].mean
     assert cfg["data_eval"] in loaded and cfg["data_train"] not in loaded
+
+
+def test_distill_is_a_one_seed_clpdd_compare(tmp_path):
+    cfg = _fast_cfg(compare_seeds=1, compare_methods="clpdd")
+    distilled = cmd_distill(cfg, tmp_path / "d")
+    compared = cmd_compare(cfg, tmp_path / "c")
+    for name in ("synthetic.clpf", "curve.csv"):
+        assert (tmp_path / "d" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+    assert distilled.accuracies == compared.accuracies
+    assert distilled.seeds == compared.seeds == [cfg["seed"]]
+
+
+def test_distill_without_an_eval_split_probes_nothing(tmp_path, monkeypatch):
+    cfg = _train_and_eval_files(tmp_path)
+    cfg["data_eval"] = ""
+    probes = []
+    monkeypatch.setattr(clpdd.cli, "train_linear_probe", lambda *a, **k: probes.append(a))
+    report = cmd_distill(cfg, tmp_path / "run")
+    assert report.accuracies == {} and probes == []
+    assert len(report.curve) == cfg["iterations"]
+    assert all(m.eval_acc is None for m in report.curve)
+    assert (tmp_path / "run" / "synthetic.clpf").exists()
+
+
+def _small(*sets):
+    argv = []
+    for item in ("blob_classes=3", "blob_dim=4", "blob_per_class=10", "iterations=2",
+                 "probe_epochs=5", *sets):
+        argv += ["--set", item]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "case", ["distill", "compare", "sweep", "eval-synthetic", "eval-json", "export", "config"]
+)
+def test_main_reports_a_path_of_the_wrong_kind_in_one_line(tmp_path, capsys, monkeypatch, case):
+    a_file, a_dir = tmp_path / "a-file", tmp_path / "a-dir"
+    a_file.write_text("")
+    a_dir.mkdir()
+    syn = tmp_path / "syn.clpf"
+    save_features(Dataset(np.zeros((3, 4)), np.arange(3), class_count=3), syn)
+    ran = []
+    if case in ("distill", "compare", "sweep"):
+        monkeypatch.setattr(clpdd.cli, "run_distill", lambda *a, **k: ran.append(a))
+    argv = {
+        "distill": ["distill", "--out", str(a_file)],
+        "compare": ["compare", "--out", str(a_file)],
+        "sweep": ["sweep", "--param", "tau", "--values", "0.05", "--out", str(a_file)],
+        "eval-synthetic": ["eval", "--synthetic", str(a_dir)],
+        "eval-json": ["eval", "--synthetic", str(syn), "--json", str(a_dir)],
+        "export": ["export-embeddings", "--synthetic", str(syn), "--out", str(a_dir)],
+        "config": ["distill", "--out", str(tmp_path / "o"), "--config", str(a_dir)],
+    }[case]
+    assert main(argv + _small()) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    if case in ("distill", "compare", "sweep"):
+        assert err == [f"config error: --out {a_file} exists and is not a directory"]
+        assert ran == []
+    else:
+        assert err[0].startswith("file error: ") and str(a_dir) in err[0]
+    assert a_file.read_text() == "" and list(a_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+def test_main_names_the_file_and_encoder_whose_features_overflow(tmp_path, capsys, command):
+    syn = tmp_path / "huge.clpf"
+    save_features(Dataset(np.full((3, 4), 1.7e308), np.arange(3), class_count=3), syn)
+    argv = [command, "--synthetic", str(syn)] + _small("encoder=linear", "feature_dim=4")
+    if command == "export-embeddings":
+        argv += ["--out", str(tmp_path / "emb.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("feature file error: ")
+    assert str(syn) in err[0] and "encoder=linear" in err[0]
+    assert not (tmp_path / "emb.csv").exists()
+
+
+def test_main_reports_a_divergence_in_one_line(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["distill", "--out", str(out)] + _small("tau=1e-300")) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("divergence: ")
+    assert not out.exists()
+
+
+def test_main_rejects_compare_without_an_eval_split_before_building_data(
+    tmp_path, capsys, monkeypatch
+):
+    cfg = _train_and_eval_files(tmp_path)
+    built = []
+    build = clpdd.cli.build_data
+    monkeypatch.setattr(clpdd.cli, "build_data", lambda *a, **k: built.append(a) or build(*a, **k))
+    argv = ["compare", "--out", str(tmp_path / "o"), "--set", "data=files",
+            "--set", f"data_train={cfg['data_train']}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: compare needs an eval split (set data_eval)"]
+    assert built == []

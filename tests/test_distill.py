@@ -1,6 +1,3 @@
-import json
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
@@ -375,9 +372,9 @@ def test_meta_loss_cores_match_the_public_chain(kind, objective, ipc, mode):
 def test_same_seed_identical_loss_sequences():
     train, _ = _blob_task()
     cfg = _tiny_cfg(iterations=10, augment_noise_sigma=0.01)
-    _, rep1 = run_distill(cfg, train)
-    _, rep2 = run_distill(cfg, train)
-    assert [m.outer_loss for m in rep1.curve] == [m.outer_loss for m in rep2.curve]
+    _, curve1 = run_distill(cfg, train)
+    _, curve2 = run_distill(cfg, train)
+    assert [m.outer_loss for m in curve1] == [m.outer_loss for m in curve2]
 
 
 @pytest.mark.parametrize(
@@ -398,7 +395,7 @@ def test_run_distill_matches_a_loop_drawing_every_step(
     cfg = _tiny_cfg(
         iterations=iterations, ipc=ipc, augment_noise_sigma=sigma, outer_objective=objective
     )
-    syn, rep = run_distill(cfg, train)
+    syn, curve = run_distill(cfg, train)
     init = init_synthetic(3, ipc, train.dim, seed=stream_seed(cfg.seed, "init"))
     enc, y = cfg.build_encoder(train.dim), init.onehot_labels()
 
@@ -409,17 +406,17 @@ def test_run_distill_matches_a_loop_drawing_every_step(
         init.inputs, train.inputs, train.labels, 3, cfg, loss_and_grad,
         rng_stream(cfg.seed, "batch"), rng_stream(cfg.seed, "augment"),
     )
-    assert [m.outer_loss for m in rep.curve] == ref_losses
+    assert [m.outer_loss for m in curve] == ref_losses
     assert np.array_equal(syn.inputs, ref_inputs)
 
 
 def test_run_distill_zero_iterations_is_noop():
     train, _ = _blob_task()
     cfg = _tiny_cfg(iterations=0)
-    syn, rep = run_distill(cfg, train)
+    syn, curve = run_distill(cfg, train)
     init = init_synthetic(3, 1, train.dim, seed=stream_seed(cfg.seed, "init"))
     assert np.array_equal(syn.inputs, init.inputs)
-    assert rep.curve == []
+    assert curve == []
 
 
 @pytest.mark.parametrize("name", ["syn.clpf", "syn.csv"])
@@ -431,31 +428,23 @@ def test_distilled_set_round_trips_through_feature_files(tmp_path, name):
     assert datasets_equal(load_features(tmp_path / name), syn)
 
 
-def test_run_distill_report_records_config():
-    train, _ = _blob_task()
-    cfg = _tiny_cfg(iterations=2, tau=0.2)
-    _, rep = run_distill(cfg, train)
-    assert rep.config == asdict(cfg)
-    assert DistillConfig(**json.loads(json.dumps(rep.config))) == cfg
-
-
 def test_run_distill_loss_decreases_on_blobs():
     for seed in range(5):
         train, ev = gen_blobs(
             5, 16, 40, center_scale=0.1, cluster_std=0.15, seed=seed, anisotropic=True
         )
         cfg = DistillConfig(iterations=500, seed=seed, eval_every=250)
-        _, rep = run_distill(cfg, train, ev)
-        assert rep.curve[-1].outer_loss < rep.curve[0].outer_loss
+        _, curve = run_distill(cfg, train, ev)
+        assert curve[-1].outer_loss < curve[0].outer_loss
 
 
 def test_run_distill_curve_bookkeeping():
     train, ev = _blob_task()
     cfg = _tiny_cfg(iterations=7, eval_every=3)
-    _, rep = run_distill(cfg, train, ev)
-    assert len(rep.curve) == 7
-    assert [m.iteration for m in rep.curve] == list(range(7))
-    recorded = [m.iteration for m in rep.curve if m.eval_acc is not None]
+    _, curve = run_distill(cfg, train, ev)
+    assert len(curve) == 7
+    assert [m.iteration for m in curve] == list(range(7))
+    recorded = [m.iteration for m in curve if m.eval_acc is not None]
     assert recorded == [2, 5]  # every eval_every steps
 
 
