@@ -10,7 +10,10 @@ per-purpose streams.
 
 import argparse
 import ctypes
+import errno
 import json
+import math
+import os
 import sys
 import time
 from dataclasses import fields, replace
@@ -118,8 +121,12 @@ def _coerce(key: str, raw: str, where: str) -> object:
 
 def parse_config_file(path) -> dict:
     """Parse a flat key=value file; returns only the keys present."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {e.start})") from e
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -155,8 +162,13 @@ def distill_config_from(cfg: dict) -> DistillConfig:
         raise ConfigError(str(e)) from e
 
 
-def build_data(cfg: dict, data_seed: int | None = None):
-    """Returns (train, eval-or-None) from the configured source."""
+def check_config(cfg: dict, command: str, out) -> None:
+    """Every rule that the config and the command's output path decide, checked
+    before any data is built. A broken rule is a ConfigError; an output path
+    that cannot be written raises the OSError its later write would raise.
+    `out` is the --out directory of distill, compare and sweep, the file
+    export-embeddings writes, or the --json file (None when there is none)."""
+    distill_config_from(cfg)
     if cfg["data"] == "blobs":
         for key in ("data_train", "data_eval"):
             if cfg[key]:
@@ -164,29 +176,80 @@ def build_data(cfg: dict, data_seed: int | None = None):
         for key in ("blob_classes", "blob_dim"):
             if cfg[key] < 1:
                 raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
+        if cfg["blob_per_class"] < 5:
+            raise ConfigError(
+                "blob_per_class must be >= 5 so the 80/20 split leaves each class an "
+                f"eval row, got {cfg['blob_per_class']}"
+            )
         if cfg["blob_seed"] < 0:
             raise ConfigError(f"blob_seed must be >= 0, got {cfg['blob_seed']}")
-        seed = cfg["blob_seed"] if data_seed is None else data_seed
-        try:
+        if not (math.isfinite(cfg["blob_center_scale"]) and cfg["blob_center_scale"] >= 0):
+            raise ConfigError(
+                f"blob_center_scale must be finite and >= 0, got {cfg['blob_center_scale']}"
+            )
+        if not (math.isfinite(cfg["blob_cluster_std"]) and cfg["blob_cluster_std"] > 0):
+            raise ConfigError(
+                f"blob_cluster_std must be finite and > 0, got {cfg['blob_cluster_std']}"
+            )
+    elif cfg["data"] == "files":
+        if not cfg["data_train"]:
+            raise ConfigError("data=files requires data_train")
+        for key in ("data_train", "data_eval"):
+            if "\0" in cfg[key]:
+                raise ConfigError(f"{key} holds a NUL byte, which no file name can")
+        # blobs always have an eval split; a files source names its own
+        if command in ("compare", "sweep", "eval") and not cfg["data_eval"]:
+            raise ConfigError(f"{command} needs an eval split (set data_eval)")
+    else:
+        raise ConfigError(f"unknown data source {cfg['data']!r} (use 'blobs' or 'files')")
+    if command in ("compare", "sweep"):
+        _parse_methods(cfg)
+        if cfg["compare_seeds"] < 1:
+            raise ConfigError("compare_seeds must be >= 1")
+    if out is not None:
+        _check_output(Path(out), is_dir=command in ("distill", "compare", "sweep"))
+
+
+def _check_output(path: Path, is_dir: bool) -> None:
+    """Raise now what writing the output `path` (a directory made with its
+    parents, or a file) would raise later."""
+    if is_dir and path.exists() and not path.is_dir():
+        raise ConfigError(f"--out {path} exists and is not a directory")
+    if not is_dir and path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    first = path if is_dir else path.parent  # the directory that must exist or be made
+    ancestor = first
+    while not ancestor.exists() and ancestor != ancestor.parent:
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+    if ancestor != first and not is_dir:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+
+
+def build_data(cfg: dict, data_seed: int | None = None):
+    """Returns (train, eval-or-None) from the source of a config that
+    `check_config` passed."""
+    if cfg["data"] == "files":
+        train = load_features(cfg["data_train"])
+        # balanced batches need rows of every class; an eval split may lack some
+        check_every_class(train, train.class_count, cfg["data_train"])
+        return train, _load_eval(cfg, train.dim, train.class_count)
+    try:
+        with np.errstate(all="ignore"):  # the Dataset check reports what overflows
             return gen_blobs(
                 cfg["blob_classes"],
                 cfg["blob_dim"],
                 cfg["blob_per_class"],
                 cfg["blob_center_scale"],
                 cfg["blob_cluster_std"],
-                seed=seed,
+                seed=cfg["blob_seed"] if data_seed is None else data_seed,
                 anisotropic=cfg["blob_anisotropic"],
             )
-        except ValueError as e:  # the rows per class cannot fill both splits
-            raise ConfigError(f"blob_per_class: {e}") from e
-    if cfg["data"] == "files":
-        if not cfg["data_train"]:
-            raise ConfigError("data=files requires data_train")
-        train = load_features(cfg["data_train"])
-        # balanced batches need rows of every class; an eval split may lack some
-        check_every_class(train, train.class_count, cfg["data_train"])
-        return train, _load_eval(cfg, train.dim, train.class_count)
-    raise ConfigError(f"unknown data source {cfg['data']!r} (use 'blobs' or 'files')")
+    except FeatureFileError as e:
+        e.args = (f"the blob splits of blob_center_scale={cfg['blob_center_scale']} and "
+                  f"blob_cluster_std={cfg['blob_cluster_std']}: {e}",)
+        raise
 
 
 def _check_ipc_fits(train: Dataset, cfg: dict, methods: list[str]):
@@ -376,17 +439,12 @@ def cmd_distill(cfg: dict, out_dir) -> RunReport:
 
 
 def compare_report(cfg: dict):
-    """Distill and evaluate every configured method over compare_seeds seeds.
+    """Distill and evaluate every configured method over compare_seeds seeds,
+    for a config that `check_config` passed.
 
     Returns (report, first seed's distilled set or None).
     """
-    methods = _parse_methods(cfg)
-    if cfg["compare_seeds"] < 1:
-        raise ConfigError("compare_seeds must be >= 1")
-    # blobs always have an eval split; a files source names its own
-    if cfg["data"] == "files" and not cfg["data_eval"]:
-        raise ConfigError("compare needs an eval split (set data_eval)")
-    return _run(cfg, methods, cfg["compare_seeds"])
+    return _run(cfg, _parse_methods(cfg), cfg["compare_seeds"])
 
 
 def cmd_compare(cfg: dict, out_dir) -> RunReport:
@@ -405,7 +463,7 @@ def cmd_sweep(cfg: dict, param: str, values: list, out_dir):
     for raw in values:
         value = _coerce(param, raw, "--values")
         cfg_v = dict(cfg, **{param: value})
-        distill_config_from(cfg_v)
+        check_config(cfg_v, "sweep", out_dir)
         runs.append((value, cfg_v))
     rows = [(value, compare_report(cfg_v)[0]) for value, cfg_v in runs]
     header = ["param", "value"]
@@ -425,11 +483,10 @@ def cmd_sweep(cfg: dict, param: str, values: list, out_dir):
 
 
 def cmd_eval(cfg: dict, synthetic_path, json_path=None) -> dict:
-    """Probe a saved synthetic set against the configured eval split."""
+    """Probe a saved synthetic set against the eval split of a config that
+    `check_config` passed."""
     syn_data = load_features(synthetic_path)
     ev = _eval_split_for(syn_data, cfg)
-    if ev is None:
-        raise ConfigError("eval needs an eval split (set data_eval)")
     enc = distill_config_from(cfg).build_encoder(syn_data.dim)
     acc = _probe_accuracy(
         _features(enc, syn_data, str(synthetic_path)),
@@ -456,9 +513,14 @@ def cmd_export_embeddings(cfg: dict, synthetic_path, out_path):
     ev = _eval_split_for(syn_data, cfg)
     real, key = (ev, "data_eval") if ev is not None else (build_data(cfg)[0], "data_train")
     enc = distill_config_from(cfg).build_encoder(syn_data.dim)
-    feats = [_features(enc, real, _split_name(cfg, key)),
-             _features(enc, syn_data, str(synthetic_path))]
-    proj, _ = pca_project_2d(np.vstack([f.inputs for f in feats]))
+    names = (_split_name(cfg, key), str(synthetic_path))
+    feats = [_features(enc, real, names[0]), _features(enc, syn_data, names[1])]
+    try:
+        proj, _ = pca_project_2d(np.vstack([f.inputs for f in feats]))
+    except ValueError as e:  # features finite, but too large for their variance
+        raise FeatureFileError(
+            f"{names[0]} and {names[1]} encoded with encoder={enc.kind}: {e}"
+        ) from e
     labels = np.concatenate([real.labels, syn_data.labels])
     origins = ["real"] * real.n + ["synthetic"] * syn_data.n
     lines = ["x,y,label,origin"] + [
@@ -527,11 +589,8 @@ def main(argv=None) -> int:
     _keep_freed_memory()  # the CLI owns its process; library callers keep their allocator
     try:
         cfg = load_config(args.config, args.overrides)
-        distill_config_from(cfg)  # reject bad distillation values before any data is built
-        if args.command in ("distill", "compare", "sweep"):
-            out = Path(args.out)
-            if out.exists() and not out.is_dir():
-                raise ConfigError(f"--out {out} exists and is not a directory")
+        out = args.json if args.command in ("gradcheck", "eval") else args.out
+        check_config(cfg, args.command, out)
         if args.command == "gradcheck":
             code, _ = cmd_gradcheck(cfg, json_path=args.json)
             return code

@@ -273,8 +273,8 @@ def feature_shape(path) -> tuple[int, int]:
 
 def _read_header(f, path) -> tuple[bool, int, int, int]:
     """(f64 payload, n, dim, class count) of the open CLPF file `f`, checked
-    against the file's size and the Dataset rule's dim and class-count half;
-    `f` is left at the start of the labels."""
+    against the file's size, the Dataset rule's dim and class-count half and
+    a nonzero row count; `f` is left at the start of the labels."""
     head = f.read(_HEADER.size)
     if len(head) < _HEADER.size:
         if head[:4] != CLPF_MAGIC:
@@ -286,6 +286,9 @@ def _read_header(f, path) -> tuple[bool, int, int, int]:
     if version != CLPF_VERSION:
         raise VersionError(f"{path}: unsupported version {version}")
     _check_shape(dim, classes, f"{path}: ")
+    # a Dataset has at least one row; without rows, no payload size bounds the dim
+    if n == 0:
+        raise MissingClassError(f"{path}: 0 rows cannot cover {classes} classes")
     f64 = bool(flags & _FLAG_F64)
     expected = _HEADER.size + 4 * n + (8 if f64 else 4) * n * dim
     size = os.fstat(f.fileno()).st_size
@@ -320,7 +323,10 @@ def _save_csv(dataset: Dataset, path: Path):
 
 
 def _load_csv(path: Path) -> Dataset:
-    lines = path.read_text().strip().splitlines()
+    try:
+        lines = path.read_text().strip().splitlines()
+    except UnicodeDecodeError as e:
+        raise FeatureFileError(f"{path}: not UTF-8 text (byte {e.start})") from e
     if not lines or not lines[0].startswith("label,"):
         raise BadMagicError(f"{path}: expected 'label,f0,...' CSV header")
     dim = len(lines[0].split(",")) - 1
@@ -334,7 +340,10 @@ def _load_csv(path: Path) -> Dataset:
             rows.append([float(v) for v in parts[1:]])
         except ValueError:
             raise FeatureFileError(f"{path}:{ln}: expected an integer label, then numbers")
-    labels = np.asarray(labels, dtype=np.int64)
+    try:
+        labels = np.asarray(labels, dtype=np.int64)
+    except OverflowError:
+        raise LabelRangeError(f"{path}: a label does not fit in 64 bits") from None
     inputs = np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
     # labels that are all negative still count one class, and fail its label range
     classes = int(labels.max(initial=0)) + 1 if labels.size else 0

@@ -32,7 +32,8 @@ BLOCK_DOUBLES = 1 << 13
 
 
 class DistillDivergenceError(RuntimeError):
-    """Raised when a step produces a non-finite or exploding gradient."""
+    """Raised when a step produces a non-finite or exploding gradient, or a
+    linear probe ends with non-finite weights, Adam moments or eval scores."""
 
 
 def stream_seed(seed: int, name: str) -> int:
@@ -308,8 +309,14 @@ def meta_loss_and_grad(
 
 
 def _divergence_diagnostics(enc: Encoder, inputs: np.ndarray, lam: float) -> str:
-    x = encode(enc, inputs)
-    mu = np.linalg.eigvalsh(x @ x.T)[-1]
+    """A bound on the condition number of the step's ridge system, or, where
+    the encoded inputs' Gram matrix overflows, that it is not finite."""
+    with np.errstate(all="ignore"):
+        x = encode(enc, inputs)
+        gram = x @ x.T
+    if not np.isfinite(gram).all():
+        return "the Gram matrix of the encoded inputs is not finite"
+    mu = np.linalg.eigvalsh(gram)[-1]
     return f"cond(A) <= {(mu + lam) / lam:.3e}"
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, check_every_class
-from .distill import AdamState, DistillConfig, adam_update
+from .distill import AdamState, DistillConfig, DistillDivergenceError, adam_update
 from .linalg import DimensionError
 from .objective import _softmax_rows
 
@@ -23,9 +23,9 @@ class ProbeResult:
     eval_acc: float
 
 
-def _accuracy(features: np.ndarray, labels: np.ndarray, w: np.ndarray) -> float:
+def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
     # np.argmax takes the lowest index among tied scores
-    return float(np.mean(np.argmax(features @ w, axis=1) == labels))
+    return float(np.mean(np.argmax(scores, axis=1) == labels))
 
 
 def train_linear_probe(
@@ -42,7 +42,9 @@ def train_linear_probe(
     fits inside one batch (always the case for one-sample-per-class
     synthetic sets). The class count is `train.class_count`; a class that no
     training row labels, or an eval class past that count, raises
-    MissingClassError.
+    MissingClassError. Weights, Adam moments or eval scores that end
+    non-finite (an lr or features so large that they overflow) raise
+    DistillDivergenceError.
     """
     if train.dim != eval_set.dim:
         raise DimensionError(f"feature dims differ: train {train.dim}, eval {eval_set.dim}")
@@ -60,24 +62,42 @@ def train_linear_probe(
     b1, b2, eps = 0.9, 0.999, 1e-8
     # full batch: the one batch is the whole set in its own order, gathered once
     full = [(x_train[np.arange(n)], t_onehot)] if n <= batch_size else None
-    for _ in range(epochs):
-        if full is None:
-            order = rng.permutation(n)
-            batches = (
-                (x_train[idx], t_onehot[idx])
-                for idx in (order[s : s + batch_size] for s in range(0, n, batch_size))
-            )
-        else:
-            batches = full
-        for x, t in batches:
-            pi = _softmax_rows(x @ w)
-            pi -= t
-            w -= adam_update(adam, x.T @ pi / x.shape[0], lr, b1, b2, eps)
-    return ProbeResult(w=w, eval_acc=_accuracy(eval_set.inputs, eval_set.labels, w))
+    # the check after the last epoch reports an overflow; numpy's float
+    # warnings on the way there add nothing
+    with np.errstate(all="ignore"):
+        for _ in range(epochs):
+            if full is None:
+                order = rng.permutation(n)
+                batches = (
+                    (x_train[idx], t_onehot[idx])
+                    for idx in (order[s : s + batch_size] for s in range(0, n, batch_size))
+                )
+            else:
+                batches = full
+            for x, t in batches:
+                pi = _softmax_rows(x @ w)
+                pi -= t
+                w -= adam_update(adam, x.T @ pi / x.shape[0], lr, b1, b2, eps)
+        scores = eval_set.inputs @ w
+    # an overflowed second moment freezes w at finite values, so both are checked
+    if not (np.isfinite(w).all() and np.isfinite(adam.v).all() and np.isfinite(scores).all()):
+        raise DistillDivergenceError(
+            "the linear probe's weights, Adam moments or eval scores became non-finite "
+            f"(probe_lr={lr})"
+        )
+    return ProbeResult(w=w, eval_acc=_accuracy(scores, eval_set.labels))
 
 
 def _selection(real: Dataset, picked: np.ndarray) -> Dataset:
     return Dataset(real.inputs[picked], real.labels[picked], real.class_count)
+
+
+def _squared_distances(rows: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared distance of each row to `center`; one that overflows is inf."""
+    with np.errstate(all="ignore"):
+        d2 = np.sum((rows - center) ** 2, axis=1)
+    d2[np.isnan(d2)] = np.inf  # inf - inf where an overflowed mean meets a row
+    return d2
 
 
 def select_random(real: Dataset, ipc: int, seed: int = 0) -> Dataset:
@@ -100,7 +120,8 @@ def select_centroid(real: Dataset, ipc: int) -> Dataset:
         if idx.size < ipc:
             raise ValueError(f"class {c} has {idx.size} samples, needs >= {ipc}")
         x = real.inputs[idx]
-        d2 = np.sum((x - x.mean(axis=0)) ** 2, axis=1)
+        with np.errstate(all="ignore"):  # a mean that overflows holds inf
+            d2 = _squared_distances(x, x.mean(axis=0))
         # stable sort: equidistant candidates resolve to the lower index
         picked.append(idx[np.argsort(d2, kind="stable")[:ipc]])
     return _selection(real, np.concatenate(picked))
@@ -116,7 +137,7 @@ def select_neighbor(real: Dataset, synthetic: Dataset) -> Dataset:
         idx = real.class_indices(int(label))
         if idx.size == 0:
             raise ValueError(f"class {label} has no samples")
-        d2 = np.sum((real.inputs[idx] - row) ** 2, axis=1)
+        d2 = _squared_distances(real.inputs[idx], row)
         picked.append(idx[int(np.argmin(d2))])  # argmin returns first minimum
     return _selection(real, np.asarray(picked))
 
@@ -129,12 +150,16 @@ def pca_project_2d(features: np.ndarray):
     nonzero loading of each component is made positive so the projection is
     sign-deterministic. A component with at most 1e-12 of the total variance
     is a zero column, and degenerate inputs (all rows identical) give a zero
-    projection.
+    projection. Features whose variance overflows raise ValueError.
     """
     if features.shape[0] < 2:
         raise ValueError("pca_project_2d needs at least 2 rows")
-    centered = features - features.mean(axis=0)
-    total_var = float(np.sum(centered * centered)) / (features.shape[0] - 1)
+    with np.errstate(all="ignore"):
+        centered = features - features.mean(axis=0)
+        total_var = float(np.sum(centered * centered)) / (features.shape[0] - 1)
+    # a finite total bounds every covariance entry and projected value
+    if not np.isfinite(total_var):
+        raise ValueError("the features' variance overflows float64")
     d = features.shape[1]
     if total_var == 0.0:
         return np.zeros((features.shape[0], 2)), (0.0, 0.0)

@@ -44,7 +44,7 @@ def test_blobs_separable_probe_accuracy():
     for seed in range(5):
         train, ev = gen_blobs(3, 8, 50, center_scale=10.0, cluster_std=1.0, seed=seed)
         w_ridge = ridge_kernel(train.inputs, train.onehot_labels(), 0.1).w_star
-        assert _accuracy(ev.inputs, ev.labels, w_ridge) >= 0.99
+        assert _accuracy(ev.inputs @ w_ridge, ev.labels) >= 0.99
 
 
 def test_blobs_deterministic():
@@ -108,6 +108,28 @@ def test_clpf_round_trip_with_an_empty_payload(tmp_path, shape, message, dtype):
         with pytest.raises(ShapeError) as ei:
             read(path)
         assert str(ei.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("dim", [4, 2**62, 2**64 - 1])
+def test_clpf_header_without_rows_is_rejected_before_its_dim_is_used(tmp_path, dim):
+    # no payload size bounds the dim of a file without rows, and no array has
+    # 2**62 columns
+    path = tmp_path / "zero.clpf"
+    write_clpf(path, np.zeros((0, 4)), [], 3)
+    raw = bytearray(path.read_bytes())
+    raw[16:24] = dim.to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    for read in (load_features, feature_shape):
+        with pytest.raises(MissingClassError) as ei:
+            read(path)
+        assert str(ei.value) == f"{path}: 0 rows cannot cover 3 classes"
+
+
+def test_csv_label_past_64_bits_is_a_label_range_error(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("label,f0\n0,0.5\n99999999999999999999,1.5\n")
+    with pytest.raises(LabelRangeError, match=r"big\.csv: a label does not fit in 64 bits"):
+        load_features(path)
 
 
 def test_clpf_round_trip_f32_widens(tmp_path):

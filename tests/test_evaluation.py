@@ -31,7 +31,7 @@ def test_probe_separable_blobs_perfect_train():
     for seed in range(5):
         train, ev = gen_blobs(3, 6, 30, center_scale=10.0, cluster_std=1.0, seed=seed)
         res = train_linear_probe(train, ev, epochs=200, seed=seed)
-        assert _accuracy(train.inputs, train.labels, res.w) == 1.0
+        assert _accuracy(train.inputs @ res.w, train.labels) == 1.0
 
 
 def test_probe_deterministic():
@@ -86,7 +86,7 @@ def test_evaluator_agreement_on_blobs(center_scale, cluster_std):
         train, ev = gen_blobs(3, 8, 200, center_scale, cluster_std, seed=seed)
         w_ridge = ridge_kernel(train.inputs, train.onehot_labels(), 0.1).w_star
         tp = train_linear_probe(train, ev, epochs=500, seed=seed)
-        assert abs(_accuracy(ev.inputs, ev.labels, w_ridge) - tp.eval_acc) <= 0.02
+        assert abs(_accuracy(ev.inputs @ w_ridge, ev.labels) - tp.eval_acc) <= 0.02
 
 
 def _dataset():
@@ -226,10 +226,10 @@ def test_argmax_accuracy_scale_invariance():
     feats = rng.standard_normal((20, 4))
     labels = rng.integers(0, 3, size=20)
     w = rng.standard_normal((4, 3))
-    assert _accuracy(feats, labels, w) == _accuracy(feats, labels, 3.7 * w)
+    assert _accuracy(feats @ w, labels) == _accuracy(feats @ (3.7 * w), labels)
 
 
 def test_accuracy_tie_breaks_low():
     scores = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
-    assert _accuracy(scores, np.array([0, 1]), np.eye(3)) == 1.0
-    assert _accuracy(scores, np.array([1, 2]), np.eye(3)) == 0.0
+    assert _accuracy(scores, np.array([0, 1])) == 1.0
+    assert _accuracy(scores, np.array([1, 2])) == 0.0
