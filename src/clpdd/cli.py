@@ -92,6 +92,7 @@ CONFIG_SPEC: dict[str, tuple] = {
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 # glibc raises both thresholds by itself as blocks are freed: the mmap
 # threshold up to DEFAULT_MMAP_THRESHOLD_MAX (32 MiB on 64-bit) and the trim
 # threshold to twice it. Setting either one through mallopt turns that rule
@@ -100,6 +101,10 @@ _M_MMAP_THRESHOLD = -3
 # to the kernel and being faulted in again.
 MMAP_THRESHOLD_BYTES = 32 << 20
 TRIM_THRESHOLD_BYTES = 64 << 20
+# One arena for every thread: the row-halves helper thread would otherwise get
+# an arena of its own, which grew and faulted in about 390 pages in one step
+# of a 50-step primal distill in 6 of 14 runs; with one arena, in 0 of 17.
+ARENA_MAX = 1
 
 METHOD_NAMES = ("clpdd", "random", "centroid", "neighbor", "mse-ablation")
 SWEEP_PARAMS = ("tau", "lambda", "b_per_class")
@@ -163,11 +168,13 @@ def distill_config_from(cfg: dict) -> DistillConfig:
 
 
 def check_config(cfg: dict, command: str, out) -> None:
-    """Every rule that the config and the command's output path decide, checked
-    before any data is built. A broken rule is a ConfigError; an output path
-    that cannot be written raises the OSError its later write would raise.
-    `out` is the --out directory of distill, compare and sweep, the file
-    export-embeddings writes, or the --json file (None when there is none)."""
+    """Every rule that the config and the command's output path decide. Each
+    `cmd_*` function and `compare_report` runs it first, before any data is
+    built, so library callers get the same errors as `main`. A broken rule is
+    a ConfigError; an output path that cannot be written raises the OSError
+    its later write would raise. `out` is the --out directory of distill,
+    compare and sweep, the file export-embeddings writes, or the --json file
+    (None when there is none)."""
     distill_config_from(cfg)
     if cfg["data"] == "blobs":
         for key in ("data_train", "data_eval"):
@@ -324,6 +331,7 @@ def _probe_accuracy(train: Dataset, eval_set: Dataset, cfg: dict, probe_seed: in
 
 def cmd_gradcheck(cfg: dict, json_path=None):
     """Full finite-difference battery; returns (exit code, report dict)."""
+    check_config(cfg, "gradcheck", json_path)
     t0 = time.perf_counter()
     results = run_battery(seed=cfg["seed"])
     report = battery_report(results)
@@ -435,24 +443,27 @@ def cmd_distill(cfg: dict, out_dir) -> RunReport:
     """`compare` with one seed and clpdd alone, whose eval split is optional:
     without one nothing is probed. Writes synthetic.clpf, report.json and
     curve.csv."""
+    check_config(cfg, "distill", out_dir)
     return _write_run(*_run(cfg, ["clpdd"], 1), out_dir)
 
 
 def compare_report(cfg: dict):
-    """Distill and evaluate every configured method over compare_seeds seeds,
-    for a config that `check_config` passed.
+    """Distill and evaluate every configured method over compare_seeds seeds.
 
     Returns (report, first seed's distilled set or None).
     """
+    check_config(cfg, "compare", None)
     return _run(cfg, _parse_methods(cfg), cfg["compare_seeds"])
 
 
 def cmd_compare(cfg: dict, out_dir) -> RunReport:
-    return _write_run(*compare_report(cfg), out_dir)
+    check_config(cfg, "compare", out_dir)
+    return _write_run(*_run(cfg, _parse_methods(cfg), cfg["compare_seeds"]), out_dir)
 
 
 def cmd_sweep(cfg: dict, param: str, values: list, out_dir):
     """One compare row per parameter value, same seeds for every value."""
+    check_config(cfg, "sweep", out_dir)
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {param!r} (choose from {SWEEP_PARAMS})")
     if not values:
@@ -465,7 +476,7 @@ def cmd_sweep(cfg: dict, param: str, values: list, out_dir):
         cfg_v = dict(cfg, **{param: value})
         check_config(cfg_v, "sweep", out_dir)
         runs.append((value, cfg_v))
-    rows = [(value, compare_report(cfg_v)[0]) for value, cfg_v in runs]
+    rows = [(value, _run(cfg_v, methods, cfg_v["compare_seeds"])[0]) for value, cfg_v in runs]
     header = ["param", "value"]
     for name in methods:
         header += [f"{name}_mean", f"{name}_std"]
@@ -483,8 +494,8 @@ def cmd_sweep(cfg: dict, param: str, values: list, out_dir):
 
 
 def cmd_eval(cfg: dict, synthetic_path, json_path=None) -> dict:
-    """Probe a saved synthetic set against the eval split of a config that
-    `check_config` passed."""
+    """Probe a saved synthetic set against the eval split of the config."""
+    check_config(cfg, "eval", json_path)
     syn_data = load_features(synthetic_path)
     ev = _eval_split_for(syn_data, cfg)
     enc = distill_config_from(cfg).build_encoder(syn_data.dim)
@@ -509,6 +520,7 @@ def cmd_export_embeddings(cfg: dict, synthetic_path, out_path):
 
     The real rows are the eval split's, or the train split's when there is
     none."""
+    check_config(cfg, "export-embeddings", out_path)
     syn_data = load_features(synthetic_path)
     ev = _eval_split_for(syn_data, cfg)
     real, key = (ev, "data_eval") if ev is not None else (build_data(cfg)[0], "data_train")
@@ -531,8 +543,8 @@ def cmd_export_embeddings(cfg: dict, synthetic_path, out_path):
 
 
 def _keep_freed_memory():
-    """Set glibc's mmap and trim thresholds for this process; a no-op where
-    the C library has no `mallopt`."""
+    """Set glibc's mmap and trim thresholds and its arena count for this
+    process; a no-op where the C library has no `mallopt`."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -540,6 +552,7 @@ def _keep_freed_memory():
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+    mallopt(_M_ARENA_MAX, ARENA_MAX)
 
 
 def _add_common(p):
@@ -589,8 +602,6 @@ def main(argv=None) -> int:
     _keep_freed_memory()  # the CLI owns its process; library callers keep their allocator
     try:
         cfg = load_config(args.config, args.overrides)
-        out = args.json if args.command in ("gradcheck", "eval") else args.out
-        check_config(cfg, args.command, out)
         if args.command == "gradcheck":
             code, _ = cmd_gradcheck(cfg, json_path=args.json)
             return code

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError
+from .linalg import DimensionError, run_row_halves
 
 ENCODER_KINDS = ("identity", "linear", "mlp1")
 
@@ -86,20 +86,32 @@ def encode(enc: Encoder, inputs: np.ndarray) -> np.ndarray:
 def _encode(enc: Encoder, inputs: np.ndarray):
     """(features, hidden) of inputs already checked, where hidden is the mlp1
     tanh activation (None for the other kinds); passing it on to
-    `_encode_vjp` at the same inputs saves recomputing it."""
+    `_encode_vjp` at the same inputs saves recomputing it. Rows are encoded
+    through `run_row_halves`, in two halves when the work pays for it."""
     if enc.kind == "identity":
         return inputs, None
+    n = inputs.shape[0]
+    out = np.empty((n, enc.feature_dim))
     if enc.kind == "linear":
         w, b = enc.weights
-        out = inputs @ w
-        out += b
+
+        def rows(lo, hi):
+            o = np.matmul(inputs[lo:hi], w, out=out[lo:hi])
+            o += b
+
+        run_row_halves(rows, n, w.size)
         return out, None
     w1, b1, w2, b2 = enc.weights
-    hidden = inputs @ w1
-    hidden += b1
-    np.tanh(hidden, out=hidden)
-    out = hidden @ w2
-    out += b2
+    hidden = np.empty((n, w1.shape[1]))
+
+    def rows(lo, hi):
+        h = np.matmul(inputs[lo:hi], w1, out=hidden[lo:hi])
+        h += b1
+        np.tanh(h, out=h)
+        o = np.matmul(h, w2, out=out[lo:hi])
+        o += b2
+
+    run_row_halves(rows, n, min(w1.size, w2.size))
     return out, hidden
 
 
@@ -124,14 +136,21 @@ def _encode_vjp(
     read, never modified."""
     if enc.kind == "identity":
         return upstream
+    n = upstream.shape[0]
+    out = np.empty((n, enc.input_dim))
     if enc.kind == "linear":
         w, _ = enc.weights
-        return upstream @ w.T
+        run_row_halves(lambda lo, hi: np.matmul(upstream[lo:hi], w.T, out=out[lo:hi]), n, w.size)
+        return out
     w1, b1, w2, _ = enc.weights
-    if hidden is None:
-        hidden = np.tanh(inputs @ w1 + b1)
-    slope = hidden * hidden
-    np.subtract(1.0, slope, out=slope)  # tanh' = 1 - tanh^2
-    dh = upstream @ w2.T
-    dh *= slope
-    return dh @ w1.T
+
+    def rows(lo, hi):
+        h = np.tanh(inputs[lo:hi] @ w1 + b1) if hidden is None else hidden[lo:hi]
+        slope = h * h
+        np.subtract(1.0, slope, out=slope)  # tanh' = 1 - tanh^2
+        dh = upstream[lo:hi] @ w2.T
+        dh *= slope
+        np.matmul(dh, w1.T, out=out[lo:hi])
+
+    run_row_halves(rows, n, min(w1.size, w2.size))
+    return out

@@ -3,9 +3,13 @@
 All matrices are 2-D float64 numpy arrays treated as immutable after
 construction. Linear systems with symmetric positive definite matrices are
 solved through a Cholesky factorization that can be cached and reused;
-explicit matrix inverses are never formed.
+explicit matrix inverses are never formed. `run_row_halves` runs a row-wise
+block of matrix products on two CPUs when that pays and changes no bits.
 """
 
+import functools
+import os
+import threading
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
@@ -92,3 +96,128 @@ def cholesky_factor(a_spd: np.ndarray) -> CholeskyFactor:
     if info < 0:  # pragma: no cover - only triggered by malformed calls
         raise LinalgError(f"dpotrf failed with info={info}")
     return CholeskyFactor(lower=c)
+
+
+# A block splits only when each half's smallest matrix product holds at least
+# this many multiply-adds: 48 rows of a 256 x 512 product, about 0.2 ms of one
+# core's dgemm on a 2-vCPU x86-64 host, where halves of half that work ran no
+# faster than one lane. It also keeps every product of a half above the size
+# up to which OpenBLAS takes its small-matrix kernel (M*N*K <= 100^3).
+SPLIT_MIN_MADDS = 3 << 21
+# The first half's row count is a multiple of this. OpenBLAS's dgemm walks the
+# rows in chunks, and the kernel that takes a chunk's ragged end can sum in
+# another order: rows 504-511 of a 972 x 187 by 187 x 323 product differ in
+# their last bits when it is split at row 512. With BLAS at one thread, splits
+# at multiples of 12, 24, 48, 96 and 192 each matched bit for bit in 160-245
+# random shapes; 48 leaves room for kernels with wider chunks.
+SPLIT_ROW_STEP = 48
+
+_helper = None  # the executor of the one helper thread, made at the first split
+_helper_lock = threading.Lock()
+
+
+def _forget_helper():
+    # a forked child has no helper thread; its copy of the executor would
+    # take work and never run it
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def run_row_halves(part, rows: int, row_madds: int) -> None:
+    """Run `part(lo, hi)` over rows [0, rows), on two CPUs when that pays.
+
+    `part` computes rows lo..hi-1 of a row-wise block into an output the
+    caller preallocated; `row_madds` is the multiply-adds per row of the
+    block's smallest matrix product. The block splits when each half clears
+    SPLIT_MIN_MADDS and `_two_lanes()` holds. Then rows [0, h), with h the
+    largest multiple of SPLIT_ROW_STEP up to rows / 2, run in one helper
+    thread under the caller's numpy error state, and rows [h, rows) in the
+    caller. Each half computes its rows exactly as `part(0, rows)` would, so
+    the output holds the same bytes either way. An exception from either half
+    is raised only once both halves have finished.
+    """
+    half = rows // 2 // SPLIT_ROW_STEP * SPLIT_ROW_STEP
+    if half * row_madds < SPLIT_MIN_MADDS or not _two_lanes():
+        part(0, rows)
+        return
+    errstate = dict(np.geterr(), call=np.geterrcall())
+    future = _helper_executor().submit(_run_under, errstate, part, 0, half)
+    try:
+        part(half, rows)
+    finally:
+        future.exception()  # waits for the helper's half, raising nothing
+    future.result()
+
+
+def _run_under(errstate: dict, part, lo: int, hi: int) -> None:
+    # numpy keeps its error state per thread: the helper takes the caller's
+    with np.errstate(**errstate):
+        part(lo, hi)
+
+
+def _helper_executor():
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            from concurrent.futures import ThreadPoolExecutor  # imported at the first split
+
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="clpdd-rows")
+    return _helper
+
+
+def _two_lanes() -> bool:
+    """Whether a row half may take a second CPU and keep its bits: this
+    process may run on two CPUs, and every OpenBLAS loaded runs a call in one
+    thread. With more BLAS threads a half's product is partitioned among them
+    otherwise than the whole one's, which changes last bits; with no OpenBLAS
+    found, the halves' bits are unknown. Either way the block runs whole."""
+    return _affinity_cpus() >= 2 and _blas_threads() == 1
+
+
+def _affinity_cpus() -> int:
+    """The CPUs this process may run on; 1 where the OS does not say."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity is not None else 1
+
+
+def _blas_threads() -> int:
+    """The most threads any loaded OpenBLAS runs a call in; 0 with none."""
+    return max((getattr(lib, getter)() for lib, getter in _openblas_libs()), default=0)
+
+
+# the thread-count getters of OpenBLAS builds: plain, with 64-bit integers, and
+# the scipy-openblas builds that numpy's and scipy's wheels carry
+_OPENBLAS_GETTERS = (
+    "openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "scipy_openblas_get_num_threads64_",
+)
+
+
+@functools.cache
+def _openblas_libs() -> tuple:
+    """(library, name of its thread-count getter) for each OpenBLAS mapped
+    into this process, as /proc/self/maps lists them. Empty where that file
+    cannot be read, or a library found cannot be loaded or has no getter."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line.lower()}
+        libs = []
+        for path in sorted(paths):
+            lib = ctypes.CDLL(path)
+            getter = next((name for name in _OPENBLAS_GETTERS if hasattr(lib, name)), None)
+            if getter is None:
+                return ()
+            query = getattr(lib, getter)
+            query.argtypes, query.restype = (), ctypes.c_int
+            libs.append((lib, getter))
+    except OSError:
+        return ()
+    return tuple(libs)

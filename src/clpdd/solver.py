@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import CholeskyFactor, DimensionError, NonFiniteError, cholesky_factor
+from .linalg import (
+    CholeskyFactor,
+    DimensionError,
+    NonFiniteError,
+    cholesky_factor,
+    run_row_halves,
+)
 
 
 @dataclass(frozen=True)
@@ -126,10 +132,17 @@ def _solve_backward(sol: ProbeSolution, x: np.ndarray, g: np.ndarray) -> np.ndar
     # g~ = H^{-1} g the gradient is (Y - X W*) g~^T - X g~ W*^T, and
     # Y - X W* = lam * P. Grouped as (X g~) W*^T the last term costs 2NdC
     # multiply-adds; X (g~ W*^T) would cost d^2 C + N d^2, far more when C << d.
+    # Each row of the gradient needs only its own rows of P and X, so after the
+    # one solve the rest runs through `run_row_halves`.
     g_tilde = sol.factor.solve(g)
-    grad = p @ g_tilde.T
-    grad *= sol.lam
-    grad -= (x @ g_tilde) @ sol.w_star.T
+    grad = np.empty(x.shape)
+
+    def rows(lo, hi):
+        r = np.matmul(p[lo:hi], g_tilde.T, out=grad[lo:hi])
+        r *= sol.lam
+        r -= (x[lo:hi] @ g_tilde) @ sol.w_star.T
+
+    run_row_halves(rows, x.shape[0], g.size)
     return grad
 
 

@@ -13,6 +13,7 @@ import pytest
 import clpdd.cli
 import clpdd.distill
 import clpdd.gradcheck
+import clpdd.linalg
 from clpdd.cli import (
     CONFIG_SPEC,
     ConfigError,
@@ -452,6 +453,60 @@ def test_import_leaves_scipy_linalg_unloaded():
     assert proc.returncode == 0, proc.stderr[-2000:]
     loaded = set(json.loads(proc.stdout))
     assert not loaded & {"scipy.linalg", "scipy._lib", "numpy.f2py", "numpy.testing"}
+
+
+def test_import_and_default_compare_start_no_thread(tmp_path):
+    # the row-halves helper thread and its concurrent.futures import come at
+    # the first split; import and the default compare (identity encoder, 5
+    # rows) never split, so they pay for neither
+    probe = (
+        "import sys, threading, clpdd.cli\n"
+        "def state(): return ('concurrent.futures' in sys.modules, threading.active_count())\n"
+        "imported = state()\n"
+        "code = clpdd.cli.main(['compare', '--out', sys.argv[1]])\n"
+        "print(imported, code, state())\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(clpdd.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "c")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "(False, 1) 0 (False, 1)"
+
+
+def test_distill_writes_the_same_bytes_on_one_lane_or_two(tmp_path, monkeypatch, two_lanes):
+    # 400 synthetic rows of 256 dims: the mlp1 encodes, the VJP and the primal
+    # backward of every step split into two halves
+    cfg = _fast_cfg(encoder="mlp1", blob_classes=200, blob_dim=256, blob_per_class=6, ipc=2,
+                    iterations=3, probe_epochs=2)
+    cmd_distill(cfg, tmp_path / "two")
+    assert len(two_lanes) >= 3 * 4
+    monkeypatch.setattr(clpdd.linalg, "_affinity_cpus", lambda: 1)
+    split = len(two_lanes)
+    cmd_distill(cfg, tmp_path / "one")
+    assert len(two_lanes) == split
+    for name in ("synthetic.clpf", "curve.csv"):
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_compare_report_checks_its_config():
+    with pytest.raises(ConfigError, match="compare_seeds must be >= 1"):
+        compare_report(dict(default_config(), compare_seeds=0))
+
+
+def test_cmd_distill_checks_its_config(tmp_path):
+    with pytest.raises(ConfigError, match="blob_cluster_std must be finite and > 0"):
+        cmd_distill(_fast_cfg(blob_cluster_std=-1.0), tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+def test_cmd_eval_checks_its_config(tmp_path):
+    train, _ = gen_blobs(3, 4, 20, 0.5, 0.5, seed=0)
+    save_features(train, tmp_path / "train.clpf")
+    cfg = _fast_cfg(data="files", data_train=str(tmp_path / "train.clpf"))
+    with pytest.raises(ConfigError, match="eval needs an eval split"):
+        cmd_eval(cfg, tmp_path / "train.clpf")
 
 
 def test_distill_runs_the_bound_step_and_probe(tmp_path, monkeypatch):

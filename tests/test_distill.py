@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import clpdd.distill
+import clpdd.linalg
 from clpdd.data import (
     Dataset,
     MissingClassError,
@@ -348,15 +349,23 @@ def _public_chain(inputs, y, enc, x_real, labels, lam, tau, objective):
     return loss, grad, sol.mode
 
 
-@pytest.mark.parametrize("ipc, mode", [(1, "kernel"), (4, "primal")])
+@pytest.mark.parametrize("c, d, hidden, ipc, mode", [
+    # N = c * ipc rows: 3 < d takes the kernel solve, 12 >= d the primal
+    pytest.param(3, 6, 5, 1, "kernel", id="1-kernel"),
+    pytest.param(3, 6, 5, 4, "primal", id="4-primal"),
+    # 400 rows >= d: the encoder, its VJP and the primal backward each clear
+    # SPLIT_MIN_MADDS, so they run on two lanes
+    pytest.param(200, 256, 256, 2, "primal", id="2-primal-two-lanes"),
+])
 @pytest.mark.parametrize("objective", OUTER_OBJECTIVES)
 @pytest.mark.parametrize("kind", ENCODER_KINDS)
-def test_meta_loss_cores_match_the_public_chain(kind, objective, ipc, mode):
+def test_meta_loss_cores_match_the_public_chain(request, monkeypatch, kind, objective, c, d,
+                                                 hidden, ipc, mode):
     # the step runs unchecked cores; they must compute the same bits as the
-    # checked functions a library caller sees
-    c, d = 3, 6  # N = c * ipc rows: 3 < d takes the kernel solve, 12 >= d the primal
+    # checked functions a library caller sees, and as one lane does
+    two_lanes = request.getfixturevalue("two_lanes") if c * ipc >= 400 else None
     rng = np.random.default_rng(21)
-    enc = make_encoder(kind, d, d, hidden_dim=5, seed=9)
+    enc = make_encoder(kind, d, d, hidden_dim=hidden, seed=9)
     inputs = 0.5 * rng.standard_normal((c * ipc, d))
     y = np.repeat(np.eye(c), ipc, axis=0)
     x_real, labels = 0.4 * rng.standard_normal((4 * c, d)), np.repeat(np.arange(c), 4)
@@ -367,6 +376,13 @@ def test_meta_loss_cores_match_the_public_chain(kind, objective, ipc, mode):
     assert ref_mode == mode
     assert loss == ref_loss
     assert np.array_equal(grad, ref_grad)
+    if two_lanes is not None:
+        # per chain: the backward, and for linear and mlp1 two encodes and a VJP
+        assert len(two_lanes) == (2 if kind == "identity" else 8)
+        monkeypatch.setattr(clpdd.linalg, "_affinity_cpus", lambda: 1)
+        one_lane = meta_loss_and_grad(inputs, y, enc, x_real, labels, 0.1, 0.07, objective)
+        assert one_lane[0] == loss
+        assert np.array_equal(one_lane[1], grad)
 
 
 def test_same_seed_identical_loss_sequences():

@@ -1,14 +1,25 @@
+import multiprocessing
+import os
 import re
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
 import clpdd.linalg
+from clpdd.encoder import encode, encode_vjp, make_encoder
 from clpdd.linalg import (
+    SPLIT_MIN_MADDS,
+    SPLIT_ROW_STEP,
     DimensionError,
     NotPositiveDefiniteError,
     cholesky_factor,
+    run_row_halves,
 )
+from clpdd.solver import ridge_kernel, solve_backward
 
 
 def test_lapack_routines_are_scipys():
@@ -84,3 +95,151 @@ def test_cholesky_factor_reuse():
     for _ in range(3):
         b = rng.standard_normal((5, 2))
         assert np.linalg.norm(a @ f.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+
+# --- row halves --------------------------------------------------------------
+
+# rows 192 split at 96 and 191 at 48 (the largest multiple of SPLIT_ROW_STEP up
+# to rows / 2): with 256 x 256 products, or a 128 x 512 probe gradient, 192
+# rows sit exactly at SPLIT_MIN_MADDS and 191 rows one step below it. The
+# ragged shapes are ones whose halves at rows / 2 would not keep their bits.
+ROW_CASES = [(191, 256, 128, 512, False), (192, 256, 128, 512, True),
+             (1000, 512, 512, 100, True), (973, 187, 187, 323, True)]
+
+
+def test_row_case_shapes_sit_where_they_say():
+    assert SPLIT_ROW_STEP * 2 * 256 * 256 == SPLIT_MIN_MADDS == 96 * 128 * 512
+
+
+def _row_blocks(rows, dim, probe_dim, classes):
+    """Every row-wise block the step routes through `run_row_halves`: the
+    forward pass and VJP of both encoders, and the primal probe backward."""
+    rng = np.random.default_rng(rows)
+    out = []
+    for kind in ("linear", "mlp1"):
+        enc = make_encoder(kind, dim, dim, hidden_dim=dim, seed=4)
+        inputs = 0.5 * rng.standard_normal((rows, dim))
+        out.append(encode(enc, inputs))
+        out.append(encode_vjp(enc, inputs, rng.standard_normal((rows, dim))))
+    x = rng.standard_normal((rows, probe_dim))
+    sol = ridge_kernel(x, np.eye(classes)[rng.integers(0, classes, rows)], 0.1)
+    assert sol.mode == "primal"
+    out.append(solve_backward(sol, x, rng.standard_normal((probe_dim, classes))))
+    return out
+
+
+@pytest.mark.parametrize("rows, dim, probe_dim, classes, splits", ROW_CASES,
+                         ids=["below", "at", "1000x512", "ragged"])
+def test_row_halves_keep_every_bit(two_lanes, monkeypatch, rows, dim, probe_dim, classes,
+                                   splits):
+    split = _row_blocks(rows, dim, probe_dim, classes)
+    half = rows // 2 // SPLIT_ROW_STEP * SPLIT_ROW_STEP
+    assert two_lanes == ([(0, half)] * 5 if splits else [])
+    monkeypatch.setattr(clpdd.linalg, "_affinity_cpus", lambda: 1)
+    whole = _row_blocks(rows, dim, probe_dim, classes)
+    assert len(two_lanes) == (5 if splits else 0)
+    for a, b in zip(split, whole):
+        assert np.array_equal(a, b)
+
+
+def test_helper_half_runs_under_the_callers_error_state(two_lanes):
+    a, w = np.full((192, 256), 1e306), np.full((256, 256), 10.0)  # every product overflows
+    out = np.empty((192, 256))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            run_row_halves(lambda lo, hi: np.matmul(a[lo:hi], w, out=out[lo:hi]), 192, w.size)
+    assert two_lanes == [(0, 96)] and np.isposinf(out).all()
+
+
+def test_helper_half_calls_the_callers_error_callback(two_lanes):
+    a, w = np.full((192, 256), 1e306), np.full((256, 256), 10.0)
+    out, calls = np.empty((192, 256)), []
+    with np.errstate(all="call", call=lambda kind, flag: calls.append(kind)):
+        run_row_halves(lambda lo, hi: np.matmul(a[lo:hi], w, out=out[lo:hi]), 192, w.size)
+    assert two_lanes == [(0, 96)] and calls == ["overflow", "overflow"]
+
+
+def _halves(raise_in, log):
+    """A part whose `raise_in` half fails at once while the other half takes
+    a while and logs when it is done."""
+
+    def part(lo, hi):
+        half = "helper" if lo == 0 else "caller"
+        if half == raise_in:
+            raise KeyError(half)
+        time.sleep(0.05)
+        log.append(half)
+
+    return part
+
+
+@pytest.mark.parametrize("raise_in", ["helper", "caller"])
+def test_row_halves_raise_after_both_halves_finish(two_lanes, raise_in):
+    log = []
+    with pytest.raises(KeyError, match=raise_in):
+        run_row_halves(_halves(raise_in, log), 192, 256 * 256)
+    assert log == [{"helper": "caller", "caller": "helper"}[raise_in]]
+    assert two_lanes == [(0, 96)]
+
+
+def test_one_cpu_starts_no_thread(two_lanes, monkeypatch):
+    monkeypatch.setattr(clpdd.linalg, "_affinity_cpus", lambda: 1)
+    monkeypatch.setattr(clpdd.linalg, "_helper", None)
+    threads = threading.active_count()
+    rows = []
+    run_row_halves(lambda lo, hi: rows.append((lo, hi)), 1000, 512 * 512)
+    assert rows == [(0, 1000)] and two_lanes == []
+    assert clpdd.linalg._helper is None and threading.active_count() == threads
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks a child")
+def test_a_forked_child_makes_its_own_helper(two_lanes):
+    # the parent's helper thread is not copied into a child; a child that
+    # kept the parent's executor would queue its half and wait forever
+    run_row_halves(lambda lo, hi: None, 192, 256 * 256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+        child = multiprocessing.get_context("fork").Process(
+            target=run_row_halves, args=(lambda lo, hi: None, 192, 256 * 256)
+        )
+        child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+    assert child.exitcode == 0 and len(two_lanes) == 1
+
+
+def test_row_halves_stay_whole_with_more_blas_threads(two_lanes, monkeypatch):
+    monkeypatch.setattr(clpdd.linalg, "_blas_threads", lambda: 2)
+    run_row_halves(lambda lo, hi: None, 1000, 512 * 512)
+    assert two_lanes == []
+
+
+def test_callers_on_many_threads_share_the_helper(two_lanes):
+    # more callers than CPUs, each splitting through the one helper thread;
+    # a half lost or run twice would leave a row of its output wrong
+    rng = np.random.default_rng(8)
+    a, w = rng.standard_normal((192, 256)), rng.standard_normal((256, 256))
+    want = a @ w
+    wrong = []
+
+    def caller():
+        for _ in range(20):
+            out = np.full_like(want, np.nan)
+            run_row_halves(lambda lo, hi: np.matmul(a[lo:hi], w, out=out[lo:hi]), 192, w.size)
+            if not np.array_equal(out, want):
+                wrong.append(out)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert wrong == [] and len(two_lanes) == 80

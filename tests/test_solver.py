@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clpdd.linalg import DimensionError, NonFiniteError
 from clpdd.solver import (
@@ -226,6 +228,52 @@ def test_backward_finite_differences_many_instances():
             lambda xp: float(np.sum(g * ridge_kernel(xp, y, lam).w_star)), x
         )
         assert max_rel_err(analytic, fd) <= 1e-6
+
+
+# random ridge problems on both sides of N = d; lam from 0.01 up keeps every
+# system well enough conditioned for the bounds below
+def _ridge_problems(max_side):
+    return st.fixed_dictionaries({
+        "n": st.integers(1, max_side),
+        "d": st.integers(1, max_side),
+        "c": st.integers(1, 4),
+        "lam": st.sampled_from([0.01, 0.1, 1.0, 10.0]),
+        "seed": st.integers(0, 2**32 - 1),
+    })
+
+
+def _ridge_problem(n, d, c, lam, seed):
+    rng = np.random.default_rng(seed)
+    x = 0.8 * rng.standard_normal((n, d))
+    y, _ = random_onehot(rng, n, c)
+    return x, y, lam, rng
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_ridge_problems(12))
+def test_kernel_and_primal_routes_agree(problem):
+    x, y, lam, _ = _ridge_problem(**problem)
+    n, d = x.shape
+    sol = ridge_kernel(x, y, lam)
+    assert sol.mode == ("kernel" if n < d else "primal")
+    wp = ridge_primal(x, y, lam)
+    assert np.linalg.norm(sol.w_star - wp) <= 1e-9 * np.linalg.norm(wp)
+    # either route leaves p solving (X X^T + lam I) p = Y with W* = X^T p
+    residual = (x @ x.T + lam * np.eye(n)) @ sol.p - y
+    assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(y)
+    assert np.linalg.norm(x.T @ sol.p - wp) <= 1e-9 * np.linalg.norm(wp)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_ridge_problems(7))
+def test_backward_matches_finite_differences_on_both_routes(problem):
+    x, y, lam, rng = _ridge_problem(**problem)
+    g = rng.standard_normal((x.shape[1], y.shape[1]))
+    analytic = solve_backward(ridge_kernel(x, y, lam), x, g)
+    fd = central_diff_grad(
+        lambda xp: float(np.sum(g * ridge_kernel(xp, y, lam).w_star)), x
+    )
+    assert max_rel_err(analytic, fd) <= 1e-6
 
 
 def test_backward_shape_mismatch():
