@@ -92,7 +92,6 @@ CONFIG_SPEC: dict[str, tuple] = {
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
 # glibc raises both thresholds by itself as blocks are freed: the mmap
 # threshold up to DEFAULT_MMAP_THRESHOLD_MAX (32 MiB on 64-bit) and the trim
 # threshold to twice it. Setting either one through mallopt turns that rule
@@ -101,10 +100,6 @@ _M_ARENA_MAX = -8
 # to the kernel and being faulted in again.
 MMAP_THRESHOLD_BYTES = 32 << 20
 TRIM_THRESHOLD_BYTES = 64 << 20
-# One arena for every thread: the row-halves helper thread would otherwise get
-# an arena of its own, which grew and faulted in about 390 pages in one step
-# of a 50-step primal distill in 6 of 14 runs; with one arena, in 0 of 17.
-ARENA_MAX = 1
 
 METHOD_NAMES = ("clpdd", "random", "centroid", "neighbor", "mse-ablation")
 SWEEP_PARAMS = ("tau", "lambda", "b_per_class")
@@ -289,7 +284,7 @@ def _eval_split_for(syn_data: Dataset, cfg: dict) -> Dataset | None:
     """The eval split (or None) of the data a saved synthetic set is probed
     on, which must match the set's dim and class count. Of a CLPF train file
     only the header is read: these commands never touch the train rows."""
-    if cfg["data"] == "files" and cfg["data_train"]:
+    if cfg["data"] == "files":
         dim, class_count = feature_shape(cfg["data_train"])
         ev = _load_eval(cfg, dim, class_count)
     else:
@@ -543,8 +538,8 @@ def cmd_export_embeddings(cfg: dict, synthetic_path, out_path):
 
 
 def _keep_freed_memory():
-    """Set glibc's mmap and trim thresholds and its arena count for this
-    process; a no-op where the C library has no `mallopt`."""
+    """Set glibc's mmap and trim thresholds for this process; a no-op where
+    the C library has no `mallopt`."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -552,7 +547,6 @@ def _keep_freed_memory():
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
-    mallopt(_M_ARENA_MAX, ARENA_MAX)
 
 
 def _add_common(p):

@@ -143,14 +143,16 @@ def _encode_vjp(
         run_row_halves(lambda lo, hi: np.matmul(upstream[lo:hi], w.T, out=out[lo:hi]), n, w.size)
         return out
     w1, b1, w2, _ = enc.weights
+    if hidden is None:
+        hidden = np.tanh(inputs @ w1 + b1)
+    slope, dh = np.empty((2, *hidden.shape))
 
     def rows(lo, hi):
-        h = np.tanh(inputs[lo:hi] @ w1 + b1) if hidden is None else hidden[lo:hi]
-        slope = h * h
-        np.subtract(1.0, slope, out=slope)  # tanh' = 1 - tanh^2
-        dh = upstream[lo:hi] @ w2.T
-        dh *= slope
-        np.matmul(dh, w1.T, out=out[lo:hi])
+        s = np.multiply(hidden[lo:hi], hidden[lo:hi], out=slope[lo:hi])
+        np.subtract(1.0, s, out=s)  # tanh' = 1 - tanh^2
+        d = np.matmul(upstream[lo:hi], w2.T, out=dh[lo:hi])
+        d *= s
+        np.matmul(d, w1.T, out=out[lo:hi])
 
     run_row_halves(rows, n, min(w1.size, w2.size))
     return out

@@ -130,15 +130,17 @@ if hasattr(os, "register_at_fork"):
 def run_row_halves(part, rows: int, row_madds: int) -> None:
     """Run `part(lo, hi)` over rows [0, rows), on two CPUs when that pays.
 
-    `part` computes rows lo..hi-1 of a row-wise block into an output the
-    caller preallocated; `row_madds` is the multiply-adds per row of the
-    block's smallest matrix product. The block splits when each half clears
-    SPLIT_MIN_MADDS and `_two_lanes()` holds. Then rows [0, h), with h the
-    largest multiple of SPLIT_ROW_STEP up to rows / 2, run in one helper
-    thread under the caller's numpy error state, and rows [h, rows) in the
-    caller. Each half computes its rows exactly as `part(0, rows)` would, so
-    the output holds the same bytes either way. An exception from either half
-    is raised only once both halves have finished.
+    `part` computes rows lo..hi-1 of a row-wise block. It writes only into
+    arrays its caller allocated before the call and allocates nothing larger
+    than numpy's 64 KB ufunc buffer, so the malloc arena that glibc gives the
+    helper thread stays small and does not grow mid-run. `row_madds` is the
+    multiply-adds per row of the block's smallest matrix product. The block
+    splits when each half clears SPLIT_MIN_MADDS and `_two_lanes()` holds.
+    Then rows [0, h), with h the largest multiple of SPLIT_ROW_STEP up to
+    rows / 2, run in one helper thread under the caller's numpy error state,
+    and rows [h, rows) in the caller. Each half computes its rows exactly as
+    `part(0, rows)` would, so the output holds the same bytes either way. An
+    exception from either half is raised only once both halves have finished.
     """
     half = rows // 2 // SPLIT_ROW_STEP * SPLIT_ROW_STEP
     if half * row_madds < SPLIT_MIN_MADDS or not _two_lanes():

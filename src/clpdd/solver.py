@@ -135,12 +135,13 @@ def _solve_backward(sol: ProbeSolution, x: np.ndarray, g: np.ndarray) -> np.ndar
     # Each row of the gradient needs only its own rows of P and X, so after the
     # one solve the rest runs through `run_row_halves`.
     g_tilde = sol.factor.solve(g)
-    grad = np.empty(x.shape)
+    grad, xg, xgw = np.empty(x.shape), np.empty(p.shape), np.empty(x.shape)
 
     def rows(lo, hi):
         r = np.matmul(p[lo:hi], g_tilde.T, out=grad[lo:hi])
         r *= sol.lam
-        r -= (x[lo:hi] @ g_tilde) @ sol.w_star.T
+        u = np.matmul(x[lo:hi], g_tilde, out=xg[lo:hi])
+        r -= np.matmul(u, sol.w_star.T, out=xgw[lo:hi])
 
     run_row_halves(rows, x.shape[0], g.size)
     return grad

@@ -4,12 +4,15 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import clpdd.encoder
 import clpdd.linalg
+import clpdd.solver
 from clpdd.encoder import encode, encode_vjp, make_encoder
 from clpdd.linalg import (
     SPLIT_MIN_MADDS,
@@ -140,6 +143,37 @@ def test_row_halves_keep_every_bit(two_lanes, monkeypatch, rows, dim, probe_dim,
     assert len(two_lanes) == (5 if splits else 0)
     for a, b in zip(split, whole):
         assert np.array_equal(a, b)
+
+
+def test_row_halves_allocate_only_in_the_caller(monkeypatch):
+    # every part writes into arrays allocated before the split, so the helper
+    # thread never needs a large block from the allocator
+    peaks = []
+
+    def traced_halves(part, rows, row_madds):
+        for lo, hi in ((0, rows // 2), (rows // 2, rows)):
+            tracemalloc.start()
+            try:
+                part(lo, hi)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+    monkeypatch.setattr(clpdd.encoder, "run_row_halves", traced_halves)
+    monkeypatch.setattr(clpdd.solver, "run_row_halves", traced_halves)
+    rng = np.random.default_rng(0)
+    inputs = 0.5 * rng.standard_normal((1000, 512))
+    upstream = rng.standard_normal((1000, 512))
+    for kind in ("linear", "mlp1"):
+        enc = make_encoder(kind, 512, 512, hidden_dim=512, seed=4)
+        _, hidden = clpdd.encoder._encode(enc, inputs)
+        clpdd.encoder._encode_vjp(enc, inputs, upstream, hidden)
+        encode_vjp(enc, inputs, upstream)
+    sol = ridge_kernel(inputs, np.eye(100)[rng.integers(0, 100, 1000)], 0.1)
+    assert sol.mode == "primal"
+    solve_backward(sol, inputs, rng.standard_normal((512, 100)))
+    assert len(peaks) == 14
+    assert max(peaks) <= 256 << 10, peaks
 
 
 def test_helper_half_runs_under_the_callers_error_state(two_lanes):
