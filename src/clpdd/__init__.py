@@ -10,6 +10,7 @@ gradient-check tooling, and a CLI.
 from .data import (
     BadMagicError,
     Dataset,
+    DtypeError,
     FeatureFileError,
     LabelRangeError,
     MissingClassError,
@@ -59,6 +60,7 @@ __all__ = [
     "Dataset",
     "DistillConfig",
     "DistillDivergenceError",
+    "DtypeError",
     "Encoder",
     "FeatureFileError",
     "LabelRangeError",

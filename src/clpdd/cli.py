@@ -11,7 +11,6 @@ per-purpose streams.
 import argparse
 import ctypes
 import errno
-import json
 import math
 import os
 import sys
@@ -40,7 +39,7 @@ from .evaluation import (
     train_linear_probe,
 )
 from .gradcheck import battery_report, run_battery
-from .report import MethodAccuracy, RunReport
+from .report import MethodAccuracy, RunReport, json_text
 
 
 class ConfigError(ValueError):
@@ -332,7 +331,7 @@ def cmd_gradcheck(cfg: dict, json_path=None):
     report = battery_report(results)
     report["wall_seconds"] = time.perf_counter() - t0
     if json_path is not None:
-        Path(json_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        Path(json_path).write_text(json_text(report))
     for r in results:
         status = "pass" if r.passed else f"FAIL (seed {r.worst_seed})"
         print(f"gradcheck {r.name}: max_rel_err={r.max_rel_err:.3e} {status}")
@@ -506,7 +505,7 @@ def cmd_eval(cfg: dict, synthetic_path, json_path=None) -> dict:
         "eval_acc": acc,
     }
     if json_path is not None:
-        Path(json_path).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        Path(json_path).write_text(json_text(result))
     return result
 
 
@@ -607,7 +606,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "eval":
             result = cmd_eval(cfg, args.synthetic, json_path=args.json)
-            print(json.dumps(result, indent=2, sort_keys=True))
+            print(json_text(result), end="")
             return 0
         if args.command == "compare":
             report = cmd_compare(cfg, args.out)

@@ -69,6 +69,11 @@ class NonFiniteFeatureError(FeatureFileError):
         )
 
 
+class DtypeError(FeatureFileError):
+    """Inputs of neither an integer nor a floating dtype, or labels not of an
+    integer dtype."""
+
+
 class MissingClassError(FeatureFileError):
     """Fewer rows than classes, or some class id below the class count
     labels no row."""
@@ -111,9 +116,11 @@ class Dataset:
     Real splits, distilled and selected sets all take this form, and only
     it decides what a labelled set is: finite n x dim inputs with dim >= 1,
     n labels in [0, class_count), class_count >= 1 and n >= class_count (a
-    class may have no rows). Building a set that breaks this, which scans its
-    inputs once, raises a FeatureFileError subclass. Inputs and labels are
-    then treated as immutable; the class layout is derived once and reused.
+    class may have no rows). Inputs of an integer or floating dtype are
+    widened to float64 once (float64 ones are kept as they are); labels have
+    an integer dtype. Building a set that breaks this, which scans its inputs
+    once, raises a FeatureFileError subclass. Inputs and labels are then
+    treated as immutable; the class layout is derived once and reused.
     """
 
     inputs: np.ndarray  # n x dim float64
@@ -124,6 +131,12 @@ class Dataset:
         x, y = self.inputs, self.labels
         if x.ndim != 2 or y.shape != x.shape[:1]:
             raise ShapeError(f"inputs must be n x dim and labels n long, got {x.shape}, {y.shape}")
+        if x.dtype.kind not in "iuf":  # bool, complex, object, ...
+            raise DtypeError(f"inputs must be integer or floating, got dtype {x.dtype}")
+        if y.dtype.kind not in "iu":
+            raise DtypeError(f"labels must be integer, got dtype {y.dtype}")
+        x = x.astype(np.float64, copy=False)
+        object.__setattr__(self, "inputs", x)
         _check_shape(self.dim, self.class_count)
         # scanned before the row count, so a file with both faults reports the NaN
         bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
@@ -253,12 +266,12 @@ def load_features(path) -> Dataset:
     with path.open("rb") as f:
         f64, n, dim, classes = _read_header(f, path)
         labels = np.frombuffer(f.read(4 * n), dtype="<u4").astype(np.int64)
-        # read straight into the array: an f64 payload is never copied, an
-        # f32 one is widened once
+        # read straight into the array: an f64 payload is never copied, and
+        # the Dataset widens an f32 one once
         payload = np.empty((n, dim), dtype="<f8" if f64 else "<f4")
         if f.readinto(payload) != payload.nbytes:
             raise TruncatedFileError(f"{path}: payload ends early")
-    return _file_dataset(path, payload.astype(np.float64, copy=False), labels, classes)
+    return _file_dataset(path, payload, labels, classes)
 
 
 def feature_shape(path) -> tuple[int, int]:
@@ -301,10 +314,11 @@ def check_every_class(rows: Dataset | np.ndarray, class_count: int, source) -> N
     """Raise MissingClassError, naming `source` and the ids, when some class id
     below `class_count` labels no row.
 
-    `rows` is an array of labels, or a Dataset with that class count, whose
-    cached class counts are read."""
+    `rows` is an array of labels, or a Dataset of at most that class count,
+    whose cached class counts are read (no row has an id past its own count)."""
     if isinstance(rows, Dataset):
-        missing = np.flatnonzero(rows.class_layout.counts == 0)
+        counts = rows.class_layout.counts
+        missing = np.flatnonzero(np.pad(counts, (0, class_count - counts.size)) == 0)
     else:
         missing = np.setdiff1d(np.arange(class_count), rows)
     if missing.size:

@@ -18,7 +18,7 @@ import numpy as np
 from .data import Dataset, check_every_class
 from .encoder import ENCODER_KINDS, Encoder, _encode, _encode_vjp, encode, make_encoder
 from .linalg import DimensionError
-from .objective import _class_anchor_loss_and_grad, _mse_outer_loss_and_grad
+from .objective import _accuracy, _class_anchor_loss_and_grad, _mse_outer_loss_and_grad
 from .report import StepMetrics
 from .solver import _ridge_kernel, _solve_backward
 
@@ -308,16 +308,21 @@ def meta_loss_and_grad(
     return loss, _encode_vjp(enc, inputs, grad_x, hidden)
 
 
-def _divergence_diagnostics(enc: Encoder, inputs: np.ndarray, lam: float) -> str:
-    """A bound on the condition number of the step's ridge system, or, where
-    the encoded inputs' Gram matrix overflows, that it is not finite."""
+def _diverged(
+    what: str, iteration: int, cfg: DistillConfig, enc: Encoder, inputs: np.ndarray
+) -> DistillDivergenceError:
+    """The step's error: `what` failed at `iteration`, with lambda, tau and a
+    bound on the condition number of the ridge system at the step's `inputs`,
+    or, where the encoded inputs' Gram matrix overflows, that it is not finite."""
     with np.errstate(all="ignore"):
         x = encode(enc, inputs)
         gram = x @ x.T
-    if not np.isfinite(gram).all():
-        return "the Gram matrix of the encoded inputs is not finite"
-    mu = np.linalg.eigvalsh(gram)[-1]
-    return f"cond(A) <= {(mu + lam) / lam:.3e}"
+    bound = "the Gram matrix of the encoded inputs is not finite"
+    if np.isfinite(gram).all():
+        bound = f"cond(A) <= {(np.linalg.eigvalsh(gram)[-1] + cfg.lam) / cfg.lam:.3e}"
+    return DistillDivergenceError(
+        f"{what} at iteration {iteration} (lambda={cfg.lam}, tau={cfg.tau}, {bound})"
+    )
 
 
 def _check_encoder_dim(enc: Encoder, real_dim: int):
@@ -368,25 +373,15 @@ def distill_step(
     flat = grad.ravel(order="K")
     grad_norm = math.sqrt(flat @ flat)  # np.linalg.norm(grad), bit for bit
     if not (math.isfinite(loss) and math.isfinite(grad_norm)):
-        raise DistillDivergenceError(
-            f"non-finite loss/gradient at iteration {iteration} "
-            f"(lambda={cfg.lam}, {_divergence_diagnostics(enc, inputs_aug, cfg.lam)})"
-        )
+        raise _diverged("non-finite loss/gradient", iteration, cfg, enc, inputs_aug)
     if grad_norm > GRAD_NORM_LIMIT:
-        raise DistillDivergenceError(
-            f"gradient norm {grad_norm:.3e} exceeds {GRAD_NORM_LIMIT:.0e} at iteration "
-            f"{iteration}; check lambda/tau "
-            f"(lambda={cfg.lam}, tau={cfg.tau}, "
-            f"{_divergence_diagnostics(enc, inputs_aug, cfg.lam)})"
-        )
+        what = f"gradient norm {grad_norm:.3e} exceeds {GRAD_NORM_LIMIT:.0e}"
+        raise _diverged(what, iteration, cfg, enc, inputs_aug)
     lr = cosine_lr(cfg.lr, iteration, cfg.iterations)
     update = adam_update(adam, grad, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     new_inputs = np.subtract(inputs, update, out=update)
     if not np.isfinite(new_inputs).all():
-        raise DistillDivergenceError(
-            f"synthetic inputs became non-finite at iteration {iteration} "
-            f"(lambda={cfg.lam}, {_divergence_diagnostics(enc, inputs_aug, cfg.lam)})"
-        )
+        raise _diverged("synthetic inputs became non-finite", iteration, cfg, enc, inputs_aug)
     return new_inputs, StepMetrics(
         iteration=iteration, outer_loss=loss, grad_norm=grad_norm, lr=lr
     )
@@ -400,8 +395,7 @@ def _monitor_accuracy(
     Runs the unchecked cores: the loop hands over inputs its step guards and
     an eval split `run_distill` checked."""
     sol = _ridge_kernel(_encode(enc, inputs)[0], y_onehot, lam)
-    preds = np.argmax(_encode(enc, eval_set.inputs)[0] @ sol.w_star, axis=1)
-    return float(np.mean(preds == eval_set.labels))
+    return _accuracy(_encode(enc, eval_set.inputs)[0] @ sol.w_star, eval_set.labels)
 
 
 def run_distill(
@@ -418,11 +412,13 @@ def run_distill(
 
     Each `Dataset` checked its own rows when it was built. What the run needs
     beyond that is checked once, before the first step: a real class without
-    rows raises MissingClassError, and an eval split of another dim or an
-    `enc` whose input dim differs from the real set's DimensionError.
+    rows, or an eval class past the real class count (it could never be
+    predicted), raises MissingClassError, and an eval split of another dim or an `enc` whose
+    input dim differs from the real set's DimensionError.
     """
     # the one check of the run; every step after it runs unchecked
-    check_every_class(real, real.class_count, "real set")
+    classes = max(real.class_count, 0 if eval_set is None else eval_set.class_count)
+    check_every_class(real, classes, "real set")
     if eval_set is not None and eval_set.dim != real.dim:
         raise DimensionError(f"eval split is {eval_set.dim}-dim, real set {real.dim}-dim")
     if enc is None:

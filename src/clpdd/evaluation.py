@@ -14,18 +14,13 @@ import numpy as np
 from .data import Dataset, check_every_class
 from .distill import AdamState, DistillConfig, DistillDivergenceError, adam_update
 from .linalg import DimensionError
-from .objective import _softmax_rows
+from .objective import _accuracy, _shifted_logits, _softmax_rows
 
 
 @dataclass(frozen=True)
 class ProbeResult:
     w: np.ndarray  # d x C
     eval_acc: float
-
-
-def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
-    # np.argmax takes the lowest index among tied scores
-    return float(np.mean(np.argmax(scores, axis=1) == labels))
 
 
 def train_linear_probe(
@@ -75,7 +70,7 @@ def train_linear_probe(
             else:
                 batches = full
             for x, t in batches:
-                pi = _softmax_rows(x @ w)
+                pi, _ = _softmax_rows(_shifted_logits(x @ w))
                 pi -= t
                 w -= adam_update(adam, x.T @ pi / x.shape[0], lr, b1, b2, eps)
         scores = eval_set.inputs @ w

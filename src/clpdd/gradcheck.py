@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import onehot
-from .distill import meta_loss_and_grad, stream_seed
+from .distill import meta_loss_and_grad, rng_stream, stream_seed
 from .encoder import encode, encode_vjp, make_encoder
 from .objective import class_anchor_loss_and_grad, mse_outer_loss_and_grad
 from .solver import ridge_kernel, solve_backward
@@ -52,10 +52,6 @@ class CheckResult:
     threshold: float
     passed: bool
     worst_seed: int
-
-
-def _instance_rng(seed: int, name: str, i: int) -> np.random.Generator:
-    return np.random.default_rng(stream_seed(seed, f"gradcheck.{name}.{i}"))
 
 
 def _check_solver_backward(rng):
@@ -164,7 +160,6 @@ _CHECKS = {
     "pipeline_mse": _check_pipeline("mse"),
     "pipeline_primal": _check_pipeline_primal,
 }
-CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_battery(seed: int = 0) -> list[CheckResult]:
@@ -173,9 +168,10 @@ def run_battery(seed: int = 0) -> list[CheckResult]:
     for name, fn in _CHECKS.items():
         worst, worst_seed = 0.0, 0
         for i in range(DEFAULT_INSTANCES):
-            err = rel_err(*fn(_instance_rng(seed, name, i)))
+            stream = f"gradcheck.{name}.{i}"
+            err = rel_err(*fn(rng_stream(seed, stream)))
             if err > worst:
-                worst, worst_seed = err, stream_seed(seed, f"gradcheck.{name}.{i}")
+                worst, worst_seed = err, stream_seed(seed, stream)
         results.append(
             CheckResult(
                 name=name,

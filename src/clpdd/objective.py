@@ -26,9 +26,17 @@ def _shifted_logits(z: np.ndarray) -> np.ndarray:
     return z - np.maximum.reduce(z, axis=1, keepdims=True)
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = np.exp(_shifted_logits(z))
-    return e / np.add.reduce(e, axis=1, keepdims=True)
+def _softmax_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(softmax, row sums of exp) of shifted logits `z`; exp(z) is divided in place."""
+    e = np.exp(z)
+    row_sums = np.add.reduce(e, axis=1, keepdims=True)
+    e /= row_sums
+    return e, row_sums
+
+
+def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
+    # np.argmax takes the lowest index among tied scores
+    return float(np.mean(np.argmax(scores, axis=1) == labels))
 
 
 def class_anchor_loss_and_grad(
@@ -51,13 +59,10 @@ def _class_anchor_loss_and_grad(
     m = x.shape[0]
     rows = np.arange(m)
     z = _shifted_logits((x @ w_star) / tau)
-    e = np.exp(z)
-    row_sums = np.add.reduce(e, axis=1, keepdims=True)
-    correct = z[rows, labels]
-    loss = float(np.add.reduce(np.log(row_sums[:, 0]) - correct) / m)
-    e /= row_sums  # now softmax(Z)
-    e[rows, labels] -= 1.0
-    return loss, x.T @ e / (m * tau)
+    p, row_sums = _softmax_rows(z)
+    loss = float(np.add.reduce(np.log(row_sums[:, 0]) - z[rows, labels]) / m)
+    p[rows, labels] -= 1.0
+    return loss, x.T @ p / (m * tau)
 
 
 def mse_outer_loss_and_grad(

@@ -7,6 +7,11 @@ from pathlib import Path
 import numpy as np
 
 
+def json_text(obj) -> str:
+    """Every JSON file's and printout's text: indent 2, sorted keys, a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 @dataclass
 class StepMetrics:
     iteration: int
@@ -54,7 +59,7 @@ class RunReport:
         }
 
     def save_json(self, path):
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(json_text(self.to_dict()))
 
     def save_curve_csv(self, path):
         lines = ["iteration,outer_loss,grad_norm,lr,eval_acc"]

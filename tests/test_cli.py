@@ -35,7 +35,6 @@ from clpdd.cli import (
 from clpdd.data import Dataset, MissingClassError, gen_blobs, save_features
 from clpdd.distill import DistillConfig
 from clpdd.evaluation import train_linear_probe
-from clpdd.gradcheck import CHECK_NAMES
 from clpdd.solver import ridge_kernel
 
 from oracles import write_clpf
@@ -99,14 +98,31 @@ def test_default_config_values():
     assert cfg["probe_lr"] == 0.01
 
 
-def test_gradcheck_passes_and_reports(tmp_path):
+GRADCHECK_NAMES = [
+    "solver_backward",
+    "class_anchor_grad",
+    "mse_grad",
+    "encoder_vjp_identity",
+    "encoder_vjp_linear",
+    "encoder_vjp_mlp1",
+    "pipeline_class_anchor",
+    "pipeline_mse",
+    "pipeline_primal",
+]
+
+
+def test_gradcheck_passes_and_reports(tmp_path, capsys):
     json_path = tmp_path / "gradcheck.json"
     code, report = cmd_gradcheck(default_config(), json_path=json_path)
     assert code == 0
     assert report["passed"]
-    assert report["battery_size"] == len(CHECK_NAMES)
+    assert report["battery_size"] == len(GRADCHECK_NAMES)
     on_disk = json.loads(json_path.read_text())
-    assert len(on_disk["checks"]) == len(CHECK_NAMES)
+    assert [c["name"] for c in on_disk["checks"]] == GRADCHECK_NAMES
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == [
+        f"gradcheck {name}" for name in GRADCHECK_NAMES
+    ]
 
 
 def _corrupt_check(monkeypatch, name):

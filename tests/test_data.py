@@ -4,6 +4,7 @@ import pytest
 from clpdd.data import (
     BadMagicError,
     Dataset,
+    DtypeError,
     FeatureFileError,
     LabelRangeError,
     MissingClassError,
@@ -18,6 +19,7 @@ from clpdd.data import (
     onehot,
     save_features,
 )
+from clpdd.distill import DistillConfig, run_distill
 from clpdd.evaluation import _accuracy
 from clpdd.solver import ridge_kernel
 
@@ -260,6 +262,37 @@ def test_dataset_rejects_fewer_samples_than_classes():
 def test_dataset_rejects_inputs_that_are_not_rows(inputs, labels):
     with pytest.raises(ShapeError, match=r"^inputs must be n x dim and labels n long"):
         Dataset(inputs, labels, class_count=2)
+
+
+def test_dataset_widens_integer_inputs_so_from_real_init_distills():
+    train, _ = gen_blobs(3, 4, 20, center_scale=3.0, cluster_std=0.5, seed=0)
+    ints = Dataset(np.rint(train.inputs).astype(np.int64), train.labels, 3)
+    assert ints.inputs.dtype == np.float64
+    syn, curve = run_distill(DistillConfig(iterations=3, init="from_real"), ints)
+    assert syn.inputs.dtype == np.float64 and len(curve) == 3
+
+
+def test_dataset_holds_float32_inputs_as_float64():
+    x = np.linspace(-1, 1, 8, dtype=np.float32).reshape(4, 2)
+    ds = Dataset(x, np.array([0, 1, 0, 1]), 2)
+    assert ds.inputs.dtype == np.float64 and np.array_equal(ds.inputs, x.astype(np.float64))
+
+
+@pytest.mark.parametrize(
+    "labels, dtype",
+    [(np.array([0, 0.5, 1]), "float64"), (np.array([False, True, True]), "bool")],
+    ids=["float-labels", "bool-labels"],
+)
+def test_dataset_rejects_labels_that_are_not_integers(labels, dtype):
+    with pytest.raises(DtypeError, match=rf"^labels must be integer, got dtype {dtype}$"):
+        Dataset(np.zeros((3, 2)), labels, class_count=2)
+
+
+@pytest.mark.parametrize("dtype", [complex, bool, object])
+def test_dataset_rejects_inputs_that_are_not_real_numbers(dtype):
+    inputs = np.zeros((3, 2), dtype=dtype)
+    with pytest.raises(DtypeError, match=r"^inputs must be integer or floating, got dtype "):
+        Dataset(inputs, np.array([0, 1, 0]), class_count=2)
 
 
 def test_class_indices_cached_and_equal_to_flatnonzero():

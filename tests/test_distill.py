@@ -528,6 +528,12 @@ def _encoder_of_other_dim(train, ev):
     return train, ev, make_encoder("identity", train.dim + 1)
 
 
+def _eval_split_with_classes_the_real_set_lacks(train, ev):
+    labels = ev.labels.copy()
+    labels[:2] = [3, 4]
+    return train, Dataset(ev.inputs, labels, 5), None
+
+
 @pytest.mark.parametrize(
     "build, error, match",
     [
@@ -549,8 +555,13 @@ def test_run_distill_never_sees_a_set_the_dataset_rejects(build, error, match):
         (_class_without_rows, MissingClassError, r"^real set: no rows for class ids \[3\] of 4"),
         (_eval_split_of_other_dim, DimensionError, r"^eval split is 4-dim, real set 5-dim$"),
         (_encoder_of_other_dim, DimensionError, r"^encoder expects 6-dim inputs, real set has 5"),
+        (
+            _eval_split_with_classes_the_real_set_lacks,
+            MissingClassError,
+            r"^real set: no rows for class ids \[3, 4\] of 5 classes$",
+        ),
     ],
-    ids=["class_without_rows", "eval_dim", "encoder_dim"],
+    ids=["class_without_rows", "eval_dim", "encoder_dim", "eval_classes"],
 )
 def test_run_distill_rejects_bad_data_before_the_first_step(monkeypatch, build, error, match):
     # a set may lack rows of a class, and its dims are the run's to match:
@@ -606,6 +617,37 @@ def test_gradient_explosion_guard():
         run_distill(cfg, train)
     assert "iteration" in str(ei.value)
     assert "lambda" in str(ei.value)
+
+
+@pytest.mark.parametrize(
+    "loss, grad, update, what",
+    [
+        (np.nan, 0.0, None, "non-finite loss/gradient"),
+        (1.0, 1e7, None, f"gradient norm {1e7 * np.sqrt(15):.3e} exceeds 1e+06"),
+        (1.0, 0.1, np.inf, "synthetic inputs became non-finite"),
+    ],
+    ids=["loss", "grad_norm", "inputs"],
+)
+def test_each_step_guard_names_what_failed_the_iteration_and_the_bound(
+    monkeypatch, loss, grad, update, what
+):
+    train, _ = _blob_task()
+    cfg = _tiny_cfg(lam=0.3, tau=0.2)
+    syn = init_synthetic(3, 1, 5, seed=0)
+    monkeypatch.setattr(
+        clpdd.distill, "meta_loss_and_grad", lambda x, *a: (loss, np.full(x.shape, grad))
+    )
+    if update is not None:
+        monkeypatch.setattr(clpdd.distill, "adam_update", lambda s, g, *a: np.full(g.shape, update))
+    with pytest.raises(DistillDivergenceError) as ei:
+        distill_step(
+            syn.inputs, syn.onehot_labels(), AdamState.like(syn.inputs), cfg,
+            make_encoder("identity", 5), *_step_streams(cfg, train, syn.inputs.shape), 7,
+        )
+    # sigma = 0, so the step's inputs are the synthetic inputs themselves
+    mu = np.linalg.eigvalsh(syn.inputs @ syn.inputs.T)[-1]
+    bound = f"cond(A) <= {(mu + 0.3) / 0.3:.3e}"
+    assert str(ei.value) == f"{what} at iteration 7 (lambda=0.3, tau=0.2, {bound})"
 
 
 def test_cosine_schedule_endpoints():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import clpdd.evaluation
 from clpdd.data import Dataset, MissingClassError, gen_blobs
 from clpdd.evaluation import (
     _accuracy,
@@ -11,6 +12,7 @@ from clpdd.evaluation import (
     train_linear_probe,
 )
 from clpdd.linalg import DimensionError
+from clpdd.objective import class_anchor_loss_and_grad
 from clpdd.solver import ridge_kernel
 
 from oracles import softmax_probe_ref
@@ -233,3 +235,26 @@ def test_accuracy_tie_breaks_low():
     scores = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
     assert _accuracy(scores, np.array([0, 1])) == 1.0
     assert _accuracy(scores, np.array([1, 2])) == 0.0
+
+
+@pytest.mark.parametrize("batch_size", [64, 16], ids=["full-batch", "mini-batch"])
+def test_probe_gradient_is_the_class_anchor_gradient_at_tau_1(monkeypatch, batch_size):
+    # the probe's cross-entropy is the outer loss at tau = 1: one softmax serves both
+    rng = np.random.default_rng(3)
+    train = Dataset(rng.standard_normal((40, 6)), np.arange(40) % 4, 4)
+    grads = []
+    adam_update = clpdd.evaluation.adam_update
+
+    def recorded(state, grad, *args):
+        grads.append(grad.copy())
+        return adam_update(state, grad, *args)
+
+    monkeypatch.setattr(clpdd.evaluation, "adam_update", recorded)
+    train_linear_probe(train, train, epochs=1, batch_size=batch_size, seed=5)
+    # the first weights and the first batch, drawn as the probe draws them
+    probe_rng = np.random.default_rng(5)
+    w0 = probe_rng.standard_normal((6, 4)) / np.sqrt(6)
+    rows = np.arange(40) if batch_size >= 40 else probe_rng.permutation(40)[:batch_size]
+    _, expected = class_anchor_loss_and_grad(train.inputs[rows], train.labels[rows], w0, 1.0)
+    assert len(grads) == (1 if batch_size >= 40 else 3)
+    assert np.array_equal(grads[0], expected)
