@@ -28,6 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .linalg import DimensionError
+
 CLPF_MAGIC = b"CLPF"
 CLPF_VERSION = 1
 _FLAG_F64 = 0x0001
@@ -75,8 +77,8 @@ class DtypeError(FeatureFileError):
 
 
 class MissingClassError(FeatureFileError):
-    """Fewer rows than classes, or some class id below the class count
-    labels no row."""
+    """Fewer rows than classes, or a class with fewer rows than a caller needs
+    (by default, a class id below the class count that labels no row)."""
 
 
 def _check_label_range(labels: np.ndarray, class_count: int):
@@ -310,21 +312,24 @@ def _read_header(f, path) -> tuple[bool, int, int, int]:
     return f64, n, dim, classes
 
 
-def check_every_class(rows: Dataset | np.ndarray, class_count: int, source) -> None:
-    """Raise MissingClassError, naming `source` and the ids, when some class id
-    below `class_count` labels no row.
-
-    `rows` is an array of labels, or a Dataset of at most that class count,
-    whose cached class counts are read (no row has an id past its own count)."""
-    if isinstance(rows, Dataset):
-        counts = rows.class_layout.counts
-        missing = np.flatnonzero(np.pad(counts, (0, class_count - counts.size)) == 0)
-    else:
-        missing = np.setdiff1d(np.arange(class_count), rows)
-    if missing.size:
+def check_every_class(data: Dataset, class_count: int, source, rows: int = 1) -> None:
+    """Raise MissingClassError, naming `source` and the ids, when a class id below
+    `class_count` has fewer than `rows` rows in `data` (none past its own count)."""
+    counts = data.class_layout.counts[:class_count]
+    short = np.flatnonzero(np.pad(counts, (0, class_count - counts.size)) < rows)
+    if short.size:
+        what = "no rows" if rows == 1 else f"fewer than {rows} rows"
         raise MissingClassError(
-            f"{source}: no rows for class ids {missing.tolist()} of {class_count} classes"
+            f"{source}: {what} for class ids {short.tolist()} of {class_count} classes"
         )
+
+
+def check_fits(base: Dataset, other: Dataset, base_name, other_name) -> None:
+    """Raise unless a probe of `base` can score `other`: DimensionError for
+    another dim, MissingClassError for a class either counts that `base` lacks."""
+    if other.dim != base.dim:
+        raise DimensionError(f"{other_name} is {other.dim}-dim, {base_name} {base.dim}-dim")
+    check_every_class(base, max(base.class_count, other.class_count), base_name)
 
 
 def _save_csv(dataset: Dataset, path: Path):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_every_class
+from .data import Dataset, check_every_class, check_fits
 from .encoder import ENCODER_KINDS, Encoder, _encode, _encode_vjp, encode, make_encoder
 from .linalg import DimensionError
 from .objective import _accuracy, _class_anchor_loss_and_grad, _mse_outer_loss_and_grad
@@ -184,7 +184,8 @@ def init_synthetic(
     real: Dataset | None = None,
     seed: int = 0,
 ) -> Dataset:
-    """Class-major synthetic set: row c*ipc + k belongs to class c."""
+    """Class-major synthetic set: row c*ipc + k belongs to class c. from_real
+    init draws them from `real` (MissingClassError if a class has too few)."""
     if mode not in INIT_MODES:
         raise ValueError(f"unknown init mode {mode!r}")
     labels = np.repeat(np.arange(c), ipc)
@@ -194,15 +195,9 @@ def init_synthetic(
     else:
         if real is None:
             raise ValueError("from_real init needs a real dataset")
-        rows = []
-        for ci in range(c):
-            idx = real.class_indices(ci)
-            if idx.size < ipc:
-                raise ValueError(
-                    f"class {ci} has {idx.size} samples, needs >= {ipc} for from_real init"
-                )
-            rows.append(real.inputs[rng.choice(idx, size=ipc, replace=False)])
-        inputs = np.vstack(rows)
+        check_every_class(real, c, "real set", ipc)
+        rows = [rng.choice(real.class_indices(ci), size=ipc, replace=False) for ci in range(c)]
+        inputs = real.inputs[np.concatenate(rows)]
     return Dataset(inputs, labels, c)
 
 
@@ -221,16 +216,15 @@ def balanced_batches(
     becomes n - b + k, with nothing new drawn. The rule only looks back, so it
     runs one draw position at a time, on every class of every batch of a
     refill at once. A class with fewer than b rows draws floor(u_k * n), with
-    replacement. A class without rows, or b_per_class < 1, raises ValueError
-    at the first batch.
+    replacement. A class without rows raises MissingClassError, and
+    b_per_class < 1 ValueError, at the first batch.
     """
     if b_per_class < 1:
         raise ValueError(f"b_per_class must be >= 1, got {b_per_class}")
+    check_every_class(real, real.class_count, "real set")
     layout = real.class_layout
     counts = layout.counts
     class_count = real.class_count
-    if not counts.all():
-        raise ValueError(f"class {int(np.argmin(counts))} has no samples")
     block = max(1, BLOCK_DOUBLES // (class_count * b_per_class))
     floyd = counts >= b_per_class  # the classes drawn without replacement
     last = counts[:, None] + np.arange(-b_per_class, 0)  # n - b + k
@@ -417,10 +411,10 @@ def run_distill(
     input dim differs from the real set's DimensionError.
     """
     # the one check of the run; every step after it runs unchecked
-    classes = max(real.class_count, 0 if eval_set is None else eval_set.class_count)
-    check_every_class(real, classes, "real set")
-    if eval_set is not None and eval_set.dim != real.dim:
-        raise DimensionError(f"eval split is {eval_set.dim}-dim, real set {real.dim}-dim")
+    if eval_set is None:
+        check_every_class(real, real.class_count, "real set")
+    else:
+        check_fits(real, eval_set, "real set", "eval split")
     if enc is None:
         enc = cfg.build_encoder(real.dim)
     _check_encoder_dim(enc, real.dim)

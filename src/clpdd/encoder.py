@@ -46,10 +46,18 @@ def make_encoder(
 
     The 1/sqrt(fan_in) scale keeps feature magnitudes O(1) so the default
     ridge coefficient stays meaningful at toy scale. The same seed always
-    yields bit-identical weights.
+    yields bit-identical weights. `input_dim`, `feature_dim` (default
+    `input_dim`) and mlp1's `hidden_dim` (default the larger of the two; the
+    other kinds ignore it) below 1 raise ValueError before any weight is drawn.
     """
     if feature_dim is None:
         feature_dim = input_dim
+    if hidden_dim is None:
+        hidden_dim = max(input_dim, feature_dim)
+    dims = (("input_dim", input_dim), ("feature_dim", feature_dim), ("hidden_dim", hidden_dim))
+    for name, value in dims[: 3 if kind == "mlp1" else 2]:
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
     if kind == "identity":
         weights = ()
@@ -58,8 +66,6 @@ def make_encoder(
         b = rng.standard_normal(feature_dim) / np.sqrt(input_dim)
         weights = (w, b)
     elif kind == "mlp1":
-        if hidden_dim is None:
-            hidden_dim = max(input_dim, feature_dim)
         w1 = rng.standard_normal((input_dim, hidden_dim)) / np.sqrt(input_dim)
         b1 = rng.standard_normal(hidden_dim) / np.sqrt(input_dim)
         w2 = rng.standard_normal((hidden_dim, feature_dim)) / np.sqrt(hidden_dim)

@@ -4,16 +4,16 @@ Distilled, selected and real sets are all scored the same way: a linear
 probe is trained on a feature Dataset (rows already passed through the frozen
 encoder) and reports argmax accuracy (ties always resolve to the lowest class
 index, so results are stable across platforms). The selection baselines pick
-rows of the Dataset they are given, so on features they return features.
+rows of the Dataset they are given, so on features they return features; a
+class with fewer rows than a selector picks raises MissingClassError.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_every_class
+from .data import Dataset, check_every_class, check_fits
 from .distill import AdamState, DistillConfig, DistillDivergenceError, adam_update
-from .linalg import DimensionError
 from .objective import _accuracy, _shifted_logits, _softmax_rows
 
 
@@ -37,16 +37,16 @@ def train_linear_probe(
     fits inside one batch (always the case for one-sample-per-class
     synthetic sets). The class count is `train.class_count`; a class that no
     training row labels, or an eval class past that count, raises
-    MissingClassError. Weights, Adam moments or eval scores that end
-    non-finite (an lr or features so large that they overflow) raise
-    DistillDivergenceError.
+    MissingClassError, and splits of different dims DimensionError.
+    `batch_size` below 1 or `epochs` below 0 raise ValueError. Weights, Adam
+    moments or eval scores that end non-finite (an lr or features so large
+    that they overflow) raise DistillDivergenceError.
     """
-    if train.dim != eval_set.dim:
-        raise DimensionError(f"feature dims differ: train {train.dim}, eval {eval_set.dim}")
+    for name, value, low in (("batch_size", batch_size, 1), ("epochs", epochs, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     # an eval class the training rows lack could never be predicted
-    check_every_class(
-        train.labels, max(train.class_count, eval_set.class_count), "probe training labels"
-    )
+    check_fits(train, eval_set, "probe training labels", "probe eval split")
     x_train, c = train.inputs, train.class_count
     n, d = x_train.shape
     t_onehot = train.onehot_labels()
@@ -97,23 +97,17 @@ def _squared_distances(rows: np.ndarray, center: np.ndarray) -> np.ndarray:
 
 def select_random(real: Dataset, ipc: int, seed: int = 0) -> Dataset:
     """ipc rows per class chosen uniformly without replacement."""
+    check_every_class(real, real.class_count, "real set", ipc)
     rng = np.random.default_rng(seed)
-    picked = []
-    for c in range(real.class_count):
-        idx = real.class_indices(c)
-        if idx.size < ipc:
-            raise ValueError(f"class {c} has {idx.size} samples, needs >= {ipc}")
-        picked.append(np.sort(rng.choice(idx, size=ipc, replace=False)))
+    picked = [np.sort(rng.choice(idx, size=ipc, replace=False)) for idx in real.class_layout.rows]
     return _selection(real, np.concatenate(picked))
 
 
 def select_centroid(real: Dataset, ipc: int) -> Dataset:
     """The ipc rows per class nearest the class mean, ties by index."""
+    check_every_class(real, real.class_count, "real set", ipc)
     picked = []
-    for c in range(real.class_count):
-        idx = real.class_indices(c)
-        if idx.size < ipc:
-            raise ValueError(f"class {c} has {idx.size} samples, needs >= {ipc}")
+    for idx in real.class_layout.rows:
         x = real.inputs[idx]
         with np.errstate(all="ignore"):  # a mean that overflows holds inf
             d2 = _squared_distances(x, x.mean(axis=0))
@@ -125,13 +119,13 @@ def select_centroid(real: Dataset, ipc: int) -> Dataset:
 def select_neighbor(real: Dataset, synthetic: Dataset) -> Dataset:
     """Per synthetic row, the nearest real row of its class, ties by index.
 
-    Each picked row keeps its label from `real`.
+    Each picked row keeps its label from `real`. A synthetic set of another
+    dim raises DimensionError.
     """
+    check_fits(real, synthetic, "real set", "synthetic set")
     picked = []
     for row, label in zip(synthetic.inputs, synthetic.labels):
         idx = real.class_indices(int(label))
-        if idx.size == 0:
-            raise ValueError(f"class {label} has no samples")
         d2 = _squared_distances(real.inputs[idx], row)
         picked.append(idx[int(np.argmin(d2))])  # argmin returns first minimum
     return _selection(real, np.asarray(picked))

@@ -51,6 +51,16 @@ def class_rows(labels, c):
     return np.flatnonzero(labels == c)
 
 
+def classes_short_of_rows(labels, class_count, k):
+    """Class ids below `class_count` that fewer than k of `labels` name,
+    counted one label at a time."""
+    counts = [0] * class_count
+    for y in labels:
+        if y < class_count:
+            counts[y] += 1
+    return [c for c in range(class_count) if counts[c] < k]
+
+
 def datasets_equal(a, b):
     """Same class count, and inputs and labels equal in shape and value."""
     return (

@@ -1,0 +1,195 @@
+"""Where bad input is rejected, and with what.
+
+`clpdd.data` owns the two row rules of a labelled set: `check_every_class`
+(class c has at least k rows) and `check_fits` (a probe of one set can score
+another: same dim, and rows for every class either counts). Every public
+function that needs one of them calls it; the other entry checks each name
+what they reject.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clpdd.cli import main
+from clpdd.data import (
+    Dataset,
+    MissingClassError,
+    check_every_class,
+    gen_blobs,
+    save_features,
+)
+from clpdd.distill import (
+    DistillConfig,
+    augment_noise,
+    balanced_batches,
+    init_synthetic,
+    meta_loss_and_grad,
+    rng_stream,
+    run_distill,
+)
+from clpdd.encoder import Encoder, make_encoder
+from clpdd.evaluation import (
+    pca_project_2d,
+    select_centroid,
+    select_neighbor,
+    select_random,
+    train_linear_probe,
+)
+from clpdd.linalg import DimensionError
+from clpdd.solver import gd_steady_state, ridge_kernel, stable_step_bound
+
+from oracles import classes_short_of_rows
+
+# 3 classes of 3-dim rows: class 0 has four rows, class 1 one, class 2 none
+SHORT = Dataset(np.arange(15.0).reshape(5, 3), np.array([0, 1, 0, 0, 0]), class_count=3)
+EVAL = Dataset(np.ones((3, 3)), np.arange(3), class_count=3)
+NO_ROWS = "real set: no rows for class ids [2] of 3 classes"
+UNDER_2 = "real set: fewer than 2 rows for class ids [1, 2] of 3 classes"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: next(balanced_batches(SHORT, 2, rng_stream(0, "batch"))), NO_ROWS),
+        (lambda: init_synthetic(3, 2, 3, "from_real", SHORT), UNDER_2),
+        (lambda: run_distill(DistillConfig(iterations=2), SHORT, EVAL), NO_ROWS),
+        (
+            lambda: train_linear_probe(SHORT, EVAL, epochs=1),
+            "probe training labels: no rows for class ids [2] of 3 classes",
+        ),
+        (lambda: select_random(SHORT, 2), UNDER_2),
+        (lambda: select_centroid(SHORT, 2), UNDER_2),
+        (lambda: select_neighbor(SHORT, EVAL), NO_ROWS),
+    ],
+    ids=["balanced_batches", "init_synthetic", "run_distill", "train_linear_probe",
+         "select_random", "select_centroid", "select_neighbor"],
+)
+def test_each_caller_rejects_a_set_short_of_rows(call, message):
+    with pytest.raises(MissingClassError) as ei:
+        call()
+    assert str(ei.value) == message
+
+
+def test_select_neighbor_rejects_a_synthetic_set_of_another_dim():
+    real, _ = gen_blobs(2, 4, 10, 1.0, 1.0, seed=0)
+    synthetic = Dataset(np.zeros((2, 2)), np.arange(2), class_count=2)
+    with pytest.raises(DimensionError, match=r"^synthetic set is 2-dim, real set 4-dim$"):
+        select_neighbor(real, synthetic)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    labels=st.integers(1, 6).flatmap(
+        lambda c: st.tuples(st.just(c), st.lists(st.integers(0, c - 1), min_size=c, max_size=20))
+    ),
+    asked=st.integers(0, 8),
+    k=st.integers(0, 4),
+)
+def test_check_every_class_raises_iff_a_class_is_short(labels, asked, k):
+    class_count, labels = labels
+    data = Dataset(np.zeros((len(labels), 1)), np.array(labels), class_count)
+    short = classes_short_of_rows(labels, asked, k)
+    if not short:
+        check_every_class(data, asked, "src", k)
+        return
+    with pytest.raises(MissingClassError) as ei:
+        check_every_class(data, asked, "src", k)
+    ids = re.fullmatch(r"src: .* rows for class ids \[(.*)\] of (\d+) classes", str(ei.value))
+    assert [int(i) for i in ids[1].split(", ")] == short and int(ids[2]) == asked
+
+
+def _meta_loss_with_objective(objective):
+    x = np.eye(2, 3)
+    return meta_loss_and_grad(
+        x, np.eye(2), make_encoder("identity", 3), x, np.arange(2), 0.1, 0.07, objective
+    )
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tmp: gen_blobs(0, 3, 10, 1.0, 1.0), ValueError, "c and dim must be >= 1"),
+        (lambda tmp: gen_blobs(2, 0, 10, 1.0, 1.0), ValueError, "c and dim must be >= 1"),
+        (
+            lambda tmp: gen_blobs(2, 3, 4, 1.0, 1.0),
+            ValueError,
+            "n_per_class must be >= 5 so the 80/20 split leaves each class an eval row, got 4",
+        ),
+        (
+            lambda tmp: save_features(EVAL, tmp / "x.clpf", dtype="f16"),
+            ValueError,
+            "dtype must be 'f32' or 'f64', got 'f16'",
+        ),
+        (lambda tmp: init_synthetic(2, 1, 3, mode="x"), ValueError, "unknown init mode 'x'"),
+        (
+            lambda tmp: init_synthetic(2, 1, 3, mode="from_real"),
+            ValueError,
+            "from_real init needs a real dataset",
+        ),
+        (
+            lambda tmp: next(augment_noise((2, 3), -0.5, rng_stream(0, "augment"))),
+            ValueError,
+            "sigma must be >= 0, got -0.5",
+        ),
+        (lambda tmp: _meta_loss_with_objective("x"), ValueError, "unknown outer objective 'x'"),
+        (lambda tmp: Encoder("x", 3, 3), ValueError, "unknown encoder kind 'x'"),
+        (lambda tmp: make_encoder("x", 3), ValueError, "unknown encoder kind 'x'"),
+        (
+            lambda tmp: pca_project_2d(np.zeros((1, 3))),
+            ValueError,
+            "pca_project_2d needs at least 2 rows",
+        ),
+        (
+            lambda tmp: ridge_kernel(np.zeros(3), np.zeros((3, 2)), 0.1),
+            DimensionError,
+            "x and y must be 2-D",
+        ),
+        (
+            lambda tmp: ridge_kernel(np.zeros((3, 2)), np.zeros((2, 2)), 0.1),
+            DimensionError,
+            "x has 3 rows but y has 2",
+        ),
+        (
+            lambda tmp: gd_steady_state(np.eye(2), np.eye(2), 0.1, 0.0, 5),
+            ValueError,
+            "step size must be > 0, got 0.0",
+        ),
+        (
+            lambda tmp: stable_step_bound(np.eye(2), 0.0),
+            ValueError,
+            "ridge coefficient must be > 0, got 0.0",
+        ),
+    ],
+    ids=["blobs_c", "blobs_dim", "blobs_n_per_class", "save_dtype", "init_mode",
+         "from_real_without_real", "negative_sigma", "outer_objective", "encoder_kind",
+         "make_encoder_kind", "pca_one_row", "ridge_not_2d", "ridge_rows",
+         "gd_step_size", "step_bound_lambda"],
+)
+def test_each_entry_check_names_what_it_rejects(tmp_path, call, error, message):
+    with pytest.raises(error) as ei:
+        call(tmp_path)
+    assert type(ei.value) is error and str(ei.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "override, line",
+    [
+        (
+            "blob_anisotropic=maybe",
+            "config error: --set blob_anisotropic: bad value for 'blob_anisotropic': "
+            "expected true/false, got 'maybe'",
+        ),
+        ("foo", "config error: --set 'foo': expected key=value"),
+    ],
+    ids=["bad_bool", "no_equals"],
+)
+def test_main_rejects_a_bad_override_in_one_line(tmp_path, capsys, override, line):
+    assert main(["distill", "--out", str(tmp_path / "out"), "--set", override]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [line]
+    assert not (tmp_path / "out").exists()

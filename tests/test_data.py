@@ -321,14 +321,16 @@ def test_class_layout_is_class_major_and_counts_rows():
     assert ds.class_layout is layout
 
 
-def test_check_every_class_reads_a_dataset_like_its_labels():
-    ds = Dataset(np.zeros((6, 1)), np.array([0, 2, 2, 4, 0, 4]), class_count=6)
-    messages = []
-    for rows in (ds, ds.labels):
-        with pytest.raises(MissingClassError) as ei:
-            check_every_class(rows, 6, "src")
-        messages.append(str(ei.value))
-    assert messages[0] == messages[1] == "src: no rows for class ids [1, 3, 5] of 6 classes"
+def test_check_every_class_names_the_ids_short_of_rows():
+    ds = Dataset(np.zeros((6, 1)), np.array([0, 2, 2, 4, 0, 4]), class_count=5)
+    # ids past the set's own class count have no rows
+    with pytest.raises(MissingClassError) as ei:
+        check_every_class(ds, 6, "src")
+    assert str(ei.value) == "src: no rows for class ids [1, 3, 5] of 6 classes"
+    with pytest.raises(MissingClassError) as ei:
+        check_every_class(ds, 4, "src", 2)
+    assert str(ei.value) == "src: fewer than 2 rows for class ids [1, 3] of 4 classes"
+    check_every_class(ds, 1, "src", 2)  # only class 0 is asked for
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

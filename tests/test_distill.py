@@ -100,7 +100,7 @@ def test_balanced_batch_small_class_with_replacement():
 
 def test_balanced_batch_rejects_a_class_without_rows():
     ds = Dataset(np.zeros((4, 2)), np.array([0, 2, 2, 0]), class_count=3)
-    with pytest.raises(ValueError, match=r"^class 1 has no samples$"):
+    with pytest.raises(MissingClassError, match=r"^real set: no rows for class ids \[1\] of 3 c"):
         next(balanced_batches(ds, 2, rng_stream(0, "batch")))
 
 
@@ -654,6 +654,10 @@ def test_cosine_schedule_endpoints():
     assert cosine_lr(0.05, 0, 1000) == pytest.approx(0.05)
     assert cosine_lr(0.05, 500, 1000) == pytest.approx(0.025)
     assert cosine_lr(0.05, 1000, 1000) == pytest.approx(0.0, abs=1e-18)
+
+
+def test_cosine_lr_without_a_budget_is_the_base_rate():
+    assert cosine_lr(0.05, 0, 0) == 0.05
 
 
 def test_config_validation():

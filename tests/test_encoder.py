@@ -116,3 +116,25 @@ def test_no_hidden_activation_outside_mlp1(kind):
     x = np.random.default_rng(1).standard_normal((2, 3))
     feats, hidden = _encode(enc, x)
     assert hidden is None and np.array_equal(feats, encode(enc, x))
+
+
+@pytest.mark.parametrize(
+    "kind, dims, message",
+    [
+        ("mlp1", (3, 2, 0), "hidden_dim must be >= 1, got 0"),
+        ("mlp1", (0, 2, 3), "input_dim must be >= 1, got 0"),
+        ("linear", (3, 0, None), "feature_dim must be >= 1, got 0"),
+        ("identity", (0, None, None), "input_dim must be >= 1, got 0"),
+        ("linear", (3, 2, 0), None),  # only mlp1 has a hidden layer
+        ("identity", (3, 3, -1), None),
+    ],
+)
+def test_make_encoder_rejects_dims_below_one(kind, dims, message):
+    input_dim, feature_dim, hidden_dim = dims
+    if message is None:
+        enc = make_encoder(kind, input_dim, feature_dim, hidden_dim=hidden_dim)
+        assert all(np.isfinite(w).all() for w in enc.weights)
+        return
+    with pytest.raises(ValueError) as ei:
+        make_encoder(kind, input_dim, feature_dim, hidden_dim=hidden_dim)
+    assert str(ei.value) == message

@@ -69,8 +69,23 @@ def test_probe_takes_class_count_from_train():
 def test_probe_rejects_feature_dims_that_differ():
     train, _ = gen_blobs(3, 5, 20, 1.0, 1.0, seed=0)
     _, ev = gen_blobs(3, 4, 20, 1.0, 1.0, seed=0)
-    with pytest.raises(DimensionError, match="train 5, eval 4"):
+    with pytest.raises(DimensionError, match=r"^probe eval split is 4-dim, probe training lab"):
         train_linear_probe(train, ev, epochs=5)
+
+
+@pytest.mark.parametrize(
+    "bound, message",
+    [
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"epochs": -3}, "epochs must be >= 0, got -3"),
+    ],
+    ids=["batch_size", "epochs"],
+)
+def test_probe_rejects_a_batch_size_or_epoch_count_out_of_bounds(bound, message):
+    train, ev = gen_blobs(3, 5, 20, 1.0, 1.0, seed=0)
+    with pytest.raises(ValueError) as ei:
+        train_linear_probe(train, ev, **bound)
+    assert str(ei.value) == message
 
 
 @pytest.mark.parametrize("batch_size", [256, 16])  # one full batch; shuffled mini-batches
@@ -213,6 +228,18 @@ def test_pca_rank_zero_input():
     proj, explained = pca_project_2d(x)
     assert np.array_equal(proj, np.zeros((10, 2)))
     assert explained == (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [np.outer([-1.0, 0.0, 1.0, 2.0], [1.0, 2.0, 2.0]), np.array([[0.5], [1.5], [-2.0]])],
+    ids=["rank-1", "one-dim"],
+)
+def test_pca_second_column_is_zero_without_a_second_direction(x):
+    proj, explained = pca_project_2d(x)
+    assert np.array_equal(proj[:, 1], np.zeros(x.shape[0])) and explained[1] == 0.0
+    assert explained[0] == pytest.approx(1.0)
+    assert np.allclose(np.abs(proj[:, 0]), np.linalg.norm(x - x.mean(axis=0), axis=1))
 
 
 def test_pca_sign_convention():

@@ -217,6 +217,11 @@ def test_row_halves_raise_after_both_halves_finish(two_lanes, raise_in):
     assert two_lanes == [(0, 96)]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="the OS names no CPU set")
+def test_affinity_cpus_counts_the_cpus_this_process_may_run_on():
+    assert clpdd.linalg._affinity_cpus() == len(os.sched_getaffinity(0))
+
+
 def test_one_cpu_starts_no_thread(two_lanes, monkeypatch):
     monkeypatch.setattr(clpdd.linalg, "_affinity_cpus", lambda: 1)
     monkeypatch.setattr(clpdd.linalg, "_helper", None)
