@@ -11,7 +11,6 @@ per-purpose streams.
 import argparse
 import ctypes
 import errno
-import math
 import os
 import sys
 import time
@@ -23,6 +22,7 @@ import numpy as np
 from .data import (
     Dataset,
     FeatureFileError,
+    MissingClassError,
     check_every_class,
     feature_shape,
     gen_blobs,
@@ -39,6 +39,7 @@ from .evaluation import (
     train_linear_probe,
 )
 from .gradcheck import battery_report, run_battery
+from .linalg import check_at_least, check_positive
 from .report import MethodAccuracy, RunReport, json_text
 
 
@@ -67,6 +68,9 @@ _RENAMED = {"lam": "lambda", "encoder_kind": "encoder"}
 # CLI key -> DistillConfig field, in field order
 _DISTILL_FIELDS = {_RENAMED.get(f.name, f.name): f for f in fields(DistillConfig)}
 
+METHOD_NAMES = ("clpdd", "random", "centroid", "neighbor", "mse-ablation")
+SWEEP_PARAMS = ("tau", "lambda", "b_per_class")
+
 # key -> (parser, default); declaration order is the serialization order
 CONFIG_SPEC: dict[str, tuple] = {
     **{key: (f.type, f.default) for key, f in _DISTILL_FIELDS.items()},
@@ -85,7 +89,7 @@ CONFIG_SPEC: dict[str, tuple] = {
     "data_eval": (str, ""),
     # compare/sweep
     "compare_seeds": (int, 5),
-    "compare_methods": (str, "clpdd,random,centroid,neighbor,mse-ablation"),
+    "compare_methods": (str, ",".join(METHOD_NAMES)),
 }
 
 # glibc's mallopt parameters (malloc.h)
@@ -99,9 +103,6 @@ _M_MMAP_THRESHOLD = -3
 # to the kernel and being faulted in again.
 MMAP_THRESHOLD_BYTES = 32 << 20
 TRIM_THRESHOLD_BYTES = 64 << 20
-
-METHOD_NAMES = ("clpdd", "random", "centroid", "neighbor", "mse-ablation")
-SWEEP_PARAMS = ("tau", "lambda", "b_per_class")
 
 
 def default_config() -> dict:
@@ -174,24 +175,19 @@ def check_config(cfg: dict, command: str, out) -> None:
         for key in ("data_train", "data_eval"):
             if cfg[key]:
                 raise ConfigError(f"{key} is set, but data=blobs ignores it; set data=files")
-        for key in ("blob_classes", "blob_dim"):
-            if cfg[key] < 1:
-                raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
-        if cfg["blob_per_class"] < 5:
-            raise ConfigError(
-                "blob_per_class must be >= 5 so the 80/20 split leaves each class an "
-                f"eval row, got {cfg['blob_per_class']}"
-            )
-        if cfg["blob_seed"] < 0:
-            raise ConfigError(f"blob_seed must be >= 0, got {cfg['blob_seed']}")
-        if not (math.isfinite(cfg["blob_center_scale"]) and cfg["blob_center_scale"] >= 0):
-            raise ConfigError(
-                f"blob_center_scale must be finite and >= 0, got {cfg['blob_center_scale']}"
-            )
-        if not (math.isfinite(cfg["blob_cluster_std"]) and cfg["blob_cluster_std"] > 0):
-            raise ConfigError(
-                f"blob_cluster_std must be finite and > 0, got {cfg['blob_cluster_std']}"
-            )
+        try:
+            check_at_least("blob_classes", cfg["blob_classes"], 1)
+            check_at_least("blob_dim", cfg["blob_dim"], 1)
+            if cfg["blob_per_class"] < 5:
+                raise ValueError(
+                    "blob_per_class must be >= 5 so the 80/20 split leaves each class an "
+                    f"eval row, got {cfg['blob_per_class']}"
+                )
+            check_at_least("blob_seed", cfg["blob_seed"], 0)
+            check_positive("blob_center_scale", cfg["blob_center_scale"], or_zero=True)
+            check_positive("blob_cluster_std", cfg["blob_cluster_std"])
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
     elif cfg["data"] == "files":
         if not cfg["data_train"]:
             raise ConfigError("data=files requires data_train")
@@ -258,11 +254,10 @@ def _check_ipc_fits(train: Dataset, cfg: dict, methods: list[str]):
     every train class; a class with fewer rows is a ConfigError."""
     if cfg["init"] != "from_real" and not {"random", "centroid"} & set(methods):
         return
-    counts = train.class_layout.counts
-    short = np.flatnonzero(counts < cfg["ipc"])
-    if short.size:
-        c = int(short[0])
-        raise ConfigError(f"ipc={cfg['ipc']} exceeds the {counts[c]} train rows of class {c}")
+    try:
+        check_every_class(train, train.class_count, _split_name(cfg, "data_train"), cfg["ipc"])
+    except MissingClassError as e:
+        raise ConfigError(f"ipc={cfg['ipc']}: {e}") from e
 
 
 def _load_eval(cfg: dict, dim: int, class_count: int) -> Dataset | None:
@@ -452,7 +447,7 @@ def compare_report(cfg: dict):
 
 def cmd_compare(cfg: dict, out_dir) -> RunReport:
     check_config(cfg, "compare", out_dir)
-    return _write_run(*_run(cfg, _parse_methods(cfg), cfg["compare_seeds"]), out_dir)
+    return _write_run(*compare_report(cfg), out_dir)
 
 
 def cmd_sweep(cfg: dict, param: str, values: list, out_dir):

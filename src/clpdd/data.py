@@ -171,12 +171,6 @@ class Dataset:
         rows = tuple(order[bounds[c] : bounds[c + 1]] for c in range(self.class_count))
         return ClassLayout(order, starts, counts, rows)
 
-    def class_indices(self, c: int) -> np.ndarray:
-        """Ascending row indices of class c (read-only; empty outside [0, C))."""
-        if 0 <= c < self.class_count:
-            return self.class_layout.rows[c]
-        return np.empty(0, dtype=np.intp)
-
 
 def _check_shape(dim: int, class_count: int, where: str = ""):
     """The dim and class-count half of the Dataset rule; `where` leads the message."""
@@ -245,12 +239,12 @@ def gen_blobs(
 
 def save_features(dataset: Dataset, path, dtype: str = "f64"):
     """Write a dataset as CLPF (or CSV when the path ends in .csv)."""
+    if dtype not in ("f32", "f64"):
+        raise ValueError(f"dtype must be 'f32' or 'f64', got {dtype!r}")
     path = Path(path)
     if path.suffix.lower() == ".csv":
         _save_csv(dataset, path)
         return
-    if dtype not in ("f32", "f64"):
-        raise ValueError(f"dtype must be 'f32' or 'f64', got {dtype!r}")
     flags = _FLAG_F64 if dtype == "f64" else 0
     header = _HEADER.pack(
         CLPF_MAGIC, CLPF_VERSION, flags, dataset.n, dataset.dim, dataset.class_count

@@ -11,13 +11,13 @@ import itertools
 import math
 import zlib
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .data import Dataset, check_every_class, check_fits
 from .encoder import ENCODER_KINDS, Encoder, _encode, _encode_vjp, encode, make_encoder
-from .linalg import DimensionError
+from .linalg import DimensionError, check_at_least, check_positive
 from .objective import _accuracy, _class_anchor_loss_and_grad, _mse_outer_loss_and_grad
 from .report import StepMetrics
 from .solver import _ridge_kernel, _solve_backward
@@ -29,6 +29,7 @@ GRAD_NORM_LIMIT = 1e6
 # doubles drawn per refill of a run's batch or noise stream (64 KB): the draws
 # of many small steps share one call, and memory does not grow with the budget
 BLOCK_DOUBLES = 1 << 13
+_AT_LEAST_ONE = ("b_per_class", "ipc", "eval_every", "probe_batch_size")  # other int fields: >= 0
 
 
 class DistillDivergenceError(RuntimeError):
@@ -85,6 +86,9 @@ class DistillConfig:
     probe_batch_size: int = 256
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is int:
+                check_at_least(f.name, getattr(self, f.name), int(f.name in _AT_LEAST_ONE))
         real = (self.lam, self.tau, self.lr, self.adam_eps, self.augment_noise_sigma, self.probe_lr)
         if not all(map(math.isfinite, real)):
             raise ValueError(
@@ -98,18 +102,12 @@ class DistillConfig:
             raise ValueError("adam_eps and probe_lr must be >= 0")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise ValueError("adam_beta1 and adam_beta2 must lie in [0, 1)")
-        if self.iterations < 0 or self.seed < 0 or self.ipc < 1 or self.b_per_class < 1:
-            raise ValueError("iterations and seed must be >= 0, ipc and b_per_class >= 1")
         if self.outer_objective not in OUTER_OBJECTIVES:
             raise ValueError(f"unknown outer objective {self.outer_objective!r}")
         if self.init not in INIT_MODES:
             raise ValueError(f"unknown init mode {self.init!r}")
         if self.lr_schedule != "cosine":
             raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
-        if self.eval_every < 1 or self.probe_batch_size < 1:
-            raise ValueError("eval_every and probe_batch_size must be >= 1")
-        if self.probe_epochs < 0 or self.feature_dim < 0 or self.hidden_dim < 0:
-            raise ValueError("probe_epochs, feature_dim and hidden_dim must be >= 0")
         if self.encoder_kind not in ENCODER_KINDS:
             raise ValueError(f"unknown encoder {self.encoder_kind!r} (choose from {ENCODER_KINDS})")
         if self.feature_dim > 0 and self.encoder_kind == "identity":
@@ -185,9 +183,11 @@ def init_synthetic(
     seed: int = 0,
 ) -> Dataset:
     """Class-major synthetic set: row c*ipc + k belongs to class c. from_real
-    init draws them from `real` (MissingClassError if a class has too few)."""
+    init draws them from `real` (MissingClassError if a class has too few).
+    An ipc below 1 raises ValueError."""
     if mode not in INIT_MODES:
         raise ValueError(f"unknown init mode {mode!r}")
+    check_at_least("ipc", ipc, 1)
     labels = np.repeat(np.arange(c), ipc)
     rng = np.random.default_rng(seed)
     if mode == "random_normal":
@@ -196,7 +196,7 @@ def init_synthetic(
         if real is None:
             raise ValueError("from_real init needs a real dataset")
         check_every_class(real, c, "real set", ipc)
-        rows = [rng.choice(real.class_indices(ci), size=ipc, replace=False) for ci in range(c)]
+        rows = [rng.choice(idx, size=ipc, replace=False) for idx in real.class_layout.rows[:c]]
         inputs = real.inputs[np.concatenate(rows)]
     return Dataset(inputs, labels, c)
 
@@ -219,8 +219,7 @@ def balanced_batches(
     replacement. A class without rows raises MissingClassError, and
     b_per_class < 1 ValueError, at the first batch.
     """
-    if b_per_class < 1:
-        raise ValueError(f"b_per_class must be >= 1, got {b_per_class}")
+    check_at_least("b_per_class", b_per_class, 1)
     check_every_class(real, real.class_count, "real set")
     layout = real.class_layout
     counts = layout.counts
@@ -252,11 +251,10 @@ def augment_noise(
     steps, with k capped so that a refill holds about BLOCK_DOUBLES values;
     the arrays are those of k sequential draws of `shape`, bit for bit. The
     step adds its inputs into the array it takes. With sigma = 0 nothing is
-    drawn and the stream yields None: no noise. A negative sigma, or a shape
-    with an extent below 1, raises ValueError at the first step.
+    drawn and the stream yields None: no noise. A sigma not finite and >= 0,
+    or a shape with an extent below 1, raises ValueError at the first step.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    check_positive("sigma", sigma, or_zero=True)
     if min(shape, default=1) < 1:
         raise ValueError(f"shape must have extents >= 1, got {shape}")
     if sigma == 0.0:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, run_row_halves
+from .linalg import DimensionError, check_at_least, run_row_halves
 
 ENCODER_KINDS = ("identity", "linear", "mlp1")
 
@@ -56,12 +56,10 @@ def make_encoder(
         hidden_dim = max(input_dim, feature_dim)
     dims = (("input_dim", input_dim), ("feature_dim", feature_dim), ("hidden_dim", hidden_dim))
     for name, value in dims[: 3 if kind == "mlp1" else 2]:
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        check_at_least(name, value, 1)
     rng = np.random.default_rng(seed)
-    if kind == "identity":
-        weights = ()
-    elif kind == "linear":
+    weights = ()  # identity's; Encoder rejects an unknown kind, which draws none
+    if kind == "linear":
         w = rng.standard_normal((input_dim, feature_dim)) / np.sqrt(input_dim)
         b = rng.standard_normal(feature_dim) / np.sqrt(input_dim)
         weights = (w, b)
@@ -71,8 +69,6 @@ def make_encoder(
         w2 = rng.standard_normal((hidden_dim, feature_dim)) / np.sqrt(hidden_dim)
         b2 = rng.standard_normal(feature_dim) / np.sqrt(hidden_dim)
         weights = (w1, b1, w2, b2)
-    else:
-        raise ValueError(f"unknown encoder kind {kind!r}")
     return Encoder(kind, input_dim, feature_dim, weights, seed)
 
 

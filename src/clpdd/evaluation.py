@@ -14,6 +14,7 @@ import numpy as np
 
 from .data import Dataset, check_every_class, check_fits
 from .distill import AdamState, DistillConfig, DistillDivergenceError, adam_update
+from .linalg import check_at_least, check_positive
 from .objective import _accuracy, _shifted_logits, _softmax_rows
 
 
@@ -38,15 +39,15 @@ def train_linear_probe(
     synthetic sets). The class count is `train.class_count`; a class that no
     training row labels, or an eval class past that count, raises
     MissingClassError, and splits of different dims DimensionError.
-    `batch_size` below 1 or `epochs` below 0 raise ValueError. Weights, Adam
-    moments or eval scores that end non-finite (an lr or features so large
-    that they overflow) raise DistillDivergenceError.
+    `batch_size` below 1, `epochs` below 0 or an `lr` not finite and >= 0
+    raise ValueError. Weights, Adam moments or eval scores that end non-finite
+    (an lr or features so large that they overflow) raise DistillDivergenceError.
     """
-    for name, value, low in (("batch_size", batch_size, 1), ("epochs", epochs, 0)):
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
+    check_at_least("batch_size", batch_size, 1)
+    check_at_least("epochs", epochs, 0)
+    check_positive("lr", lr, or_zero=True)
     # an eval class the training rows lack could never be predicted
-    check_fits(train, eval_set, "probe training labels", "probe eval split")
+    check_fits(train, eval_set, "probe training set", "probe eval split")
     x_train, c = train.inputs, train.class_count
     n, d = x_train.shape
     t_onehot = train.onehot_labels()
@@ -54,7 +55,7 @@ def train_linear_probe(
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((d, c)) / np.sqrt(d)
     adam = AdamState.like(w)
-    b1, b2, eps = 0.9, 0.999, 1e-8
+    b1, b2, eps = DistillConfig.adam_beta1, DistillConfig.adam_beta2, DistillConfig.adam_eps
     # full batch: the one batch is the whole set in its own order, gathered once
     full = [(x_train[np.arange(n)], t_onehot)] if n <= batch_size else None
     # the check after the last epoch reports an overflow; numpy's float
@@ -97,6 +98,7 @@ def _squared_distances(rows: np.ndarray, center: np.ndarray) -> np.ndarray:
 
 def select_random(real: Dataset, ipc: int, seed: int = 0) -> Dataset:
     """ipc rows per class chosen uniformly without replacement."""
+    check_at_least("ipc", ipc, 1)
     check_every_class(real, real.class_count, "real set", ipc)
     rng = np.random.default_rng(seed)
     picked = [np.sort(rng.choice(idx, size=ipc, replace=False)) for idx in real.class_layout.rows]
@@ -105,6 +107,7 @@ def select_random(real: Dataset, ipc: int, seed: int = 0) -> Dataset:
 
 def select_centroid(real: Dataset, ipc: int) -> Dataset:
     """The ipc rows per class nearest the class mean, ties by index."""
+    check_at_least("ipc", ipc, 1)
     check_every_class(real, real.class_count, "real set", ipc)
     picked = []
     for idx in real.class_layout.rows:
@@ -123,9 +126,9 @@ def select_neighbor(real: Dataset, synthetic: Dataset) -> Dataset:
     dim raises DimensionError.
     """
     check_fits(real, synthetic, "real set", "synthetic set")
-    picked = []
+    picked, rows = [], real.class_layout.rows
     for row, label in zip(synthetic.inputs, synthetic.labels):
-        idx = real.class_indices(int(label))
+        idx = rows[label]
         d2 = _squared_distances(real.inputs[idx], row)
         picked.append(idx[int(np.argmin(d2))])  # argmin returns first minimum
     return _selection(real, np.asarray(picked))

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import onehot
-from .distill import meta_loss_and_grad, rng_stream, stream_seed
-from .encoder import encode, encode_vjp, make_encoder
+from .distill import DistillConfig, meta_loss_and_grad, rng_stream, stream_seed
+from .encoder import ENCODER_KINDS, encode, encode_vjp, make_encoder
 from .objective import class_anchor_loss_and_grad, mse_outer_loss_and_grad
 from .solver import ridge_kernel, solve_backward
 
@@ -114,7 +114,7 @@ def _pipeline_instance(rng, enc, c, ipc, objective):
     inputs = 0.5 * rng.standard_normal((c * ipc, d_in))
     y = np.repeat(np.eye(c), ipc, axis=0)  # class-major, as init_synthetic lays it out
     x_real, labels = _random_batch(rng, 2 * c, d_in, c, scale=0.4)
-    lam, tau = 0.1, 0.07
+    lam, tau = DistillConfig.lam, DistillConfig.tau
 
     def loss_fn(xp):
         return meta_loss_and_grad(xp, y, enc, x_real, labels, lam, tau, objective)[0]
@@ -127,7 +127,7 @@ def _check_pipeline(objective):
     def check(rng):
         c = int(rng.integers(2, 4))
         d_in = int(rng.integers(2, 5))
-        kind = ("identity", "linear", "mlp1")[int(rng.integers(0, 3))]
+        kind = ENCODER_KINDS[int(rng.integers(0, 3))]
         d_out = d_in if kind == "identity" else int(rng.integers(2, 6))
         enc = make_encoder(
             kind, d_in, d_out, hidden_dim=int(rng.integers(3, 6)), seed=int(rng.integers(0, 2**31))

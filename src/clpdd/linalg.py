@@ -8,6 +8,8 @@ block of matrix products on two CPUs when that pays and changes no bits.
 """
 
 import functools
+import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -64,6 +66,20 @@ class NotPositiveDefiniteError(LinalgError):
     def __init__(self, pivot: int):
         self.pivot = pivot
         super().__init__(f"matrix is not positive definite (pivot {pivot})")
+
+
+def check_positive(name: str, value: float, or_zero: bool = False) -> None:
+    """Raise ValueError naming `name` unless `value` is finite and > 0 (>= 0 with `or_zero`)."""
+    if not (math.isfinite(value) and (value >= 0 if or_zero else value > 0)):
+        raise ValueError(f"{name} must be finite and {'>=' if or_zero else '>'} 0, got {value}")
+
+
+def check_at_least(name: str, value: int, low: int) -> None:
+    """Raise ValueError naming `name` unless `value` is an integer >= `low`."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)

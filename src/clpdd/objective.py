@@ -10,7 +10,7 @@ and come with exact gradients with respect to the probe.
 import numpy as np
 
 from .data import _check_label_range
-from .linalg import DimensionError
+from .linalg import DimensionError, check_positive
 
 
 def _check_batch_w(x: np.ndarray, labels: np.ndarray, w_star: np.ndarray):
@@ -46,8 +46,7 @@ def class_anchor_loss_and_grad(
     and its exact gradient X^T (softmax(Z) - T) / (M * tau), from one set of logits.
 
     `labels` holds the M rows' class ids; T is their one-hot matrix, never built."""
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be > 0, got {tau}")
+    check_positive("temperature", tau)
     _check_batch_w(x, labels, w_star)
     return _class_anchor_loss_and_grad(x, labels, w_star, tau)
 

@@ -23,6 +23,7 @@ from .linalg import (
     CholeskyFactor,
     DimensionError,
     NonFiniteError,
+    check_positive,
     cholesky_factor,
     run_row_halves,
 )
@@ -48,8 +49,7 @@ class ProbeSolution:
 
 
 def _check_ridge_args(x: np.ndarray, y: np.ndarray, lam: float):
-    if lam <= 0.0:
-        raise ValueError(f"ridge coefficient must be > 0, got {lam}")
+    check_positive("ridge coefficient", lam)
     if x.ndim != 2 or y.ndim != 2:
         raise DimensionError("x and y must be 2-D")
     if x.shape[0] != y.shape[0]:
@@ -156,8 +156,7 @@ def gd_steady_state(
     eta below `stable_step_bound`; above it the iterates visibly diverge.
     """
     _check_ridge_args(x, y, lam)
-    if eta <= 0.0:
-        raise ValueError(f"step size must be > 0, got {eta}")
+    check_positive("step size", eta)
     d = x.shape[1]
     h = x.T @ x + lam * np.eye(d)
     c = x.T @ y
@@ -173,7 +172,6 @@ def stable_step_bound(x: np.ndarray, lam: float) -> float:
     mu_max is the largest eigenvalue of the N x N Gram matrix X X^T, which
     shares the nonzero spectrum of X^T X, plus lam.
     """
-    if lam <= 0.0:
-        raise ValueError(f"ridge coefficient must be > 0, got {lam}")
+    check_positive("ridge coefficient", lam)
     mu = float(np.linalg.eigvalsh(x @ x.T)[-1])
     return 2.0 / (mu + lam)

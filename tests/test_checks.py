@@ -8,6 +8,7 @@ what they reject.
 """
 
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from clpdd.evaluation import (
     train_linear_probe,
 )
 from clpdd.linalg import DimensionError
+from clpdd.objective import class_anchor_loss_and_grad
 from clpdd.solver import gd_steady_state, ridge_kernel, stable_step_bound
 
 from oracles import classes_short_of_rows
@@ -59,7 +61,7 @@ UNDER_2 = "real set: fewer than 2 rows for class ids [1, 2] of 3 classes"
         (lambda: run_distill(DistillConfig(iterations=2), SHORT, EVAL), NO_ROWS),
         (
             lambda: train_linear_probe(SHORT, EVAL, epochs=1),
-            "probe training labels: no rows for class ids [2] of 3 classes",
+            "probe training set: no rows for class ids [2] of 3 classes",
         ),
         (lambda: select_random(SHORT, 2), UNDER_2),
         (lambda: select_centroid(SHORT, 2), UNDER_2),
@@ -124,6 +126,31 @@ def _meta_loss_with_objective(objective):
             ValueError,
             "dtype must be 'f32' or 'f64', got 'f16'",
         ),
+        (
+            lambda tmp: save_features(EVAL, tmp / "x.csv", dtype="f16"),
+            ValueError,
+            "dtype must be 'f32' or 'f64', got 'f16'",
+        ),
+        (lambda tmp: init_synthetic(3, -1, 4), ValueError, "ipc must be >= 1, got -1"),
+        (lambda tmp: select_random(EVAL, 0), ValueError, "ipc must be >= 1, got 0"),
+        (lambda tmp: select_random(EVAL, -1), ValueError, "ipc must be >= 1, got -1"),
+        (lambda tmp: select_centroid(EVAL, 0), ValueError, "ipc must be >= 1, got 0"),
+        (lambda tmp: select_centroid(EVAL, 1.0), ValueError, "ipc must be an integer, got 1.0"),
+        (
+            lambda tmp: train_linear_probe(EVAL, EVAL, epochs=1, lr=-1.0),
+            ValueError,
+            "lr must be finite and >= 0, got -1.0",
+        ),
+        (
+            lambda tmp: DistillConfig(iterations=10.5),
+            ValueError,
+            "iterations must be an integer, got 10.5",
+        ),
+        (
+            lambda tmp: DistillConfig(eval_every=2.5),
+            ValueError,
+            "eval_every must be an integer, got 2.5",
+        ),
         (lambda tmp: init_synthetic(2, 1, 3, mode="x"), ValueError, "unknown init mode 'x'"),
         (
             lambda tmp: init_synthetic(2, 1, 3, mode="from_real"),
@@ -133,7 +160,7 @@ def _meta_loss_with_objective(objective):
         (
             lambda tmp: next(augment_noise((2, 3), -0.5, rng_stream(0, "augment"))),
             ValueError,
-            "sigma must be >= 0, got -0.5",
+            "sigma must be finite and >= 0, got -0.5",
         ),
         (lambda tmp: _meta_loss_with_objective("x"), ValueError, "unknown outer objective 'x'"),
         (lambda tmp: Encoder("x", 3, 3), ValueError, "unknown encoder kind 'x'"),
@@ -156,15 +183,18 @@ def _meta_loss_with_objective(objective):
         (
             lambda tmp: gd_steady_state(np.eye(2), np.eye(2), 0.1, 0.0, 5),
             ValueError,
-            "step size must be > 0, got 0.0",
+            "step size must be finite and > 0, got 0.0",
         ),
         (
             lambda tmp: stable_step_bound(np.eye(2), 0.0),
             ValueError,
-            "ridge coefficient must be > 0, got 0.0",
+            "ridge coefficient must be finite and > 0, got 0.0",
         ),
     ],
-    ids=["blobs_c", "blobs_dim", "blobs_n_per_class", "save_dtype", "init_mode",
+    ids=["blobs_c", "blobs_dim", "blobs_n_per_class", "save_dtype", "save_csv_dtype",
+         "init_ipc", "select_random_ipc_0", "select_random_ipc_negative", "select_centroid_ipc",
+         "select_centroid_ipc_float", "probe_lr", "config_iterations", "config_eval_every",
+         "init_mode",
          "from_real_without_real", "negative_sigma", "outer_objective", "encoder_kind",
          "make_encoder_kind", "pca_one_row", "ridge_not_2d", "ridge_rows",
          "gd_step_size", "step_bound_lambda"],
@@ -174,6 +204,56 @@ def test_each_entry_check_names_what_it_rejects(tmp_path, call, error, message):
         call(tmp_path)
     assert type(ei.value) is error and str(ei.value) == message
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "call, rule",
+    [
+        (
+            lambda v: ridge_kernel(np.eye(2), np.eye(2), v),
+            "ridge coefficient must be finite and > 0",
+        ),
+        (lambda v: stable_step_bound(np.eye(2), v), "ridge coefficient must be finite and > 0"),
+        (
+            lambda v: gd_steady_state(np.eye(2), np.eye(2), 0.1, v, 5),
+            "step size must be finite and > 0",
+        ),
+        (
+            lambda v: class_anchor_loss_and_grad(np.eye(2), np.arange(2), np.eye(2), v),
+            "temperature must be finite and > 0",
+        ),
+        (
+            lambda v: next(augment_noise((2, 3), v, rng_stream(0, "augment"))),
+            "sigma must be finite and >= 0",
+        ),
+        (lambda v: train_linear_probe(EVAL, EVAL, epochs=1, lr=v), "lr must be finite and >= 0"),
+    ],
+    ids=["ridge_kernel", "stable_step_bound", "gd_steady_state", "class_anchor", "augment_noise",
+         "probe_lr"],
+)
+def test_each_scalar_check_rejects_a_non_finite_value(call, rule, value):
+    with pytest.raises(ValueError) as ei:
+        call(value)
+    assert type(ei.value) is ValueError and str(ei.value) == f"{rule}, got {value}"
+
+
+INT_FIELDS = [f.name for f in fields(DistillConfig) if f.type is int]
+
+
+def test_distill_config_has_nine_int_fields():
+    # DistillConfig picks its int fields by the same `f.type is int`; this keeps
+    # the table below from going empty if that test stops matching
+    assert INT_FIELDS == ["b_per_class", "iterations", "feature_dim", "hidden_dim", "ipc",
+                          "seed", "eval_every", "probe_epochs", "probe_batch_size"]
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "2"], ids=["fraction", "whole_float", "string"])
+@pytest.mark.parametrize("name", INT_FIELDS)
+def test_distill_config_rejects_a_non_integer_int_field(name, value):
+    with pytest.raises(ValueError) as ei:
+        DistillConfig(**{name: value})
+    assert str(ei.value) == f"{name} must be an integer, got {value}"
 
 
 @pytest.mark.parametrize(

@@ -606,7 +606,7 @@ def test_eval_file_with_empty_class_accepted(tmp_path):
     # swapped: the full blob split trains, the gapped file is the eval split
     cfg.update(data_train=cfg["data_eval"], data_eval=cfg["data_train"])
     train, ev = build_data(cfg)
-    assert ev.class_count == 3 and ev.class_indices(1).size == 0
+    assert ev.class_count == 3 and ev.class_layout.rows[1].size == 0
 
 
 def test_main_reports_feature_file_error(tmp_path, capsys):
@@ -816,7 +816,8 @@ def test_main_rejects_ipc_past_the_smallest_train_class(tmp_path, capsys, monkey
         argv += ["--set", item]
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["config error: ipc=201 exceeds the 200 train rows of class 0"]
+    assert err == ["config error: ipc=201: the blob train split: fewer than 201 rows "
+                   "for class ids [0, 1, 2, 3, 4] of 5 classes"]
     assert ran == []
 
 

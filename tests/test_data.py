@@ -84,7 +84,8 @@ def test_clpf_round_trip_keeps_classes_without_rows(tmp_path):
     save_features(ds, path)
     loaded = load_features(path)
     assert datasets_equal(loaded, ds)
-    assert loaded.class_indices(1).size == 0 and loaded.class_indices(3).size == 0
+    rows = loaded.class_layout.rows
+    assert len(rows) == 4 and rows[1].size == 0 and rows[3].size == 0
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -295,19 +296,20 @@ def test_dataset_rejects_inputs_that_are_not_real_numbers(dtype):
         Dataset(inputs, np.array([0, 1, 0]), class_count=2)
 
 
-def test_class_indices_cached_and_equal_to_flatnonzero():
+def test_class_layout_rows_cached_and_equal_to_flatnonzero():
     rng = np.random.default_rng(10)
     labels = rng.integers(0, 5, size=60).astype(np.int64)
     labels[:5] = np.arange(5)
     ds = Dataset(rng.standard_normal((60, 2)), labels, class_count=6)  # class 5 empty
+    rows = ds.class_layout.rows
+    assert len(rows) == 6  # one slice per class id, none past the class count
     for c in range(6):
-        idx = ds.class_indices(c)
+        idx = rows[c]
         assert idx.dtype == class_rows(labels, c).dtype
         assert np.array_equal(idx, class_rows(labels, c))
-        assert ds.class_indices(c) is idx  # computed once per dataset
+        assert ds.class_layout.rows[c] is idx  # computed once per dataset
         assert not idx.flags.writeable
-    assert ds.class_indices(5).size == 0
-    assert ds.class_indices(-1).size == 0 and ds.class_indices(6).size == 0
+    assert rows[5].size == 0
 
 
 def test_class_layout_is_class_major_and_counts_rows():
@@ -317,7 +319,7 @@ def test_class_layout_is_class_major_and_counts_rows():
     assert layout.order.tolist() == [1, 4, 6, 3, 0, 2, 5]
     assert layout.starts.tolist() == [0, 3, 4, 7] and layout.counts.tolist() == [3, 1, 3, 0]
     for c in range(4):
-        assert np.shares_memory(ds.class_indices(c), layout.order) or layout.counts[c] == 0
+        assert np.shares_memory(layout.rows[c], layout.order) or layout.counts[c] == 0
     assert ds.class_layout is layout
 
 

@@ -3,6 +3,8 @@ import pytest
 
 import clpdd.evaluation
 from clpdd.data import Dataset, MissingClassError, gen_blobs
+from clpdd.distill import DistillConfig
+from clpdd.encoder import make_encoder
 from clpdd.evaluation import (
     _accuracy,
     pca_project_2d,
@@ -11,6 +13,7 @@ from clpdd.evaluation import (
     select_random,
     train_linear_probe,
 )
+from clpdd.gradcheck import _pipeline_instance
 from clpdd.linalg import DimensionError
 from clpdd.objective import class_anchor_loss_and_grad
 from clpdd.solver import ridge_kernel
@@ -48,15 +51,33 @@ def test_probe_rejects_train_labels_missing_a_class():
     # could never be predicted, so the accuracy would mean nothing
     train, _ = gen_blobs(3, 5, 20, 1.0, 1.0, seed=0)
     _, ev = gen_blobs(5, 5, 20, 1.0, 1.0, seed=1)
-    with pytest.raises(MissingClassError, match=r"probe training labels: .*\[3, 4\] of 5"):
+    with pytest.raises(MissingClassError, match=r"probe training set: .*\[3, 4\] of 5"):
         train_linear_probe(train, ev, epochs=5)
 
 
 def test_probe_rejects_a_class_with_no_training_rows():
     train = Dataset(np.eye(4), np.array([0, 2, 0, 2]), class_count=3)
     _, ev = gen_blobs(3, 4, 10, 1.0, 1.0, seed=0)
-    with pytest.raises(MissingClassError, match=r"probe training labels: .*\[1\] of 3"):
+    with pytest.raises(MissingClassError, match=r"probe training set: .*\[1\] of 3"):
         train_linear_probe(train, ev, epochs=5)
+
+
+def test_probe_and_gradcheck_read_their_defaults_from_distill_config(monkeypatch):
+    # Adam's eps and the temperature have one owner: patching it moves both readers
+    train, ev = gen_blobs(3, 4, 10, 1.0, 1.0, seed=0)
+    enc = make_encoder("linear", 3, 4, seed=0)
+
+    def outputs():
+        probe = train_linear_probe(train, ev, epochs=3, seed=0).w
+        analytic, _ = _pipeline_instance(np.random.default_rng(0), enc, 2, 1, "class_anchor")
+        return probe, analytic
+
+    probe, analytic = outputs()
+    monkeypatch.setattr(DistillConfig, "adam_eps", 1.0)
+    monkeypatch.setattr(DistillConfig, "tau", 1.0)
+    patched_probe, patched_analytic = outputs()
+    assert not np.allclose(probe, patched_probe)
+    assert not np.allclose(analytic, patched_analytic)
 
 
 def test_probe_takes_class_count_from_train():
@@ -69,7 +90,8 @@ def test_probe_takes_class_count_from_train():
 def test_probe_rejects_feature_dims_that_differ():
     train, _ = gen_blobs(3, 5, 20, 1.0, 1.0, seed=0)
     _, ev = gen_blobs(3, 4, 20, 1.0, 1.0, seed=0)
-    with pytest.raises(DimensionError, match=r"^probe eval split is 4-dim, probe training lab"):
+    message = r"^probe eval split is 4-dim, probe training set 5-dim$"
+    with pytest.raises(DimensionError, match=message):
         train_linear_probe(train, ev, epochs=5)
 
 
