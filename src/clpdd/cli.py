@@ -39,7 +39,7 @@ from .evaluation import (
     train_linear_probe,
 )
 from .gradcheck import battery_report, run_battery
-from .linalg import check_at_least, check_positive
+from .linalg import check_at_least, check_positive, one_blas_thread
 from .report import MethodAccuracy, RunReport, json_text
 
 
@@ -587,7 +587,9 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, help="output CSV path")
 
     args = parser.parse_args(argv)
-    _keep_freed_memory()  # the CLI owns its process; library callers keep their allocator
+    # the CLI owns its process; library callers keep their allocator and BLAS
+    _keep_freed_memory()
+    one_blas_thread()
     try:
         cfg = load_config(args.config, args.overrides)
         if args.command == "gradcheck":

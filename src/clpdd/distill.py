@@ -7,6 +7,7 @@ the synthetic inputs, which an Adam step with a cosine-annealed learning rate
 then updates. Labels stay fixed; only the inputs learn.
 """
 
+import functools
 import itertools
 import math
 import zlib
@@ -17,7 +18,7 @@ import numpy as np
 
 from .data import Dataset, check_every_class, check_fits
 from .encoder import ENCODER_KINDS, Encoder, _encode, _encode_vjp, encode, make_encoder
-from .linalg import DimensionError, check_at_least, check_positive
+from .linalg import DimensionError, check_at_least, check_positive, run_row_halves, split_row
 from .objective import _accuracy, _class_anchor_loss_and_grad, _mse_outer_loss_and_grad
 from .report import StepMetrics
 from .solver import _ridge_kernel, _solve_backward
@@ -29,6 +30,11 @@ GRAD_NORM_LIMIT = 1e6
 # doubles drawn per refill of a run's batch or noise stream (64 KB): the draws
 # of many small steps share one call, and memory does not grow with the budget
 BLOCK_DOUBLES = 1 << 13
+# what one Adam entry weighs against SPLIT_MIN_MADDS: on a 2-vCPU x86-64 host
+# with BLAS at one thread an entry took 3.8-5.7 ns, as long as 150-290 of
+# dgemm's multiply-adds. Counted low, so a step's Adam splits from 192 rows of
+# 512 entries, where each half still takes about 0.2 ms.
+ADAM_ENTRY_MADDS = 128
 _AT_LEAST_ONE = ("b_per_class", "ipc", "eval_every", "probe_batch_size")  # other int fields: >= 0
 
 
@@ -89,17 +95,15 @@ class DistillConfig:
         for f in fields(self):
             if f.type is int:
                 check_at_least(f.name, getattr(self, f.name), int(f.name in _AT_LEAST_ONE))
-        real = (self.lam, self.tau, self.lr, self.adam_eps, self.augment_noise_sigma, self.probe_lr)
-        if not all(map(math.isfinite, real)):
-            raise ValueError(
-                "lambda, tau, lr, adam_eps, augment_noise_sigma and probe_lr must be finite"
-            )
-        if self.lam <= 0 or self.tau <= 0:
-            raise ValueError("lambda and tau must be > 0")
-        if self.lr < 0 or self.augment_noise_sigma < 0:
-            raise ValueError("lr and augment_noise_sigma must be >= 0")
-        if self.adam_eps < 0 or self.probe_lr < 0:
-            raise ValueError("adam_eps and probe_lr must be >= 0")
+        for name, value, or_zero in (
+            ("lambda", self.lam, False),
+            ("tau", self.tau, False),
+            ("lr", self.lr, True),
+            ("adam_eps", self.adam_eps, True),
+            ("augment_noise_sigma", self.augment_noise_sigma, True),
+            ("probe_lr", self.probe_lr, True),
+        ):
+            check_positive(name, value, or_zero)
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise ValueError("adam_beta1 and adam_beta2 must lie in [0, 1)")
         if self.outer_objective not in OUTER_OBJECTIVES:
@@ -129,42 +133,89 @@ class DistillConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators shaped like the synthetic inputs."""
+    """First/second moment accumulators shaped like the learned array, a
+    scratch array of that shape, and the number of steps taken."""
 
     m: np.ndarray
     v: np.ndarray
+    scratch: np.ndarray
     step: int = 0
 
     @classmethod
     def like(cls, inputs: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(inputs), v=np.zeros_like(inputs))
+        return cls(m=np.zeros_like(inputs), v=np.zeros_like(inputs), scratch=np.empty_like(inputs))
 
 
 def adam_update(
-    state: AdamState, grad: np.ndarray, lr: float, beta1: float, beta2: float, eps: float
-) -> np.ndarray:
-    """Advance the Adam state in place and return the (bias-corrected) update to subtract.
+    state: AdamState,
+    grad: np.ndarray,
+    param: np.ndarray,
+    out: np.ndarray,
+    step: int,
+    lr: float,
+    beta1: float,
+    beta2: float,
+    eps: float,
+) -> None:
+    """Adam step `step`, counted from 1: advance the moments in place, write
+    the bias-corrected update over `grad`, and `param` minus the update into
+    `out`, which may be `param` or `grad`. The caller advances `state.step`.
+
+    The rows run through `run_row_halves`, each entry counted as
+    ADAM_ENTRY_MADDS multiply-adds; a step too small to split calls
+    `_adam_rows` directly, which through `run_row_halves` took a 5 x 16 step's
+    Adam from 5.5 to 7.0 us.
+    """
+    rows = grad.shape[0]
+    row_madds = ADAM_ENTRY_MADDS * grad.size // max(rows, 1)
+    if split_row(rows, row_madds):
+        part = functools.partial(_adam_rows, state, grad, param, out, step, lr, beta1, beta2, eps)
+        run_row_halves(part, rows, row_madds)
+    else:
+        _adam_rows(state, grad, param, out, step, lr, beta1, beta2, eps)
+
+
+def _adam_rows(
+    state: AdamState,
+    grad: np.ndarray,
+    param: np.ndarray,
+    out: np.ndarray,
+    step: int,
+    lr: float,
+    beta1: float,
+    beta2: float,
+    eps: float,
+    lo: int = 0,
+    hi: int | None = None,
+) -> None:
+    """Rows lo..hi-1 (every row with `hi` None) of `adam_update`.
 
     Evaluates m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
     lr * m_hat / (sqrt(v_hat) + eps) in the operation order of those formulas,
-    so the result matches them bit for bit. The returned array is new and
-    aliases neither moment.
+    so the result matches them bit for bit. It writes only those rows of the
+    moments, of `state.scratch`, of `grad` and of `out`, all arrays its caller
+    owns, so two row ranges can run as the halves of `run_row_halves`. Output
+    arrays go by position: keyword arguments cost numpy a parse per call, 2%
+    of a 5 x 16 probe.
     """
-    state.step += 1
-    scratch = np.multiply(1.0 - beta1, grad)
-    state.m *= beta1
-    state.m += scratch
-    np.multiply(1.0 - beta2, grad, out=scratch)
-    scratch *= grad
-    state.v *= beta2
-    state.v += scratch
-    denom = np.divide(state.v, 1.0 - beta2**state.step, out=scratch)
-    np.sqrt(denom, out=denom)
+    g, m, v, scratch = grad, state.m, state.v, state.scratch
+    if hi is not None:  # a whole call skips the slicing, which tiny arrays notice
+        g, m, v, scratch = g[lo:hi], m[lo:hi], v[lo:hi], scratch[lo:hi]
+        param, out = param[lo:hi], out[lo:hi]
+    np.multiply(1.0 - beta1, g, scratch)
+    m *= beta1
+    m += scratch
+    np.multiply(1.0 - beta2, g, scratch)
+    scratch *= g
+    v *= beta2
+    v += scratch
+    denom = np.divide(v, 1.0 - beta2**step, scratch)
+    np.sqrt(denom, denom)
     denom += eps
-    update = state.m / (1.0 - beta1**state.step)
+    update = np.divide(m, 1.0 - beta1**step, g)
     update *= lr
     update /= denom
-    return update
+    np.subtract(param, update, out)
 
 
 def cosine_lr(base_lr: float, iteration: int, total: int) -> float:
@@ -370,8 +421,12 @@ def distill_step(
         what = f"gradient norm {grad_norm:.3e} exceeds {GRAD_NORM_LIMIT:.0e}"
         raise _diverged(what, iteration, cfg, enc, inputs_aug)
     lr = cosine_lr(cfg.lr, iteration, cfg.iterations)
-    update = adam_update(adam, grad, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-    new_inputs = np.subtract(inputs, update, out=update)
+    adam.step += 1
+    # the gradient array takes Adam's update, then the new inputs
+    adam_update(
+        adam, grad, inputs, grad, adam.step, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    )
+    new_inputs = grad
     if not np.isfinite(new_inputs).all():
         raise _diverged("synthetic inputs became non-finite", iteration, cfg, enc, inputs_aug)
     return new_inputs, StepMetrics(

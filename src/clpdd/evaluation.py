@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, check_every_class, check_fits
-from .distill import AdamState, DistillConfig, DistillDivergenceError, adam_update
-from .linalg import check_at_least, check_positive
+from .distill import AdamState, DistillConfig, DistillDivergenceError, _adam_rows
+from .linalg import check_at_least, check_positive, run_row_halves, split_row
 from .objective import _accuracy, _shifted_logits, _softmax_rows
 
 
@@ -42,6 +42,8 @@ def train_linear_probe(
     `batch_size` below 1, `epochs` below 0 or an `lr` not finite and >= 0
     raise ValueError. Weights, Adam moments or eval scores that end non-finite
     (an lr or features so large that they overflow) raise DistillDivergenceError.
+    A step runs in two row blocks, on two CPUs where `run_row_halves` splits
+    them; either way `w` holds the same bytes.
     """
     check_at_least("batch_size", batch_size, 1)
     check_at_least("epochs", epochs, 0)
@@ -56,8 +58,35 @@ def train_linear_probe(
     w = rng.standard_normal((d, c)) / np.sqrt(d)
     adam = AdamState.like(w)
     b1, b2, eps = DistillConfig.adam_beta1, DistillConfig.adam_beta2, DistillConfig.adam_eps
+    m_max = min(n, batch_size)
+    pi_buf = np.empty((m_max, c))  # softmax minus targets of a batch's rows
     # full batch: the one batch is the whole set in its own order, gathered once
-    full = [(x_train[np.arange(n)], t_onehot)] if n <= batch_size else None
+    full = [(x_train[np.arange(n)], t_onehot, pi_buf)] if n <= batch_size else None
+    grad = np.empty((d, c))  # the gradient, then Adam's update over it
+    x = t = pi = None  # the batch that the step's two blocks work on
+
+    def softmax_minus_targets(x_rows, t_rows, pi_rows):
+        z = np.matmul(x_rows, w, pi_rows)
+        _softmax_rows(_shifted_logits(z, z), z)
+        z -= t_rows
+
+    def descend(x_cols_t, g, lo=0, hi=None):
+        # the gradient of weight rows lo..hi-1 (all with hi None), then their
+        # Adam step
+        np.matmul(x_cols_t, pi, g)
+        g /= x.shape[0]
+        _adam_rows(adam, grad, w, w, adam.step, lr, b1, b2, eps, lo, hi)
+
+    def batch_rows(lo, hi):
+        softmax_minus_targets(x[lo:hi], t[lo:hi], pi[lo:hi])
+
+    def weight_rows(lo, hi):
+        descend(x[:, lo:hi].T, grad[lo:hi], lo, hi)
+
+    # Block A runs over a batch's rows and block B over the rows of w. Where
+    # neither splits at the largest batch, every step takes whole arrays: at
+    # 5 x 16, row ranges cost 19% of a 500-epoch probe (5.8 -> 6.9 ms).
+    halves = split_row(m_max, d * c) or split_row(d, m_max * c)
     # the check after the last epoch reports an overflow; numpy's float
     # warnings on the way there add nothing
     with np.errstate(all="ignore"):
@@ -65,15 +94,19 @@ def train_linear_probe(
             if full is None:
                 order = rng.permutation(n)
                 batches = (
-                    (x_train[idx], t_onehot[idx])
+                    (x_train[idx], t_onehot[idx], pi_buf[: idx.size])
                     for idx in (order[s : s + batch_size] for s in range(0, n, batch_size))
                 )
             else:
                 batches = full
-            for x, t in batches:
-                pi, _ = _softmax_rows(_shifted_logits(x @ w))
-                pi -= t
-                w -= adam_update(adam, x.T @ pi / x.shape[0], lr, b1, b2, eps)
+            for x, t, pi in batches:
+                adam.step += 1
+                if halves:
+                    run_row_halves(batch_rows, x.shape[0], d * c)
+                    run_row_halves(weight_rows, d, x.shape[0] * c)
+                else:
+                    softmax_minus_targets(x, t, pi)
+                    descend(x.T, grad)
         scores = eval_set.inputs @ w
     # an overflowed second moment freezes w at finite values, so both are checked
     if not (np.isfinite(w).all() and np.isfinite(adam.v).all() and np.isfinite(scores).all()):

@@ -115,11 +115,15 @@ def cholesky_factor(a_spd: np.ndarray) -> CholeskyFactor:
 
 
 # A block splits only when each half's smallest matrix product holds at least
-# this many multiply-adds: 48 rows of a 256 x 512 product, about 0.2 ms of one
-# core's dgemm on a 2-vCPU x86-64 host, where halves of half that work ran no
-# faster than one lane. It also keeps every product of a half above the size
-# up to which OpenBLAS takes its small-matrix kernel (M*N*K <= 100^3).
-SPLIT_MIN_MADDS = 3 << 21
+# this many multiply-adds. The linear probe's step sits just above it: its
+# 96-row half of a 256 x 512 by 512 x 100 product holds 4.9 million. On a
+# 2-vCPU x86-64 host with BLAS at one thread that product took 336 us whole,
+# the caller's 160-row half 214 us, and both halves with the hand-off 225 us.
+# The floor also keeps every product of a half above the size up to which
+# OpenBLAS takes its small-matrix kernel (M*N*K <= 100^3). Split at this floor,
+# 600 random products x @ w split by rows and 600 products x.T @ p split by
+# the rows of x.T each matched the whole product bit for bit.
+SPLIT_MIN_MADDS = 1 << 22
 # The first half's row count is a multiple of this. OpenBLAS's dgemm walks the
 # rows in chunks, and the kernel that takes a chunk's ragged end can sum in
 # another order: rows 504-511 of a 972 x 187 by 187 x 323 product differ in
@@ -158,8 +162,8 @@ def run_row_halves(part, rows: int, row_madds: int) -> None:
     `part(0, rows)` would, so the output holds the same bytes either way. An
     exception from either half is raised only once both halves have finished.
     """
-    half = rows // 2 // SPLIT_ROW_STEP * SPLIT_ROW_STEP
-    if half * row_madds < SPLIT_MIN_MADDS or not _two_lanes():
+    half = split_row(rows, row_madds)
+    if not half or not _two_lanes():
         part(0, rows)
         return
     errstate = dict(np.geterr(), call=np.geterrcall())
@@ -169,6 +173,14 @@ def run_row_halves(part, rows: int, row_madds: int) -> None:
     finally:
         future.exception()  # waits for the helper's half, raising nothing
     future.result()
+
+
+def split_row(rows: int, row_madds: int) -> int:
+    """The row at which `run_row_halves` splits a block of `rows` rows whose
+    smallest matrix product does `row_madds` multiply-adds per row, given two
+    lanes; 0 where the halves are too small to pay."""
+    half = rows // 2 // SPLIT_ROW_STEP * SPLIT_ROW_STEP
+    return half if half * row_madds >= SPLIT_MIN_MADDS else 0
 
 
 def _run_under(errstate: dict, part, lo: int, hi: int) -> None:
@@ -205,6 +217,19 @@ def _affinity_cpus() -> int:
 def _blas_threads() -> int:
     """The most threads any loaded OpenBLAS runs a call in; 0 with none."""
     return max((getattr(lib, getter)() for lib, getter in _openblas_libs()), default=0)
+
+
+def one_blas_thread() -> None:
+    """Run every loaded OpenBLAS at one thread per call, through the setter
+    beside each getter that `_openblas_libs` found. With more threads a
+    product's bits depend on the thread count, and the row halves stay whole."""
+    import ctypes
+
+    for lib, getter in _openblas_libs():
+        setter = getattr(lib, getter.replace("_get_", "_set_"), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            setter(1)
 
 
 # the thread-count getters of OpenBLAS builds: plain, with 64-bit integers, and

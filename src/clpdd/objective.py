@@ -21,14 +21,17 @@ def _check_batch_w(x: np.ndarray, labels: np.ndarray, w_star: np.ndarray):
     _check_label_range(labels, w_star.shape[1])
 
 
-def _shifted_logits(z: np.ndarray) -> np.ndarray:
+def _shifted_logits(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # max subtraction is mandatory: logits at tau=0.07 overflow exp otherwise
-    return z - np.maximum.reduce(z, axis=1, keepdims=True)
+    return np.subtract(z, np.maximum.reduce(z, axis=1, keepdims=True), out)
 
 
-def _softmax_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(softmax, row sums of exp) of shifted logits `z`; exp(z) is divided in place."""
-    e = np.exp(z)
+def _softmax_rows(
+    z: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(softmax, row sums of exp) of shifted logits `z`; exp(z) goes into `out`
+    (a new array when None, else `z` itself may serve) and is divided there."""
+    e = np.exp(z, out)
     row_sums = np.add.reduce(e, axis=1, keepdims=True)
     e /= row_sums
     return e, row_sums

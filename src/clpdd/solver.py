@@ -89,9 +89,11 @@ def ridge_kernel(x: np.ndarray, y: np.ndarray, lam: float) -> ProbeSolution:
     """Closed-form probe via the sample-space kernel system when N < d.
 
     For N >= d the primal route is used instead (same W*, cheaper factor);
-    either way `p = (Y - X W*)/lam` solves (K + lam*I) p = Y exactly.
+    either way `p = (Y - X W*)/lam` solves (K + lam*I) p = Y exactly. Rows of
+    `y` that are not one-hot raise ValueError, as in `ridge_primal`.
     """
     _check_ridge_args(x, y, lam)
+    _check_onehot(y)
     return _ridge_kernel(x, y, lam)
 
 

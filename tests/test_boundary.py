@@ -101,8 +101,8 @@ def _assert_failed_run_left_nothing(code, out: Path | None, before):
 @pytest.mark.parametrize(
     "command, sets, where, message",
     [
-        ("distill", ["lambda=-1"], None, "lambda and tau must be > 0"),
-        ("gradcheck", ["lambda=-1"], None, "lambda and tau must be > 0"),
+        ("distill", ["lambda=-1"], None, "lambda must be finite and > 0, got -1.0"),
+        ("gradcheck", ["lambda=-1"], None, "lambda must be finite and > 0, got -1.0"),
         ("distill", ["data=bogus"], None, "unknown data source 'bogus' (use 'blobs' or 'files')"),
         ("distill", ["data_eval=x.clpf"], None,
          "data_eval is set, but data=blobs ignores it; set data=files"),

@@ -256,6 +256,31 @@ def test_distill_config_rejects_a_non_integer_int_field(name, value):
     assert str(ei.value) == f"{name} must be an integer, got {value}"
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize(
+    "field, rule",
+    [
+        ("lam", "lambda must be finite and > 0"),
+        ("tau", "tau must be finite and > 0"),
+        ("lr", "lr must be finite and >= 0"),
+        ("adam_eps", "adam_eps must be finite and >= 0"),
+        ("augment_noise_sigma", "augment_noise_sigma must be finite and >= 0"),
+        ("probe_lr", "probe_lr must be finite and >= 0"),
+    ],
+)
+def test_distill_config_names_each_float_rule_and_its_value(field, rule, value):
+    with pytest.raises(ValueError) as ei:
+        DistillConfig(**{field: value})
+    assert str(ei.value) == f"{rule}, got {value}"
+
+
+@pytest.mark.parametrize("field", ["lam", "tau"])
+def test_distill_config_rejects_a_zero_lambda_or_tau(field):
+    with pytest.raises(ValueError, match="must be finite and > 0, got 0.0$"):
+        DistillConfig(**{field: 0.0})
+    assert DistillConfig(lr=0.0, adam_eps=0.0, augment_noise_sigma=0.0, probe_lr=0.0).lr == 0.0
+
+
 @pytest.mark.parametrize(
     "override, line",
     [

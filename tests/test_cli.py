@@ -471,6 +471,28 @@ def test_import_leaves_scipy_linalg_unloaded():
     assert not loaded & {"scipy.linalg", "scipy._lib", "numpy.f2py", "numpy.testing"}
 
 
+def test_cli_writes_the_same_bytes_whatever_blas_thread_count_it_starts_with(tmp_path):
+    # main sets every loaded OpenBLAS to one thread before any work: a product
+    # split among two BLAS threads can change last bits, and here it did
+    if not clpdd.linalg._openblas_libs():
+        pytest.skip("numpy's BLAS is not an OpenBLAS whose thread count can be set")
+    probe = "import sys, clpdd.cli; sys.exit(clpdd.cli.main(sys.argv[1:]))"
+    sets = ["encoder=mlp1", "blob_classes=50", "blob_dim=128", "blob_per_class=6", "ipc=2",
+            "iterations=3", "probe_epochs=1"]
+    src = str(Path(clpdd.cli.__file__).resolve().parents[1])
+    written = []
+    for threads in ("2", "1"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / threads
+        argv = ["distill", "--out", str(out)] + [a for s in sets for a in ("--set", s)]
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        written.append([(out / name).read_bytes() for name in ("synthetic.clpf", "curve.csv")])
+    assert written[0] == written[1]
+
+
 def test_import_and_default_compare_start_no_thread(tmp_path):
     # the row-halves helper thread and its concurrent.futures import come at
     # the first split; import and the default compare (identity encoder, 5

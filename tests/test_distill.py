@@ -18,6 +18,7 @@ from clpdd.distill import (
     AdamState,
     DistillConfig,
     DistillDivergenceError,
+    _adam_rows,
     adam_update,
     augment_noise,
     balanced_batches,
@@ -188,21 +189,40 @@ def test_balanced_batch_floyd_subsets_are_uniform():
     assert all(abs(n - 4000) <= 200 for n in hits.values()), hits
 
 
-def test_adam_in_place_matches_reference_and_returns_fresh_array():
+def test_adam_rows_match_the_reference_whole_and_in_row_ranges():
     rng = np.random.default_rng(13)
-    state = AdamState.like(np.zeros((3, 4)))
+    whole, split = AdamState.like(np.zeros((3, 4))), AdamState.like(np.zeros((3, 4)))
     m, v = np.zeros((3, 4)), np.zeros((3, 4))
+    param = rng.standard_normal((3, 4))
     for step in range(1, 8):
         grad = rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-3, 3)
         lr = 0.05 / step
-        update = adam_update(state, grad, lr, 0.9, 0.999, 1e-8)
+        update, stepped = grad.copy(), np.empty((3, 4))
+        adam_update(whole, update, param, stepped, step, lr, 0.9, 0.999, 1e-8)
+        # the new parameters over the gradient, one row range at a time
+        in_place = grad.copy()
+        for lo, hi in ((0, 1), (1, 3)):
+            _adam_rows(split, in_place, param, in_place, step, lr, 0.9, 0.999, 1e-8, lo, hi)
         m, v, ref = adam_ref(m, v, step, grad, lr, 0.9, 0.999, 1e-8)
-        assert state.step == step
+        assert whole.step == split.step == 0  # the caller counts the steps
         assert np.array_equal(update, ref)
-        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
-        assert not np.shares_memory(update, state.m)
-        assert not np.shares_memory(update, state.v)
-        assert not np.shares_memory(update, grad)
+        assert np.array_equal(stepped, param - ref) and np.array_equal(in_place, param - ref)
+        for state in (whole, split):
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+
+def test_distill_steps_adam_writes_the_same_bytes_on_one_lane_or_two(monkeypatch, two_lanes):
+    # 192 synthetic rows of 384 dims: N < d takes the kernel route and the
+    # identity encoder does no work, so each step's one split block is Adam's
+    rng = np.random.default_rng(4)
+    real = Dataset(rng.standard_normal((96, 384)), np.arange(96) % 48, 48)
+    cfg = DistillConfig(ipc=4, b_per_class=2, iterations=3, augment_noise_sigma=0.01, seed=2)
+    two, _ = run_distill(cfg, real)
+    assert two_lanes == [(0, 96)] * 3
+    monkeypatch.setattr(clpdd.linalg, "_affinity_cpus", lambda: 1)
+    one, _ = run_distill(cfg, real)
+    assert len(two_lanes) == 3
+    assert np.array_equal(one.inputs, two.inputs)
 
 
 def _step_streams(cfg, real, shape):
@@ -638,7 +658,11 @@ def test_each_step_guard_names_what_failed_the_iteration_and_the_bound(
         clpdd.distill, "meta_loss_and_grad", lambda x, *a: (loss, np.full(x.shape, grad))
     )
     if update is not None:
-        monkeypatch.setattr(clpdd.distill, "adam_update", lambda s, g, *a: np.full(g.shape, update))
+
+        def adam_update(state, grad, param, out, step, lr, b1, b2, eps):
+            out[...] = param - update
+
+        monkeypatch.setattr(clpdd.distill, "adam_update", adam_update)
     with pytest.raises(DistillDivergenceError) as ei:
         distill_step(
             syn.inputs, syn.onehot_labels(), AdamState.like(syn.inputs), cfg,

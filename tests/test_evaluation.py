@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import clpdd.evaluation
+import clpdd.linalg
 from clpdd.data import Dataset, MissingClassError, gen_blobs
 from clpdd.distill import DistillConfig
 from clpdd.encoder import make_encoder
@@ -292,13 +293,13 @@ def test_probe_gradient_is_the_class_anchor_gradient_at_tau_1(monkeypatch, batch
     rng = np.random.default_rng(3)
     train = Dataset(rng.standard_normal((40, 6)), np.arange(40) % 4, 4)
     grads = []
-    adam_update = clpdd.evaluation.adam_update
+    adam_rows = clpdd.evaluation._adam_rows
 
     def recorded(state, grad, *args):
         grads.append(grad.copy())
-        return adam_update(state, grad, *args)
+        return adam_rows(state, grad, *args)
 
-    monkeypatch.setattr(clpdd.evaluation, "adam_update", recorded)
+    monkeypatch.setattr(clpdd.evaluation, "_adam_rows", recorded)
     train_linear_probe(train, train, epochs=1, batch_size=batch_size, seed=5)
     # the first weights and the first batch, drawn as the probe draws them
     probe_rng = np.random.default_rng(5)
@@ -307,3 +308,19 @@ def test_probe_gradient_is_the_class_anchor_gradient_at_tau_1(monkeypatch, batch
     _, expected = class_anchor_loss_and_grad(train.inputs[rows], train.labels[rows], w0, 1.0)
     assert len(grads) == (1 if batch_size >= 40 else 3)
     assert np.array_equal(grads[0], expected)
+
+
+@pytest.mark.parametrize("n, batches", [(1000, 4), (240, 1)], ids=["mini-batch", "full-batch"])
+def test_probe_writes_the_same_bytes_on_one_lane_or_two(monkeypatch, two_lanes, n, batches):
+    # 512 features and 100 classes. Each batch runs two split blocks: its rows
+    # at row 96, and the 512 rows of w at row 240. The mini-batches hold 256,
+    # 256, 256 and the ragged 232 rows.
+    rng = np.random.default_rng(12)
+    train = Dataset(rng.standard_normal((n, 512)), np.arange(n) % 100, 100)
+    ev = Dataset(rng.standard_normal((200, 512)), np.arange(200) % 100, 100)
+    two = train_linear_probe(train, ev, epochs=2, seed=3)
+    assert two_lanes == [(0, 96), (0, 240)] * 2 * batches
+    monkeypatch.setattr(clpdd.linalg, "_affinity_cpus", lambda: 1)
+    one = train_linear_probe(train, ev, epochs=2, seed=3)
+    assert len(two_lanes) == 4 * batches
+    assert np.array_equal(one.w, two.w) and one.eval_acc == two.eval_acc

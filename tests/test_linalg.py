@@ -10,10 +10,15 @@ import warnings
 import numpy as np
 import pytest
 
+import clpdd.distill
 import clpdd.encoder
+import clpdd.evaluation
 import clpdd.linalg
 import clpdd.solver
+from clpdd.data import Dataset
+from clpdd.distill import DistillConfig, run_distill
 from clpdd.encoder import encode, encode_vjp, make_encoder
+from clpdd.evaluation import train_linear_probe
 from clpdd.linalg import (
     SPLIT_MIN_MADDS,
     SPLIT_ROW_STEP,
@@ -102,21 +107,34 @@ def test_cholesky_factor_reuse():
 
 # --- row halves --------------------------------------------------------------
 
-# rows 192 split at 96 and 191 at 48 (the largest multiple of SPLIT_ROW_STEP up
-# to rows / 2): with 256 x 256 products, or a 128 x 512 probe gradient, 192
-# rows sit exactly at SPLIT_MIN_MADDS and 191 rows one step below it. The
-# ragged shapes are ones whose halves at rows / 2 would not keep their bits.
-ROW_CASES = [(191, 256, 128, 512, False), (192, 256, 128, 512, True),
-             (1000, 512, 512, 100, True), (973, 187, 187, 323, True)]
+# (rows, dim, probe_dim, classes, helper rows). `_row_blocks` runs both
+# encoders' forward pass and VJP on rows x dim inputs with dim x dim weights,
+# the ridge backward on rows x probe_dim features of `classes` classes (in row
+# halves on the primal route only, where rows >= probe_dim), and one
+# full-batch epoch of the trained probe on those features: its batch rows,
+# then the probe_dim rows of its weights. The helper's half of each split
+# block covers rows [0, h), h listed in that order. In the first case every
+# block sits one step under SPLIT_MIN_MADDS, and in the second just above it.
+# The ragged shapes are ones whose halves at rows / 2 would not keep their
+# bits; 256 and 232 are the linear probe's batches at the primal benchmark
+# shape, whose ridge solve takes the kernel route.
+ROW_CASES = [(240, 209, 240, 182, []), (240, 210, 240, 183, [96] * 7),
+             (1000, 512, 512, 100, [480] * 6 + [240]), (973, 187, 187, 323, [480] * 6 + [48]),
+             (256, 512, 512, 100, [96] * 5 + [240]), (232, 512, 512, 100, [96] * 5 + [240])]
 
 
 def test_row_case_shapes_sit_where_they_say():
-    assert SPLIT_ROW_STEP * 2 * 256 * 256 == SPLIT_MIN_MADDS == 96 * 128 * 512
+    assert SPLIT_ROW_STEP == 48
+    assert 96 * 209 * 209 < SPLIT_MIN_MADDS <= 96 * 210 * 210
+    assert 96 * 240 * 182 < SPLIT_MIN_MADDS <= 96 * 240 * 183
+    # the probe's 96-row half of a batch's logits is the smaller of its blocks
+    assert SPLIT_MIN_MADDS <= 96 * 512 * 100 < 240 * 232 * 100
 
 
 def _row_blocks(rows, dim, probe_dim, classes):
-    """Every row-wise block the step routes through `run_row_halves`: the
-    forward pass and VJP of both encoders, and the primal probe backward."""
+    """Every row-wise block that goes through `run_row_halves`: the forward
+    pass and VJP of both encoders, the primal probe backward, and a trained
+    probe's step."""
     rng = np.random.default_rng(rows)
     out = []
     for kind in ("linear", "mlp1"):
@@ -126,21 +144,21 @@ def _row_blocks(rows, dim, probe_dim, classes):
         out.append(encode_vjp(enc, inputs, rng.standard_normal((rows, dim))))
     x = rng.standard_normal((rows, probe_dim))
     sol = ridge_kernel(x, np.eye(classes)[rng.integers(0, classes, rows)], 0.1)
-    assert sol.mode == "primal"
     out.append(solve_backward(sol, x, rng.standard_normal((probe_dim, classes))))
+    probe_set = Dataset(x, np.arange(rows) % classes, classes)
+    out.append(train_linear_probe(probe_set, probe_set, epochs=1, batch_size=rows, seed=1).w)
     return out
 
 
-@pytest.mark.parametrize("rows, dim, probe_dim, classes, splits", ROW_CASES,
-                         ids=["below", "at", "1000x512", "ragged"])
+@pytest.mark.parametrize("rows, dim, probe_dim, classes, helper_rows", ROW_CASES,
+                         ids=["below", "at", "1000x512", "ragged", "probe-256", "probe-232"])
 def test_row_halves_keep_every_bit(two_lanes, monkeypatch, rows, dim, probe_dim, classes,
-                                   splits):
+                                   helper_rows):
     split = _row_blocks(rows, dim, probe_dim, classes)
-    half = rows // 2 // SPLIT_ROW_STEP * SPLIT_ROW_STEP
-    assert two_lanes == ([(0, half)] * 5 if splits else [])
+    assert two_lanes == [(0, h) for h in helper_rows]
     monkeypatch.setattr(clpdd.linalg, "_affinity_cpus", lambda: 1)
     whole = _row_blocks(rows, dim, probe_dim, classes)
-    assert len(two_lanes) == (5 if splits else 0)
+    assert len(two_lanes) == len(helper_rows)
     for a, b in zip(split, whole):
         assert np.array_equal(a, b)
 
@@ -159,8 +177,8 @@ def test_row_halves_allocate_only_in_the_caller(monkeypatch):
             finally:
                 tracemalloc.stop()
 
-    monkeypatch.setattr(clpdd.encoder, "run_row_halves", traced_halves)
-    monkeypatch.setattr(clpdd.solver, "run_row_halves", traced_halves)
+    for module in (clpdd.encoder, clpdd.solver, clpdd.evaluation, clpdd.distill):
+        monkeypatch.setattr(module, "run_row_halves", traced_halves)
     rng = np.random.default_rng(0)
     inputs = 0.5 * rng.standard_normal((1000, 512))
     upstream = rng.standard_normal((1000, 512))
@@ -173,6 +191,14 @@ def test_row_halves_allocate_only_in_the_caller(monkeypatch):
     assert sol.mode == "primal"
     solve_backward(sol, inputs, rng.standard_normal((512, 100)))
     assert len(peaks) == 14
+    # one probe epoch: four batches, each a block over its rows and one over w's
+    features = Dataset(inputs, np.arange(1000) % 100, 100)
+    train_linear_probe(features, features, epochs=1, seed=2)
+    assert len(peaks) == 14 + 4 * 2 * 2
+    # one distill step on 1000 x 512 synthetic inputs; with the identity
+    # encoder its row blocks are the primal backward and Adam
+    run_distill(DistillConfig(ipc=10, iterations=1), features)
+    assert len(peaks) == 14 + 16 + 2 * 2
     assert max(peaks) <= 256 << 10, peaks
 
 

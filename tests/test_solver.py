@@ -46,6 +46,13 @@ def test_primal_input_validation():
         ridge_primal(np.eye(2), np.array([[0.5, 0.5], [1.0, 0.0]]), 0.1)
 
 
+@pytest.mark.parametrize("solve", [ridge_kernel, ridge_primal], ids=["kernel", "primal"])
+def test_both_solvers_reject_targets_that_are_not_one_hot(solve):
+    # 2 rows of 3 features: N < d, so ridge_kernel would take the kernel route
+    with pytest.raises(ValueError, match="^y rows must be one-hot$"):
+        solve(np.eye(2, 3), np.array([[2.0, 0.0], [0.5, 0.5]]), 0.1)
+
+
 def test_kernel_identity_case():
     sol = ridge_kernel(np.eye(2), np.eye(2), 1.0)
     assert np.allclose(sol.w_star, 0.5 * np.eye(2), rtol=0, atol=1e-14)
