@@ -23,6 +23,7 @@ from .data import (
     Dataset,
     FeatureFileError,
     MissingClassError,
+    check_blob_sizes,
     check_every_class,
     feature_shape,
     gen_blobs,
@@ -176,13 +177,8 @@ def check_config(cfg: dict, command: str, out) -> None:
             if cfg[key]:
                 raise ConfigError(f"{key} is set, but data=blobs ignores it; set data=files")
         try:
-            check_at_least("blob_classes", cfg["blob_classes"], 1)
-            check_at_least("blob_dim", cfg["blob_dim"], 1)
-            if cfg["blob_per_class"] < 5:
-                raise ValueError(
-                    "blob_per_class must be >= 5 so the 80/20 split leaves each class an "
-                    f"eval row, got {cfg['blob_per_class']}"
-                )
+            names = ("blob_classes", "blob_dim", "blob_per_class")
+            check_blob_sizes(*(cfg[name] for name in names), names)
             check_at_least("blob_seed", cfg["blob_seed"], 0)
             check_positive("blob_center_scale", cfg["blob_center_scale"], or_zero=True)
             check_positive("blob_cluster_std", cfg["blob_cluster_std"])

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DimensionError
+from .linalg import DimensionError, check_at_least
 
 CLPF_MAGIC = b"CLPF"
 CLPF_VERSION = 1
@@ -192,6 +192,24 @@ def _file_dataset(path, inputs, labels, class_count: int, first_line: int | None
         raise
 
 
+# the fewest rows per class whose 80/20 split, ceil(0.8 n) train rows, leaves
+# an eval row: n - ceil(0.8 n) is 0 for n = 1..4 and floor(0.2 n) >= 1 from 5
+BLOB_MIN_PER_CLASS = 5
+
+
+def check_blob_sizes(c, dim, n_per_class, names=("c", "dim", "n_per_class")) -> None:
+    """Raise ValueError unless `gen_blobs` can split these sizes: class count
+    and dim integers >= 1, and at least BLOB_MIN_PER_CLASS rows per class.
+    `names` are the three values' names in the message."""
+    check_at_least(names[0], c, 1)
+    check_at_least(names[1], dim, 1)
+    if n_per_class < BLOB_MIN_PER_CLASS:
+        raise ValueError(
+            f"{names[2]} must be >= {BLOB_MIN_PER_CLASS} so the 80/20 split leaves each "
+            f"class an eval row, got {n_per_class}"
+        )
+
+
 def gen_blobs(
     c: int,
     dim: int,
@@ -209,14 +227,8 @@ def gen_blobs(
     by a random rotation), which keeps centroid selection from being a
     near-oracle and makes the two outer objectives behave differently.
     """
-    if min(c, dim) < 1:
-        raise ValueError("c and dim must be >= 1")
+    check_blob_sizes(c, dim, n_per_class)
     n_train = int(np.ceil(0.8 * n_per_class))
-    if n_per_class - n_train < 1:
-        raise ValueError(
-            f"n_per_class must be >= 5 so the 80/20 split leaves each class an "
-            f"eval row, got {n_per_class}"
-        )
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((c, dim)) * center_scale
     train_x, train_y, eval_x, eval_y = [], [], [], []

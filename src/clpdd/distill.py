@@ -17,11 +17,26 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import Dataset, check_every_class, check_fits
-from .encoder import ENCODER_KINDS, Encoder, _encode, _encode_vjp, encode, make_encoder
-from .linalg import DimensionError, check_at_least, check_positive, run_row_halves, split_row
+from .encoder import (
+    ENCODER_KINDS,
+    Encoder,
+    _encode,
+    _encode_rows,
+    _encode_vjp,
+    encode,
+    make_encoder,
+)
+from .linalg import (
+    DimensionError,
+    check_at_least,
+    check_positive,
+    run_beside,
+    run_row_halves,
+    split_row,
+)
 from .objective import _accuracy, _class_anchor_loss_and_grad, _mse_outer_loss_and_grad
 from .report import StepMetrics
-from .solver import _ridge_kernel, _solve_backward
+from .solver import _primal_solution, _primal_solve, _ridge_kernel, _solve_backward
 
 OUTER_OBJECTIVES = ("class_anchor", "mse")
 INIT_MODES = ("random_normal", "from_real")
@@ -334,13 +349,27 @@ def meta_loss_and_grad(
     the real batch's raw inputs, encoded here with the same frozen map, and
     `labels` their class ids.
 
+    On the primal route (N >= feature dim) with an encoder that does work,
+    the real batch is encoded whole by `run_beside`, on the second CPU where
+    it pays, while the caller solves the d x d system; the encode does not
+    depend on the solve. The kernel route keeps the serial order: its solve
+    is too short to hide a whole-lane encode.
+
     Expects validated inputs: it composes the unchecked cores of those
     public functions, so shapes, finiteness, label range and lam, tau > 0
     are the caller's to guarantee, as `run_distill` does once per run.
     """
+    beside = enc.kind != "identity" and inputs.shape[0] >= enc.feature_dim
     x_syn, hidden = _encode(enc, inputs)
-    sol = _ridge_kernel(x_syn, y_onehot, lam)
-    feats, _ = _encode(enc, x_real)
+    if beside:
+        rows, feats, _, row_madds = _encode_rows(enc, x_real)
+        solved = run_beside(
+            rows, x_real.shape[0], row_madds, lambda: _primal_solve(x_syn, y_onehot, lam)
+        )
+        sol = _primal_solution(x_syn, y_onehot, lam, *solved)
+    else:
+        sol = _ridge_kernel(x_syn, y_onehot, lam)
+        feats, _ = _encode(enc, x_real)
     if objective == "class_anchor":
         loss, g = _class_anchor_loss_and_grad(feats, labels, sol.w_star, tau)
     elif objective == "mse":

@@ -92,6 +92,18 @@ def _encode(enc: Encoder, inputs: np.ndarray):
     through `run_row_halves`, in two halves when the work pays for it."""
     if enc.kind == "identity":
         return inputs, None
+    rows, out, hidden, row_madds = _encode_rows(enc, inputs)
+    run_row_halves(rows, inputs.shape[0], row_madds)
+    return out, hidden
+
+
+def _encode_rows(enc: Encoder, inputs: np.ndarray):
+    """The row-wise block that encodes checked `inputs` with a linear or mlp1
+    encoder: (rows, features, hidden, row_madds). `rows(lo, hi)` writes rows
+    lo..hi-1 of `features`, and for mlp1 of its tanh activation `hidden`
+    (None for linear); both arrays are allocated here, by the caller, so the
+    block may run on the helper thread. `row_madds` is the multiply-adds per
+    row of its smallest matrix product."""
     n = inputs.shape[0]
     out = np.empty((n, enc.feature_dim))
     if enc.kind == "linear":
@@ -101,8 +113,7 @@ def _encode(enc: Encoder, inputs: np.ndarray):
             o = np.matmul(inputs[lo:hi], w, out=out[lo:hi])
             o += b
 
-        run_row_halves(rows, n, w.size)
-        return out, None
+        return rows, out, None, w.size
     w1, b1, w2, b2 = enc.weights
     hidden = np.empty((n, w1.shape[1]))
 
@@ -113,8 +124,7 @@ def _encode(enc: Encoder, inputs: np.ndarray):
         o = np.matmul(h, w2, out=out[lo:hi])
         o += b2
 
-    run_row_halves(rows, n, min(w1.size, w2.size))
-    return out, hidden
+    return rows, out, hidden, min(w1.size, w2.size)
 
 
 def encode_vjp(enc: Encoder, inputs: np.ndarray, upstream: np.ndarray) -> np.ndarray:

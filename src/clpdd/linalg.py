@@ -4,7 +4,9 @@ All matrices are 2-D float64 numpy arrays treated as immutable after
 construction. Linear systems with symmetric positive definite matrices are
 solved through a Cholesky factorization that can be cached and reused;
 explicit matrix inverses are never formed. `run_row_halves` runs a row-wise
-block of matrix products on two CPUs when that pays and changes no bits.
+block of matrix products on two CPUs when that pays and changes no bits;
+`run_beside` runs such a block whole on the second CPU while the caller does
+other work.
 """
 
 import functools
@@ -134,6 +136,7 @@ SPLIT_ROW_STEP = 48
 
 _helper = None  # the executor of the one helper thread, made at the first split
 _helper_lock = threading.Lock()
+_lane = threading.local()  # `_lane.helper` is True on the helper thread only
 
 
 def _forget_helper():
@@ -161,18 +164,54 @@ def run_row_halves(part, rows: int, row_madds: int) -> None:
     and rows [h, rows) in the caller. Each half computes its rows exactly as
     `part(0, rows)` would, so the output holds the same bytes either way. An
     exception from either half is raised only once both halves have finished.
+    Called on the helper thread itself, the block runs whole: the helper's
+    one-thread executor would queue a half behind the caller and never run it.
     """
     half = split_row(rows, row_madds)
-    if not half or not _two_lanes():
+    if not half or _no_second_lane():
         part(0, rows)
         return
+    _with_helper(part, 0, half, lambda: part(half, rows))
+
+
+def run_beside(part, rows: int, row_madds: int, work):
+    """Return `work()`, running the row-wise block `part(0, rows)` beside it.
+
+    `part` follows `run_row_halves`'s rules and `row_madds` means what it does
+    there. When the block's smallest matrix product, rows * row_madds
+    multiply-adds, clears SPLIT_MIN_MADDS and `_two_lanes()` holds, the block
+    runs whole in the helper thread, under the caller's numpy error state,
+    while `work()` runs in the caller; an exception from either is raised only
+    once both have finished. Otherwise, or on the helper thread itself,
+    `work()` runs and then the block, both in the caller. The block computes
+    its rows in one call either way, so it writes the same bytes. `work` may
+    split its own blocks: their helper halves queue behind `part`.
+    """
+    if rows * row_madds < SPLIT_MIN_MADDS or _no_second_lane():
+        result = work()
+        part(0, rows)
+        return result
+    return _with_helper(part, 0, rows, work)
+
+
+def _no_second_lane() -> bool:
+    """Whether a block must run in the calling thread: that thread is the
+    helper itself, or `_two_lanes()` does not hold."""
+    return getattr(_lane, "helper", False) or not _two_lanes()
+
+
+def _with_helper(part, lo: int, hi: int, work):
+    """`work()`'s result, with `part(lo, hi)` run in the helper thread under
+    the caller's numpy error state meanwhile. Either one's exception is
+    raised once both have finished, the caller's first."""
     errstate = dict(np.geterr(), call=np.geterrcall())
-    future = _helper_executor().submit(_run_under, errstate, part, 0, half)
+    future = _helper_executor().submit(_run_under, errstate, part, lo, hi)
     try:
-        part(half, rows)
+        result = work()
     finally:
-        future.exception()  # waits for the helper's half, raising nothing
+        future.exception()  # waits for the helper's part, raising nothing
     future.result()
+    return result
 
 
 def split_row(rows: int, row_madds: int) -> int:
@@ -195,12 +234,18 @@ def _helper_executor():
         if _helper is None:
             from concurrent.futures import ThreadPoolExecutor  # imported at the first split
 
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="clpdd-rows")
+            _helper = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="clpdd-rows", initializer=_mark_helper
+            )
     return _helper
 
 
+def _mark_helper():
+    _lane.helper = True
+
+
 def _two_lanes() -> bool:
-    """Whether a row half may take a second CPU and keep its bits: this
+    """Whether a row block may take a second CPU and keep its bits: this
     process may run on two CPUs, and every OpenBLAS loaded runs a call in one
     thread. With more BLAS threads a half's product is partitioned among them
     otherwise than the whole one's, which changes last bits; with no OpenBLAS

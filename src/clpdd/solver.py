@@ -72,6 +72,7 @@ def _add_ridge(gram: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _primal_solve(x: np.ndarray, y: np.ndarray, lam: float):
+    """(W*, factor of X^T X + lam*I) from the d x d normal equations."""
     factor = cholesky_factor(_add_ridge(x.T @ x, lam))
     w = factor.solve(x.T @ y)
     return w, factor
@@ -105,8 +106,22 @@ def _ridge_kernel(x: np.ndarray, y: np.ndarray, lam: float) -> ProbeSolution:
         p = factor.solve(y)
         w = x.T @ p
         return ProbeSolution(w_star=w, p=p, lam=lam, mode="kernel", factor=factor)
-    w, factor = _primal_solve(x, y, lam)
-    p = (y - x @ w) / lam
+    return _primal_solution(x, y, lam, *_primal_solve(x, y, lam))
+
+
+def _primal_solution(
+    x: np.ndarray, y: np.ndarray, lam: float, w: np.ndarray, factor: CholeskyFactor
+) -> ProbeSolution:
+    """The primal-route ProbeSolution of `_primal_solve`'s (W*, factor), with
+    p = (Y - X W*)/lam computed row by row through `run_row_halves`."""
+    p = np.empty((x.shape[0], w.shape[1]))
+
+    def rows(lo, hi):
+        r = np.matmul(x[lo:hi], w, out=p[lo:hi])
+        np.subtract(y[lo:hi], r, out=r)
+        r /= lam
+
+    run_row_halves(rows, x.shape[0], w.size)
     return ProbeSolution(w_star=w, p=p, lam=lam, mode="primal", factor=factor)
 
 

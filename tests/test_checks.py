@@ -114,8 +114,8 @@ def _meta_loss_with_objective(objective):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda tmp: gen_blobs(0, 3, 10, 1.0, 1.0), ValueError, "c and dim must be >= 1"),
-        (lambda tmp: gen_blobs(2, 0, 10, 1.0, 1.0), ValueError, "c and dim must be >= 1"),
+        (lambda tmp: gen_blobs(0, 3, 10, 1.0, 1.0), ValueError, "c must be >= 1, got 0"),
+        (lambda tmp: gen_blobs(2, 0, 10, 1.0, 1.0), ValueError, "dim must be >= 1, got 0"),
         (
             lambda tmp: gen_blobs(2, 3, 4, 1.0, 1.0),
             ValueError,

@@ -150,14 +150,21 @@ def test_gradcheck_primal_pipeline_takes_primal_route(monkeypatch):
     from clpdd import gradcheck
 
     solves = []
+    primal_solve = clpdd.distill._primal_solve
 
     def recording_solve(x, y, lam):
         sol = ridge_kernel(x, y, lam)
         solves.append((sol.mode, x.shape[0] // y.shape[1]))
         return sol
 
-    # meta_loss_and_grad solves through the unchecked core
+    def recording_primal_solve(x, y, lam):
+        solves.append(("primal", x.shape[0] // y.shape[1]))
+        return primal_solve(x, y, lam)
+
+    # meta_loss_and_grad solves through the unchecked cores: the primal solve
+    # alone where it encodes the real batch beside it, `_ridge_kernel` otherwise
     monkeypatch.setattr(clpdd.distill, "_ridge_kernel", recording_solve)
+    monkeypatch.setattr(clpdd.distill, "_primal_solve", recording_primal_solve)
     for i in range(10):
         gradcheck._CHECKS["pipeline_primal"](np.random.default_rng(i))
     assert solves and all(mode == "primal" and ipc > 1 for mode, ipc in solves)
@@ -514,12 +521,13 @@ def test_import_and_default_compare_start_no_thread(tmp_path):
 
 
 def test_distill_writes_the_same_bytes_on_one_lane_or_two(tmp_path, monkeypatch, two_lanes):
-    # 400 synthetic rows of 256 dims: the mlp1 encodes, the VJP and the primal
-    # backward of every step split into two halves
+    # 400 synthetic rows of 256 dims: the mlp1 encode, the VJP and the primal
+    # p and backward of every step split into two halves, and each step
+    # encodes its 800-row real batch whole beside the primal solve
     cfg = _fast_cfg(encoder="mlp1", blob_classes=200, blob_dim=256, blob_per_class=6, ipc=2,
                     iterations=3, probe_epochs=2)
     cmd_distill(cfg, tmp_path / "two")
-    assert len(two_lanes) >= 3 * 4
+    assert len(two_lanes) >= 3 * 5 and two_lanes.count((0, 800)) == 3
     monkeypatch.setattr(clpdd.linalg, "_affinity_cpus", lambda: 1)
     split = len(two_lanes)
     cmd_distill(cfg, tmp_path / "one")

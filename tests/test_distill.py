@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,29 @@ def test_distill_steps_adam_writes_the_same_bytes_on_one_lane_or_two(monkeypatch
     assert np.array_equal(one.inputs, two.inputs)
 
 
+@pytest.mark.parametrize("kind, ipc, beside", [
+    ("identity", 2, []), ("linear", 1, []), ("linear", 2, [12] * 3), ("mlp1", 2, [12] * 3)
+], ids=["identity-primal", "linear-kernel", "linear-primal", "mlp1-primal"])
+def test_a_step_below_the_floor_starts_no_thread(two_lanes, monkeypatch, kind, ipc, beside):
+    # 3 classes x 5 dims: at ipc 2, N = 6 >= d takes the primal route, where
+    # an encoder that does work encodes the 12-row real batch beside the
+    # solve; it is far below SPLIT_MIN_MADDS, so it runs in the caller. The
+    # identity encoder and the kernel route (ipc 1) never hand it over.
+    monkeypatch.setattr(clpdd.linalg, "_helper", None)
+    run_beside, calls = clpdd.distill.run_beside, []
+
+    def recording(part, rows, row_madds, work):
+        calls.append(rows)
+        return run_beside(part, rows, row_madds, work)
+
+    monkeypatch.setattr(clpdd.distill, "run_beside", recording)
+    threads = threading.active_count()
+    train, _ = _blob_task()
+    run_distill(_tiny_cfg(encoder_kind=kind, ipc=ipc, iterations=3), train)
+    assert calls == beside and two_lanes == []
+    assert clpdd.linalg._helper is None and threading.active_count() == threads
+
+
 def _step_streams(cfg, real, shape):
     return (
         balanced_batches(real, cfg.b_per_class, rng_stream(cfg.seed, "batch")),
@@ -397,8 +422,16 @@ def test_meta_loss_cores_match_the_public_chain(request, monkeypatch, kind, obje
     assert loss == ref_loss
     assert np.array_equal(grad, ref_grad)
     if two_lanes is not None:
-        # per chain: the backward, and for linear and mlp1 two encodes and a VJP
-        assert len(two_lanes) == (2 if kind == "identity" else 8)
+        # the helper's rows of each split block: per chain, the primal p and
+        # backward, and for linear and mlp1 the synthetic encode and the VJP,
+        # each split at row 192. The step encodes the real batch's 800 rows
+        # whole beside the solve; the public chain splits them at row 384.
+        if kind == "identity":
+            assert two_lanes == [(0, 192)] * 4
+        else:
+            step = [(0, 192), (0, 800), (0, 192), (0, 192), (0, 192)]
+            public = [(0, 192), (0, 192), (0, 384), (0, 192), (0, 192)]
+            assert two_lanes == step + public
         monkeypatch.setattr(clpdd.linalg, "_affinity_cpus", lambda: 1)
         one_lane = meta_loss_and_grad(inputs, y, enc, x_real, labels, 0.1, 0.07, objective)
         assert one_lane[0] == loss

@@ -25,6 +25,7 @@ from clpdd.linalg import (
     DimensionError,
     NotPositiveDefiniteError,
     cholesky_factor,
+    run_beside,
     run_row_halves,
 )
 from clpdd.solver import ridge_kernel, solve_backward
@@ -109,17 +110,18 @@ def test_cholesky_factor_reuse():
 
 # (rows, dim, probe_dim, classes, helper rows). `_row_blocks` runs both
 # encoders' forward pass and VJP on rows x dim inputs with dim x dim weights,
-# the ridge backward on rows x probe_dim features of `classes` classes (in row
-# halves on the primal route only, where rows >= probe_dim), and one
-# full-batch epoch of the trained probe on those features: its batch rows,
-# then the probe_dim rows of its weights. The helper's half of each split
-# block covers rows [0, h), h listed in that order. In the first case every
-# block sits one step under SPLIT_MIN_MADDS, and in the second just above it.
-# The ragged shapes are ones whose halves at rows / 2 would not keep their
-# bits; 256 and 232 are the linear probe's batches at the primal benchmark
-# shape, whose ridge solve takes the kernel route.
-ROW_CASES = [(240, 209, 240, 182, []), (240, 210, 240, 183, [96] * 7),
-             (1000, 512, 512, 100, [480] * 6 + [240]), (973, 187, 187, 323, [480] * 6 + [48]),
+# the ridge solve's p = (Y - X W*)/lam and its backward on rows x probe_dim
+# features of `classes` classes (in row halves on the primal route only, where
+# rows >= probe_dim), and one full-batch epoch of the trained probe on those
+# features: its batch rows, then the probe_dim rows of its weights. The
+# helper's half of each split block covers rows [0, h), h listed in that
+# order. In the first case every block sits one step under SPLIT_MIN_MADDS,
+# and in the second just above it. The ragged shapes are ones whose halves at
+# rows / 2 would not keep their bits; 256 and 232 are the linear probe's
+# batches at the primal benchmark shape, whose ridge solve takes the kernel
+# route.
+ROW_CASES = [(240, 209, 240, 182, []), (240, 210, 240, 183, [96] * 8),
+             (1000, 512, 512, 100, [480] * 7 + [240]), (973, 187, 187, 323, [480] * 7 + [48]),
              (256, 512, 512, 100, [96] * 5 + [240]), (232, 512, 512, 100, [96] * 5 + [240])]
 
 
@@ -133,8 +135,8 @@ def test_row_case_shapes_sit_where_they_say():
 
 def _row_blocks(rows, dim, probe_dim, classes):
     """Every row-wise block that goes through `run_row_halves`: the forward
-    pass and VJP of both encoders, the primal probe backward, and a trained
-    probe's step."""
+    pass and VJP of both encoders, the primal probe's p and backward, and a
+    trained probe's step."""
     rng = np.random.default_rng(rows)
     out = []
     for kind in ("linear", "mlp1"):
@@ -168,17 +170,26 @@ def test_row_halves_allocate_only_in_the_caller(monkeypatch):
     # thread never needs a large block from the allocator
     peaks = []
 
+    def traced(part, lo, hi):
+        tracemalloc.start()
+        try:
+            part(lo, hi)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
     def traced_halves(part, rows, row_madds):
         for lo, hi in ((0, rows // 2), (rows // 2, rows)):
-            tracemalloc.start()
-            try:
-                part(lo, hi)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            traced(part, lo, hi)
+
+    def traced_beside(part, rows, row_madds, work):
+        result = work()
+        traced(part, 0, rows)
+        return result
 
     for module in (clpdd.encoder, clpdd.solver, clpdd.evaluation, clpdd.distill):
         monkeypatch.setattr(module, "run_row_halves", traced_halves)
+    monkeypatch.setattr(clpdd.distill, "run_beside", traced_beside)
     rng = np.random.default_rng(0)
     inputs = 0.5 * rng.standard_normal((1000, 512))
     upstream = rng.standard_normal((1000, 512))
@@ -190,34 +201,50 @@ def test_row_halves_allocate_only_in_the_caller(monkeypatch):
     sol = ridge_kernel(inputs, np.eye(100)[rng.integers(0, 100, 1000)], 0.1)
     assert sol.mode == "primal"
     solve_backward(sol, inputs, rng.standard_normal((512, 100)))
-    assert len(peaks) == 14
+    assert len(peaks) == 16
     # one probe epoch: four batches, each a block over its rows and one over w's
     features = Dataset(inputs, np.arange(1000) % 100, 100)
     train_linear_probe(features, features, epochs=1, seed=2)
-    assert len(peaks) == 14 + 4 * 2 * 2
+    assert len(peaks) == 16 + 4 * 2 * 2
     # one distill step on 1000 x 512 synthetic inputs; with the identity
-    # encoder its row blocks are the primal backward and Adam
+    # encoder its row blocks are the primal p and backward, and Adam
     run_distill(DistillConfig(ipc=10, iterations=1), features)
-    assert len(peaks) == 14 + 16 + 2 * 2
+    assert len(peaks) == 16 + 16 + 3 * 2
+    # with mlp1 the step also encodes the synthetic set and takes its VJP in
+    # halves, and encodes the 400-row real batch whole beside the solve
+    run_distill(DistillConfig(ipc=10, iterations=1, encoder_kind="mlp1"), features)
+    assert len(peaks) == 16 + 16 + 3 * 2 + 5 * 2 + 1
     assert max(peaks) <= 256 << 10, peaks
 
 
-def test_helper_half_runs_under_the_callers_error_state(two_lanes):
+# the two ways to hand a part to the helper, with the rows it takes of a
+# 192-row block: the first half of the split, or the whole block beside `work`
+HANDOVERS = [
+    pytest.param(lambda part, row_madds: run_row_halves(part, 192, row_madds), (0, 96),
+                 id="row-halves"),
+    pytest.param(lambda part, row_madds: run_beside(part, 192, row_madds, lambda: part(96, 192)),
+                 (0, 192), id="beside"),
+]
+
+
+@pytest.mark.parametrize("hand_over, helper_rows", HANDOVERS)
+def test_helper_part_runs_under_the_callers_error_state(two_lanes, hand_over, helper_rows):
     a, w = np.full((192, 256), 1e306), np.full((256, 256), 10.0)  # every product overflows
     out = np.empty((192, 256))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="ignore"):
-            run_row_halves(lambda lo, hi: np.matmul(a[lo:hi], w, out=out[lo:hi]), 192, w.size)
-    assert two_lanes == [(0, 96)] and np.isposinf(out).all()
+            hand_over(lambda lo, hi: np.matmul(a[lo:hi], w, out=out[lo:hi]), w.size)
+    assert two_lanes == [helper_rows] and np.isposinf(out).all()
 
 
-def test_helper_half_calls_the_callers_error_callback(two_lanes):
+@pytest.mark.parametrize("hand_over, helper_rows", HANDOVERS)
+def test_helper_part_calls_the_callers_error_callback(two_lanes, hand_over, helper_rows):
     a, w = np.full((192, 256), 1e306), np.full((256, 256), 10.0)
     out, calls = np.empty((192, 256)), []
     with np.errstate(all="call", call=lambda kind, flag: calls.append(kind)):
-        run_row_halves(lambda lo, hi: np.matmul(a[lo:hi], w, out=out[lo:hi]), 192, w.size)
-    assert two_lanes == [(0, 96)] and calls == ["overflow", "overflow"]
+        hand_over(lambda lo, hi: np.matmul(a[lo:hi], w, out=out[lo:hi]), w.size)
+    assert two_lanes == [helper_rows] and calls == ["overflow", "overflow"]
 
 
 def _halves(raise_in, log):
@@ -235,12 +262,69 @@ def _halves(raise_in, log):
 
 
 @pytest.mark.parametrize("raise_in", ["helper", "caller"])
-def test_row_halves_raise_after_both_halves_finish(two_lanes, raise_in):
+@pytest.mark.parametrize("hand_over, helper_rows", HANDOVERS)
+def test_helper_and_caller_raise_after_both_finish(two_lanes, hand_over, helper_rows, raise_in):
     log = []
     with pytest.raises(KeyError, match=raise_in):
-        run_row_halves(_halves(raise_in, log), 192, 256 * 256)
+        hand_over(_halves(raise_in, log), 256 * 256)
     assert log == [{"helper": "caller", "caller": "helper"}[raise_in]]
-    assert two_lanes == [(0, 96)]
+    assert two_lanes == [helper_rows]
+
+
+def test_beside_returns_the_work_and_runs_the_part_whole_on_the_helper(two_lanes):
+    rng = np.random.default_rng(9)
+    a, w = rng.standard_normal((96, 256)), rng.standard_normal((256, 256))
+    out, where = np.empty((96, 256)), []
+
+    def part(lo, hi):
+        where.append(threading.current_thread())
+        np.matmul(a[lo:hi], w, out=out[lo:hi])
+
+    assert run_beside(part, 96, w.size, threading.current_thread) is threading.current_thread()
+    assert two_lanes == [(0, 96)] and where[0] is not threading.current_thread()
+    assert np.array_equal(out, a @ w)
+
+
+def test_beside_below_the_floor_runs_the_part_after_the_work_and_starts_no_thread(
+    two_lanes, monkeypatch
+):
+    monkeypatch.setattr(clpdd.linalg, "_helper", None)
+    threads = threading.active_count()
+    log = []
+    result = run_beside(lambda lo, hi: log.append((lo, hi)), 15, SPLIT_MIN_MADDS // 16,
+                        lambda: log.append("work") or 7)
+    assert result == 7 and log == ["work", (0, 15)] and two_lanes == []
+    assert clpdd.linalg._helper is None and threading.active_count() == threads
+
+
+def test_a_hand_over_called_on_the_helper_runs_whole(two_lanes, monkeypatch):
+    # the helper's executor has one thread: a half that the helper itself
+    # queued there would wait behind the part that waits for it, forever
+    monkeypatch.setattr(clpdd.linalg, "_helper", None)  # a helper of this test's own
+    rng = np.random.default_rng(10)
+    a, w = rng.standard_normal((192, 256)), rng.standard_normal((256, 256))
+    out, inner = np.full((192, 256), np.nan), []
+
+    def rows(lo, hi):
+        inner.append((threading.current_thread().name, lo, hi))
+        np.matmul(a[lo:hi], w, out=out[lo:hi])
+
+    def part(lo, hi):
+        run_row_halves(rows, 192, w.size)
+        run_beside(rows, 192, w.size, lambda: None)
+
+    caller = threading.Thread(target=run_beside, args=(part, 192, w.size, lambda: None))
+    caller.start()
+    caller.join(timeout=30)
+    stuck = caller.is_alive()
+    if stuck:  # cancel the queued half, or the interpreter waits for the helper at exit
+        clpdd.linalg._helper.shutdown(wait=False, cancel_futures=True)
+        caller.join(timeout=30)
+    assert not stuck
+    assert two_lanes == [(0, 192)]  # the outer part; both inner calls stayed on the helper
+    assert [(lo, hi) for _, lo, hi in inner] == [(0, 192)] * 2
+    assert all(name.startswith("clpdd-rows") for name, _, _ in inner)
+    assert np.array_equal(out, a @ w)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="the OS names no CPU set")
