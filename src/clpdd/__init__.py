@@ -34,6 +34,7 @@ from .distill import (
 from .encoder import Encoder, encode, encode_vjp, make_encoder
 from .evaluation import (
     ProbeResult,
+    compare_methods,
     pca_project_2d,
     select_centroid,
     select_neighbor,
@@ -78,6 +79,7 @@ __all__ = [
     "balanced_batches",
     "battery_report",
     "class_anchor_loss_and_grad",
+    "compare_methods",
     "distill_step",
     "encode",
     "encode_vjp",

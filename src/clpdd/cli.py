@@ -14,7 +14,7 @@ import errno
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +30,8 @@ from .data import (
     load_features,
     save_features,
 )
-from .distill import DistillConfig, DistillDivergenceError, run_distill, stream_seed
-from .encoder import encode
-from .evaluation import (
-    pca_project_2d,
-    select_centroid,
-    select_neighbor,
-    select_random,
-    train_linear_probe,
-)
+from .distill import DistillConfig, DistillDivergenceError, stream_seed
+from .evaluation import compare_methods, encode_set, pca_project_2d, train_linear_probe
 from .gradcheck import battery_report, run_battery
 from .linalg import check_at_least, check_positive, one_blas_thread
 from .report import MethodAccuracy, RunReport, json_text
@@ -245,17 +238,6 @@ def build_data(cfg: dict, data_seed: int | None = None):
         raise
 
 
-def _check_ipc_fits(train: Dataset, cfg: dict, methods: list[str]):
-    """from_real init and the random and centroid baselines pick ipc rows of
-    every train class; a class with fewer rows is a ConfigError."""
-    if cfg["init"] != "from_real" and not {"random", "centroid"} & set(methods):
-        return
-    try:
-        check_every_class(train, train.class_count, _split_name(cfg, "data_train"), cfg["ipc"])
-    except MissingClassError as e:
-        raise ConfigError(f"ipc={cfg['ipc']}: {e}") from e
-
-
 def _load_eval(cfg: dict, dim: int, class_count: int) -> Dataset | None:
     """The data_eval split, or None; it must have the train split's dim and
     no class past its class count."""
@@ -294,26 +276,6 @@ def _split_name(cfg: dict, key: str) -> str:
     return cfg[key] or f"the blob {key.removeprefix('data_')} split"
 
 
-def _features(enc, data: Dataset, source: str) -> Dataset:
-    """`data` with its rows passed through the encoder. Features no Dataset
-    can hold (an encoder that overflows) raise FeatureFileError naming
-    `source`, the set's file or what it is, and the encoder kind."""
-    try:
-        with np.errstate(all="ignore"):  # the Dataset check reports what overflows
-            feats = encode(enc, data.inputs)
-        return Dataset(feats, data.labels, data.class_count)
-    except FeatureFileError as e:
-        e.args = (f"{source} encoded with encoder={enc.kind}: {e}",)
-        raise
-
-
-def _probe_accuracy(train: Dataset, eval_set: Dataset, cfg: dict, probe_seed: int) -> float:
-    return train_linear_probe(
-        train, eval_set, epochs=cfg["probe_epochs"], lr=cfg["probe_lr"],
-        batch_size=cfg["probe_batch_size"], seed=probe_seed,
-    ).eval_acc
-
-
 def cmd_gradcheck(cfg: dict, json_path=None):
     """Full finite-difference battery; returns (exit code, report dict)."""
     check_config(cfg, "gradcheck", json_path)
@@ -339,6 +301,8 @@ def _parse_methods(cfg: dict) -> list[str]:
             name = "mse-ablation"
         if name not in METHOD_NAMES:
             raise ConfigError(f"unknown compare method {name!r} (choose from {METHOD_NAMES})")
+        if name in methods:
+            raise ConfigError(f"compare_methods names {name!r} twice")
         methods.append(name)
     if not methods:
         raise ConfigError("compare_methods is empty")
@@ -350,64 +314,32 @@ def _parse_methods(cfg: dict) -> list[str]:
     return methods
 
 
-def _run_seed(cfg: dict, methods: list[str], index: int):
-    """Every requested method for one run seed; returns (accs, curve, clpdd's
-    set or None). Without an eval split nothing is probed and accs is {}."""
-    run_seed = cfg["seed"] + index
-    data_seed = cfg["blob_seed"] + index if cfg["data"] == "blobs" else None
-    train, ev = build_data(cfg, data_seed=data_seed)
-    # every seed's split has the same class counts, so only the first seed's
-    # check can fail, before any step
-    _check_ipc_fits(train, cfg, methods)
-    dcfg = replace(distill_config_from(cfg), seed=run_seed)
-    enc = dcfg.build_encoder(train.dim)
-
-    distilled: dict[str, Dataset] = {}
-    curve = []
-    if "clpdd" in methods:
-        distilled["clpdd"], curve = run_distill(dcfg, train, ev, enc=enc)
-    if "mse-ablation" in methods:
-        distilled["mse-ablation"], _ = run_distill(
-            replace(dcfg, outer_objective="mse"), train, ev, enc=enc
-        )
-    if ev is None:
-        return {}, curve, distilled.get("clpdd")
-    # past the last step, each split and each set is encoded once; the
-    # feature baselines pick rows of the encoded train split as they are
-    feats = {name: _features(enc, syn, f"the {name} set") for name, syn in distilled.items()}
-    if "random" in methods:
-        sel = select_random(train, cfg["ipc"], seed=stream_seed(run_seed, "select"))
-        feats["random"] = _features(enc, sel, "the random set")
-    if "centroid" in methods or "neighbor" in methods:
-        real_feats = _features(enc, train, _split_name(cfg, "data_train"))
-        if "centroid" in methods:
-            feats["centroid"] = select_centroid(real_feats, cfg["ipc"])
-        if "neighbor" in methods:
-            feats["neighbor"] = select_neighbor(real_feats, feats["clpdd"])
-    ev_feats = _features(enc, ev, _split_name(cfg, "data_eval"))
-    probe_seed = stream_seed(run_seed, "probe")
-    accs = {name: _probe_accuracy(f, ev_feats, cfg, probe_seed) for name, f in feats.items()}
-    return accs, curve, distilled.get("clpdd")
-
-
 def _run(cfg: dict, methods: list[str], seeds: int):
     """The methods over `seeds` run seeds; returns (report, first seed's
     clpdd set or None)."""
     t0 = time.perf_counter()
-    runs = [_run_seed(cfg, methods, i) for i in range(seeds)]
-    accuracies = {
-        name: MethodAccuracy([accs[name] for accs, _, _ in runs])
-        for name in METHOD_NAMES
-        if name in runs[0][0]
-    }
-    report = RunReport(
-        config=dict(cfg),
-        curve=runs[0][1],
-        accuracies=accuracies,
-        seeds=[cfg["seed"] + i for i in range(seeds)],
-        wall_seconds=time.perf_counter() - t0,
-    )
-    return report, runs[0][2]
+    dcfg = distill_config_from(cfg)
+    names = (_split_name(cfg, "data_train"), _split_name(cfg, "data_eval"))
+    # from_real init and the random and centroid baselines pick ipc rows per class
+    picks = dcfg.init == "from_real" or not {"random", "centroid"}.isdisjoint(methods)
+
+    def splits():  # seed i's, built when the run reaches it; files load once
+        files = build_data(cfg) if cfg["data"] == "files" else None
+        for i in range(seeds):
+            train, ev = files or build_data(cfg, data_seed=cfg["blob_seed"] + i)
+            if picks:
+                try:
+                    check_every_class(train, train.class_count, names[0], dcfg.ipc)
+                except MissingClassError as e:
+                    raise ConfigError(f"ipc={dcfg.ipc}: {e}") from e
+            yield train, ev
+
+    accs, curve, syn = compare_methods(dcfg, splits(), methods, names)
+    accuracies = {name: MethodAccuracy(accs[name]) for name in METHOD_NAMES if name in accs}
+    report = RunReport(config=dict(cfg), curve=curve, accuracies=accuracies,
+                       seeds=[cfg["seed"] + i for i in range(seeds)],
+                       wall_seconds=time.perf_counter() - t0)
+    return report, syn
 
 
 def _write_run(report: RunReport, syn: Dataset | None, out_dir) -> RunReport:
@@ -483,13 +415,13 @@ def cmd_eval(cfg: dict, synthetic_path, json_path=None) -> dict:
     check_config(cfg, "eval", json_path)
     syn_data = load_features(synthetic_path)
     ev = _eval_split_for(syn_data, cfg)
-    enc = distill_config_from(cfg).build_encoder(syn_data.dim)
-    acc = _probe_accuracy(
-        _features(enc, syn_data, str(synthetic_path)),
-        _features(enc, ev, _split_name(cfg, "data_eval")),
-        cfg,
-        stream_seed(cfg["seed"], "probe"),
-    )
+    dcfg = distill_config_from(cfg)
+    enc = dcfg.build_encoder(syn_data.dim)
+    acc = train_linear_probe(
+        encode_set(enc, syn_data, str(synthetic_path)),
+        encode_set(enc, ev, _split_name(cfg, "data_eval")),
+        dcfg.probe_epochs, dcfg.probe_lr, dcfg.probe_batch_size, stream_seed(dcfg.seed, "probe"),
+    ).eval_acc
     result = {
         "synthetic_path": str(synthetic_path),
         "n_synthetic": syn_data.n,
@@ -511,7 +443,7 @@ def cmd_export_embeddings(cfg: dict, synthetic_path, out_path):
     real, key = (ev, "data_eval") if ev is not None else (build_data(cfg)[0], "data_train")
     enc = distill_config_from(cfg).build_encoder(syn_data.dim)
     names = (_split_name(cfg, key), str(synthetic_path))
-    feats = [_features(enc, real, names[0]), _features(enc, syn_data, names[1])]
+    feats = [encode_set(enc, real, names[0]), encode_set(enc, syn_data, names[1])]
     try:
         proj, _ = pca_project_2d(np.vstack([f.inputs for f in feats]))
     except ValueError as e:  # features finite, but too large for their variance

@@ -1,4 +1,5 @@
-"""Post-distillation probing, real-sample selection baselines, and PCA export.
+"""Post-distillation probing, real-sample selection baselines, the compare
+protocol, and PCA export.
 
 Distilled, selected and real sets are all scored the same way: a linear
 probe is trained on a feature Dataset (rows already passed through the frozen
@@ -6,14 +7,17 @@ encoder) and reports argmax accuracy (ties always resolve to the lowest class
 index, so results are stable across platforms). The selection baselines pick
 rows of the Dataset they are given, so on features they return features; a
 class with fewer rows than a selector picks raises MissingClassError.
+`compare_methods` runs that protocol for every method over every seed.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, check_every_class, check_fits
-from .distill import AdamState, DistillConfig, DistillDivergenceError, _adam_rows
+from .data import Dataset, FeatureFileError, check_every_class, check_fits
+from .distill import AdamState, DistillConfig, DistillDivergenceError, _adam_rows, run_distill
+from .distill import stream_seed
+from .encoder import Encoder, encode
 from .linalg import check_at_least, check_positive, run_row_halves, split_row
 from .objective import _accuracy, _shifted_logits, _softmax_rows
 
@@ -165,6 +169,67 @@ def select_neighbor(real: Dataset, synthetic: Dataset) -> Dataset:
         d2 = _squared_distances(real.inputs[idx], row)
         picked.append(idx[int(np.argmin(d2))])  # argmin returns first minimum
     return _selection(real, np.asarray(picked))
+
+
+def encode_set(enc: Encoder, data: Dataset, source: str) -> Dataset:
+    """`data` with its rows passed through the encoder. Features no Dataset
+    can hold (an encoder that overflows) raise FeatureFileError naming
+    `source`, the set's file or what it is, and the encoder kind."""
+    try:
+        with np.errstate(all="ignore"):  # the Dataset check reports what overflows
+            feats = encode(enc, data.inputs)
+        return Dataset(feats, data.labels, data.class_count)
+    except FeatureFileError as e:
+        e.args = (f"{source} encoded with encoder={enc.kind}: {e}",)
+        raise
+
+
+def compare_methods(cfg: DistillConfig, splits, methods, names):
+    """Each method's probe accuracy per run, in three stages that each go
+    over every run: distill (clpdd with cfg's objective, mse-ablation with
+    mse), select and encode, probe. `methods` names some of clpdd, random,
+    centroid, neighbor (which needs clpdd) and mse-ablation. Run i takes the
+    i-th (train, eval-or-None) of `splits`, read as the distill stage reaches
+    it, and seed cfg.seed + i; each stream is keyed by its run's seed, so no
+    draw moves. `names` name the train and eval splits in errors. Returns
+    ({method: accuracies}, the first run's clpdd curve and set, or [] and
+    None); without an eval split nothing is encoded or probed."""
+    runs, curve, first = [], [], None
+    for i, (train, ev) in enumerate(splits):
+        run = replace(cfg, seed=cfg.seed + i)
+        enc, sets = run.build_encoder(train.dim), {}
+        if "clpdd" in methods:
+            sets["clpdd"], steps = run_distill(run, train, ev, enc=enc)
+            if i == 0:
+                curve, first = steps, sets["clpdd"]
+        if "mse-ablation" in methods:
+            mse = replace(run, outer_objective="mse")
+            sets["mse-ablation"], _ = run_distill(mse, train, ev, enc=enc)
+        runs.append((run.seed, enc, train, ev, sets))
+    # past every run's last step, each split and each set is encoded once; the
+    # feature baselines pick rows of the encoded train split as they are
+    encoded = []
+    for seed, enc, train, ev, sets in runs:
+        if ev is None:
+            continue
+        feats = {name: encode_set(enc, syn, f"the {name} set") for name, syn in sets.items()}
+        if "random" in methods:
+            picked = select_random(train, cfg.ipc, seed=stream_seed(seed, "select"))
+            feats["random"] = encode_set(enc, picked, "the random set")
+        if "centroid" in methods or "neighbor" in methods:
+            real = encode_set(enc, train, names[0])
+            if "centroid" in methods:
+                feats["centroid"] = select_centroid(real, cfg.ipc)
+            if "neighbor" in methods:
+                feats["neighbor"] = select_neighbor(real, feats["clpdd"])
+        encoded.append((seed, feats, encode_set(enc, ev, names[1])))
+    accs = {}
+    for seed, feats, ev in encoded:
+        for name, f in feats.items():
+            probe = train_linear_probe(f, ev, cfg.probe_epochs, cfg.probe_lr,
+                                       cfg.probe_batch_size, stream_seed(seed, "probe"))
+            accs.setdefault(name, []).append(probe.eval_acc)
+    return accs, curve, first
 
 
 def pca_project_2d(features: np.ndarray):

@@ -133,6 +133,10 @@ def _assert_failed_run_left_nothing(code, out: Path | None, before):
         ("compare", ["compare_methods=bogus"], None, "unknown compare method 'bogus' (choose "
          "from ('clpdd', 'random', 'centroid', 'neighbor', 'mse-ablation'))"),
         ("sweep", ["compare_methods=,"], None, "compare_methods is empty"),
+        ("sweep", ["compare_methods=clpdd,mse,mse-ablation,clpdd"], None,
+         "compare_methods names 'mse-ablation' twice"),  # mse is mse-ablation
+        ("compare", ["compare_methods=clpdd,random,clpdd"], None,
+         "compare_methods names 'clpdd' twice"),
         ("compare", ["compare_seeds=0"], None, "compare_seeds must be >= 1"),
         ("sweep", ["compare_seeds=-1"], None, "compare_seeds must be >= 1"),
         ("compare", [], "existing-file", "--out {out} exists and is not a directory"),

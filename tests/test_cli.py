@@ -12,6 +12,7 @@ import pytest
 
 import clpdd.cli
 import clpdd.distill
+import clpdd.evaluation
 import clpdd.gradcheck
 import clpdd.linalg
 from clpdd.cli import (
@@ -383,7 +384,7 @@ def test_main_rejects_bad_blob_counts_before_distilling(
     tmp_path, capsys, monkeypatch, setting, key
 ):
     ran = []
-    monkeypatch.setattr(clpdd.cli, "run_distill", lambda *a, **k: ran.append(a))
+    monkeypatch.setattr(clpdd.evaluation, "run_distill", lambda *a, **k: ran.append(a))
     assert main(["distill", "--out", str(tmp_path / "m"), "--set", setting]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {key}")
@@ -555,27 +556,44 @@ def test_cmd_eval_checks_its_config(tmp_path):
         cmd_eval(cfg, tmp_path / "train.clpf")
 
 
-def test_distill_runs_the_bound_step_and_probe(tmp_path, monkeypatch):
-    # the benchmark times each step and each probe by wrapping these two
-    # module bindings; a call that bypasses them would go untimed
+def _count_every_binding(monkeypatch, calls, key, fn):
+    """Replace `fn` at every clpdd.* module attribute bound to it, as the
+    benchmark's hooks do, with a wrapper that counts calls under `key`."""
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "clpdd" or name.startswith("clpdd.")):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+@pytest.mark.parametrize(
+    "argv, steps, probes",
+    [
+        (["distill"], 3, 1),
+        (["compare", "--set", "compare_seeds=2"], 2 * 2 * 3, 2 * 5),  # clpdd and mse
+        (["eval"], 0, 1),
+    ],
+    ids=["distill", "compare", "eval"],
+)
+def test_cli_runs_the_bound_step_and_probe(tmp_path, monkeypatch, argv, steps, probes):
+    # the benchmark times each step and each probe by wrapping every binding
+    # of clpdd.distill.distill_step and of clpdd.cli.train_linear_probe; a
+    # call that bypasses them would go untimed
+    small = ["--set", "iterations=3", "--set", "blob_dim=4", "--set", "probe_epochs=5"]
+    if argv == ["eval"]:
+        assert main(["distill", "--out", str(tmp_path / "m"), *small]) == 0
+        argv = ["eval", "--synthetic", str(tmp_path / "m" / "synthetic.clpf")]
+    else:
+        argv = [*argv, "--out", str(tmp_path / "o")]
     calls = {"step": 0, "probe": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(
-        clpdd.distill, "distill_step", counted("step", clpdd.distill.distill_step)
-    )
-    monkeypatch.setattr(
-        clpdd.cli, "train_linear_probe", counted("probe", clpdd.cli.train_linear_probe)
-    )
-    assert main(["distill", "--out", str(tmp_path / "m"), "--set", "iterations=3",
-                 "--set", "blob_dim=4", "--set", "probe_epochs=5"]) == 0
-    assert calls == {"step": 3, "probe": 1}
+    _count_every_binding(monkeypatch, calls, "step", clpdd.distill.distill_step)
+    _count_every_binding(monkeypatch, calls, "probe", clpdd.cli.train_linear_probe)
+    assert main(argv + small) == 0
+    assert calls == {"step": steps, "probe": probes}
 
 
 def test_default_blob_distill_under_a_minute(tmp_path):
@@ -664,10 +682,10 @@ def test_main_reports_file_with_fewer_rows_than_classes(tmp_path, capsys):
 
 
 def _record_encodes(monkeypatch):
-    """Record, in order, each run_distill call and each clpdd.cli.encode
-    call's inputs array."""
+    """Record, in order, each run_distill call and each encode call's inputs
+    array of the compare protocol in clpdd.evaluation."""
     events = []
-    encode, run_distill = clpdd.cli.encode, clpdd.cli.run_distill
+    encode, run_distill = clpdd.evaluation.encode, clpdd.evaluation.run_distill
 
     def recording_encode(enc, inputs, *args, **kwargs):
         events.append(("encode", inputs))
@@ -677,31 +695,34 @@ def _record_encodes(monkeypatch):
         events.append(("distill", None))
         return run_distill(*args, **kwargs)
 
-    monkeypatch.setattr(clpdd.cli, "encode", recording_encode)
-    monkeypatch.setattr(clpdd.cli, "run_distill", recording_run_distill)
+    monkeypatch.setattr(clpdd.evaluation, "encode", recording_encode)
+    monkeypatch.setattr(clpdd.evaluation, "run_distill", recording_run_distill)
     return events
 
 
 def test_compare_seed_encodes_each_split_and_set_once(tmp_path, monkeypatch):
-    # five methods: the eval and train splits, the two distilled sets and the
-    # random picks; centroid and neighbor pick rows of the encoded train split
+    # five methods: per seed the eval and train splits, the two distilled
+    # sets and the random picks; centroid and neighbor pick rows of the
+    # encoded train split
     events = _record_encodes(monkeypatch)
     splits = []
     build = clpdd.cli.build_data
 
     def recording_build(*args, **kwargs):
-        splits[:] = build(*args, **kwargs)
-        return tuple(splits)
+        splits.append(build(*args, **kwargs))
+        return splits[-1]
 
     monkeypatch.setattr(clpdd.cli, "build_data", recording_build)
-    cmd_compare(_fast_cfg(compare_seeds=1), tmp_path / "cmp")
-    train, ev = splits
+    cmd_compare(_fast_cfg(compare_seeds=2), tmp_path / "cmp")
     kinds = [kind for kind, _ in events]
-    # nothing is encoded before the last step, where it would delay the first
-    assert kinds == ["distill", "distill"] + ["encode"] * 5
+    # every seed distills before anything is encoded, where it would delay
+    # the next seed's steps
+    assert kinds == ["distill"] * 4 + ["encode"] * 10
     encoded = [inputs for kind, inputs in events if kind == "encode"]
-    assert sum(x is train.inputs for x in encoded) == 1
-    assert sum(x is ev.inputs for x in encoded) == 1
+    assert len(splits) == 2
+    for train, ev in splits:
+        assert sum(x is train.inputs for x in encoded) == 1
+        assert sum(x is ev.inputs for x in encoded) == 1
 
 
 def test_distill_encodes_eval_split_and_synthetic_set_once(tmp_path, monkeypatch):
@@ -738,7 +759,7 @@ def test_main_rejects_eval_split_that_does_not_fit_train(tmp_path, capsys, monke
     syn = tmp_path / "syn.clpf"
     save_features(Dataset(np.zeros((3, 4)), np.arange(3), class_count=3), syn)
     ran = []
-    monkeypatch.setattr(clpdd.cli, "run_distill", lambda *a, **k: ran.append(a))
+    monkeypatch.setattr(clpdd.evaluation, "run_distill", lambda *a, **k: ran.append(a))
     where = ["--synthetic", str(syn)] if command == "eval" else ["--out", str(tmp_path / "o")]
     assert main(_argv(cfg, command, *where)) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -755,7 +776,7 @@ def _main_on_data_file(tmp_path, capsys, monkeypatch, command, key, path):
     syn = tmp_path / "syn.clpf"
     save_features(Dataset(np.zeros((3, 4)), np.arange(3), class_count=3), syn)
     ran = []
-    monkeypatch.setattr(clpdd.cli, "run_distill", lambda *a, **k: ran.append(a))
+    monkeypatch.setattr(clpdd.evaluation, "run_distill", lambda *a, **k: ran.append(a))
     where = ["--synthetic", str(syn)] if command == "eval" else ["--out", str(tmp_path / "o")]
     code = main(_argv(cfg, command, *where))
     return code, capsys.readouterr().err.strip().splitlines(), ran
@@ -840,7 +861,7 @@ def test_main_rejects_a_data_file_under_blobs(tmp_path, capsys, monkeypatch, key
 def test_main_rejects_ipc_past_the_smallest_train_class(tmp_path, capsys, monkeypatch,
                                                         command, sets):
     ran = []
-    monkeypatch.setattr(clpdd.cli, "run_distill", lambda *a, **k: ran.append(a))
+    monkeypatch.setattr(clpdd.evaluation, "run_distill", lambda *a, **k: ran.append(a))
     argv = [command, "--out", str(tmp_path / "o"), "--set", "ipc=201"]  # 200 train rows each
     for item in sets:
         argv += ["--set", item]
@@ -888,6 +909,35 @@ def test_eval_and_export_read_only_the_header_of_a_clpf_train_file(tmp_path, mon
     assert cfg["data_eval"] in loaded and cfg["data_train"] not in loaded
 
 
+def test_files_compare_loads_each_file_once(tmp_path, monkeypatch):
+    cfg = _train_and_eval_files(tmp_path)
+    loaded = []
+    load = clpdd.cli.load_features
+    monkeypatch.setattr(clpdd.cli, "load_features", lambda p: loaded.append(str(p)) or load(p))
+    report = cmd_compare(dict(cfg, compare_seeds=3), tmp_path / "cmp")
+    assert report.seeds == [cfg["seed"] + i for i in range(3)]
+    assert sorted(loaded) == sorted([cfg["data_train"], cfg["data_eval"]])
+
+
+@pytest.mark.parametrize("data", ["blobs", "files"])
+def test_each_compare_seed_is_the_one_seed_compare_at_its_seeds(tmp_path, data):
+    # run i of a compare is a one-seed compare at seed + i and blob_seed + i
+    # (a files source is the same split for every seed)
+    cfg = _fast_cfg(seed=3, blob_seed=5)
+    if data == "files":
+        cfg = dict(_train_and_eval_files(tmp_path), seed=3)
+    many = cmd_compare(dict(cfg, compare_seeds=3), tmp_path / "many")
+    for i in range(3):
+        one = cmd_compare(
+            dict(cfg, compare_seeds=1, seed=cfg["seed"] + i, blob_seed=cfg["blob_seed"] + i),
+            tmp_path / f"one{i}",
+        )
+        assert one.seeds == [many.seeds[i]]
+        assert list(one.accuracies) == list(many.accuracies)
+        for name, acc in one.accuracies.items():
+            assert acc.values == [many.accuracies[name].values[i]]
+
+
 def test_distill_is_a_one_seed_clpdd_compare(tmp_path):
     cfg = _fast_cfg(compare_seeds=1, compare_methods="clpdd")
     distilled = cmd_distill(cfg, tmp_path / "d")
@@ -902,7 +952,8 @@ def test_distill_without_an_eval_split_probes_nothing(tmp_path, monkeypatch):
     cfg = _train_and_eval_files(tmp_path)
     cfg["data_eval"] = ""
     probes = []
-    monkeypatch.setattr(clpdd.cli, "train_linear_probe", lambda *a, **k: probes.append(a))
+    monkeypatch.setattr(clpdd.evaluation, "train_linear_probe",
+                        lambda *a, **k: probes.append(a))
     report = cmd_distill(cfg, tmp_path / "run")
     assert report.accuracies == {} and probes == []
     assert len(report.curve) == cfg["iterations"]
@@ -929,7 +980,8 @@ def test_main_reports_a_path_of_the_wrong_kind_in_one_line(tmp_path, capsys, mon
     save_features(Dataset(np.zeros((3, 4)), np.arange(3), class_count=3), syn)
     ran = []
     if case in ("distill", "compare", "sweep"):
-        monkeypatch.setattr(clpdd.cli, "run_distill", lambda *a, **k: ran.append(a))
+        monkeypatch.setattr(clpdd.evaluation, "run_distill",
+                            lambda *a, **k: ran.append(a))
     argv = {
         "distill": ["distill", "--out", str(a_file)],
         "compare": ["compare", "--out", str(a_file)],
