@@ -31,7 +31,8 @@ from .data import (
     save_features,
 )
 from .distill import DistillConfig, DistillDivergenceError, stream_seed
-from .evaluation import compare_methods, encode_set, pca_project_2d, train_linear_probe
+from .evaluation import METHOD_NAMES, check_methods, compare_methods, encode_set
+from .evaluation import pca_project_2d, train_linear_probe
 from .gradcheck import battery_report, run_battery
 from .linalg import check_at_least, check_positive, one_blas_thread
 from .report import MethodAccuracy, RunReport, json_text
@@ -62,7 +63,6 @@ _RENAMED = {"lam": "lambda", "encoder_kind": "encoder"}
 # CLI key -> DistillConfig field, in field order
 _DISTILL_FIELDS = {_RENAMED.get(f.name, f.name): f for f in fields(DistillConfig)}
 
-METHOD_NAMES = ("clpdd", "random", "centroid", "neighbor", "mse-ablation")
 SWEEP_PARAMS = ("tau", "lambda", "b_per_class")
 
 # key -> (parser, default); declaration order is the serialization order
@@ -189,9 +189,11 @@ def check_config(cfg: dict, command: str, out) -> None:
     else:
         raise ConfigError(f"unknown data source {cfg['data']!r} (use 'blobs' or 'files')")
     if command in ("compare", "sweep"):
-        _parse_methods(cfg)
-        if cfg["compare_seeds"] < 1:
-            raise ConfigError("compare_seeds must be >= 1")
+        try:
+            _parse_methods(cfg)
+            check_at_least("compare_seeds", cfg["compare_seeds"], 1)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
     if out is not None:
         _check_output(Path(out), is_dir=command in ("distill", "compare", "sweep"))
 
@@ -292,26 +294,8 @@ def cmd_gradcheck(cfg: dict, json_path=None):
 
 
 def _parse_methods(cfg: dict) -> list[str]:
-    methods = []
-    for token in cfg["compare_methods"].split(","):
-        name = token.strip()
-        if not name:
-            continue
-        if name == "mse":
-            name = "mse-ablation"
-        if name not in METHOD_NAMES:
-            raise ConfigError(f"unknown compare method {name!r} (choose from {METHOD_NAMES})")
-        if name in methods:
-            raise ConfigError(f"compare_methods names {name!r} twice")
-        methods.append(name)
-    if not methods:
-        raise ConfigError("compare_methods is empty")
-    if "neighbor" in methods and "clpdd" not in methods:
-        raise ConfigError(
-            "the neighbor baseline selects against the just-distilled set; "
-            "include clpdd in compare_methods"
-        )
-    return methods
+    """The methods of the compare_methods key, as `check_methods` reads them."""
+    return check_methods(filter(None, map(str.strip, cfg["compare_methods"].split(","))))
 
 
 def _run(cfg: dict, methods: list[str], seeds: int):

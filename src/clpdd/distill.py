@@ -178,45 +178,30 @@ def adam_update(
 
     The rows run through `run_row_halves`, each entry counted as
     ADAM_ENTRY_MADDS multiply-adds; a step too small to split calls
-    `_adam_rows` directly, which through `run_row_halves` took a 5 x 16 step's
-    Adam from 5.5 to 7.0 us.
+    `_adam_rows` on the whole arrays itself, which skips the hand-over's
+    argument lists and slices (0.1-0.3 us of a 5 x 16 step).
     """
     rows = grad.shape[0]
     row_madds = ADAM_ENTRY_MADDS * grad.size // max(rows, 1)
+    arrays = (grad, state.m, state.v, state.scratch, param, out)
     if split_row(rows, row_madds):
-        part = functools.partial(_adam_rows, state, grad, param, out, step, lr, beta1, beta2, eps)
-        run_row_halves(part, rows, row_madds)
+        part = functools.partial(_adam_rows, step, lr, beta1, beta2, eps)
+        run_row_halves(part, row_madds, *arrays)
     else:
-        _adam_rows(state, grad, param, out, step, lr, beta1, beta2, eps)
+        _adam_rows(step, lr, beta1, beta2, eps, *arrays)
 
 
-def _adam_rows(
-    state: AdamState,
-    grad: np.ndarray,
-    param: np.ndarray,
-    out: np.ndarray,
-    step: int,
-    lr: float,
-    beta1: float,
-    beta2: float,
-    eps: float,
-    lo: int = 0,
-    hi: int | None = None,
-) -> None:
-    """Rows lo..hi-1 (every row with `hi` None) of `adam_update`.
+def _adam_rows(step, lr, beta1, beta2, eps, g, m, v, scratch, param, out) -> None:
+    """`adam_update` on the rows it is handed of the gradient `g`, the
+    moments `m` and `v`, the scratch array, `param` and `out`.
 
     Evaluates m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
     lr * m_hat / (sqrt(v_hat) + eps) in the operation order of those formulas,
-    so the result matches them bit for bit. It writes only those rows of the
-    moments, of `state.scratch`, of `grad` and of `out`, all arrays its caller
-    owns, so two row ranges can run as the halves of `run_row_halves`. Output
-    arrays go by position: keyword arguments cost numpy a parse per call, 2%
-    of a 5 x 16 probe.
+    so the result matches them bit for bit. It writes only into `g`, `m`, `v`,
+    `scratch` and `out`, so the row halves of one step can run as the halves
+    of `run_row_halves`. Output arrays go by position: keyword arguments cost
+    numpy a parse per call, 2% of a 5 x 16 probe.
     """
-    g, m, v, scratch = grad, state.m, state.v, state.scratch
-    if hi is not None:  # a whole call skips the slicing, which tiny arrays notice
-        g, m, v, scratch = g[lo:hi], m[lo:hi], v[lo:hi], scratch[lo:hi]
-        param, out = param[lo:hi], out[lo:hi]
     np.multiply(1.0 - beta1, g, scratch)
     m *= beta1
     m += scratch
@@ -362,11 +347,9 @@ def meta_loss_and_grad(
     beside = enc.kind != "identity" and inputs.shape[0] >= enc.feature_dim
     x_syn, hidden = _encode(enc, inputs)
     if beside:
-        rows, feats, _, row_madds = _encode_rows(enc, x_real)
-        solved = run_beside(
-            rows, x_real.shape[0], row_madds, lambda: _primal_solve(x_syn, y_onehot, lam)
-        )
-        sol = _primal_solution(x_syn, y_onehot, lam, *solved)
+        rows, row_madds, arrays = _encode_rows(enc, x_real)
+        solved = run_beside(rows, row_madds, lambda: _primal_solve(x_syn, y_onehot, lam), *arrays)
+        sol, feats = _primal_solution(x_syn, y_onehot, lam, *solved), arrays[1]
     else:
         sol = _ridge_kernel(x_syn, y_onehot, lam)
         feats, _ = _encode(enc, x_real)

@@ -92,39 +92,37 @@ def _encode(enc: Encoder, inputs: np.ndarray):
     through `run_row_halves`, in two halves when the work pays for it."""
     if enc.kind == "identity":
         return inputs, None
-    rows, out, hidden, row_madds = _encode_rows(enc, inputs)
-    run_row_halves(rows, inputs.shape[0], row_madds)
-    return out, hidden
+    rows, row_madds, arrays = _encode_rows(enc, inputs)
+    run_row_halves(rows, row_madds, *arrays)
+    return arrays[1], arrays[2] if enc.kind == "mlp1" else None
 
 
 def _encode_rows(enc: Encoder, inputs: np.ndarray):
     """The row-wise block that encodes checked `inputs` with a linear or mlp1
-    encoder: (rows, features, hidden, row_madds). `rows(lo, hi)` writes rows
-    lo..hi-1 of `features`, and for mlp1 of its tanh activation `hidden`
-    (None for linear); both arrays are allocated here, by the caller, so the
-    block may run on the helper thread. `row_madds` is the multiply-adds per
-    row of its smallest matrix product."""
-    n = inputs.shape[0]
-    out = np.empty((n, enc.feature_dim))
+    encoder: (rows, row_madds, arrays), where `rows(*arrays)` writes the
+    features `arrays[1]` of the inputs `arrays[0]`, and for mlp1 their tanh
+    activation `arrays[2]`. Both outputs are allocated here, by the caller,
+    so the block may run on the helper thread. `row_madds` is the
+    multiply-adds per row of its smallest matrix product."""
+    out = np.empty((inputs.shape[0], enc.feature_dim))
     if enc.kind == "linear":
         w, b = enc.weights
 
-        def rows(lo, hi):
-            o = np.matmul(inputs[lo:hi], w, out=out[lo:hi])
+        def rows(x, o):
+            np.matmul(x, w, o)
             o += b
 
-        return rows, out, None, w.size
+        return rows, w.size, (inputs, out)
     w1, b1, w2, b2 = enc.weights
-    hidden = np.empty((n, w1.shape[1]))
 
-    def rows(lo, hi):
-        h = np.matmul(inputs[lo:hi], w1, out=hidden[lo:hi])
+    def rows(x, o, h):
+        np.matmul(x, w1, h)
         h += b1
-        np.tanh(h, out=h)
-        o = np.matmul(h, w2, out=out[lo:hi])
+        np.tanh(h, h)
+        np.matmul(h, w2, o)
         o += b2
 
-    return rows, out, hidden, min(w1.size, w2.size)
+    return rows, min(w1.size, w2.size), (inputs, out, np.empty((inputs.shape[0], w1.shape[1])))
 
 
 def encode_vjp(enc: Encoder, inputs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -148,23 +146,22 @@ def _encode_vjp(
     read, never modified."""
     if enc.kind == "identity":
         return upstream
-    n = upstream.shape[0]
-    out = np.empty((n, enc.input_dim))
+    out = np.empty((upstream.shape[0], enc.input_dim))
     if enc.kind == "linear":
         w, _ = enc.weights
-        run_row_halves(lambda lo, hi: np.matmul(upstream[lo:hi], w.T, out=out[lo:hi]), n, w.size)
+        run_row_halves(lambda u, o: np.matmul(u, w.T, o), w.size, upstream, out)
         return out
     w1, b1, w2, _ = enc.weights
     if hidden is None:
         hidden = np.tanh(inputs @ w1 + b1)
+
+    def rows(h, u, slope, dh, o):
+        np.multiply(h, h, slope)
+        np.subtract(1.0, slope, slope)  # tanh' = 1 - tanh^2
+        np.matmul(u, w2.T, dh)
+        dh *= slope
+        np.matmul(dh, w1.T, o)
+
     slope, dh = np.empty((2, *hidden.shape))
-
-    def rows(lo, hi):
-        s = np.multiply(hidden[lo:hi], hidden[lo:hi], out=slope[lo:hi])
-        np.subtract(1.0, s, out=s)  # tanh' = 1 - tanh^2
-        d = np.matmul(upstream[lo:hi], w2.T, out=dh[lo:hi])
-        d *= s
-        np.matmul(d, w1.T, out=out[lo:hi])
-
-    run_row_halves(rows, n, min(w1.size, w2.size))
+    run_row_halves(rows, min(w1.size, w2.size), hidden, upstream, slope, dh, out)
     return out

@@ -10,6 +10,7 @@ class with fewer rows than a selector picks raises MissingClassError.
 `compare_methods` runs that protocol for every method over every seed.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +21,9 @@ from .distill import stream_seed
 from .encoder import Encoder, encode
 from .linalg import check_at_least, check_positive, run_row_halves, split_row
 from .objective import _accuracy, _shifted_logits, _softmax_rows
+
+
+METHOD_NAMES = ("clpdd", "random", "centroid", "neighbor", "mse-ablation")
 
 
 @dataclass(frozen=True)
@@ -67,29 +71,23 @@ def train_linear_probe(
     # full batch: the one batch is the whole set in its own order, gathered once
     full = [(x_train[np.arange(n)], t_onehot, pi_buf)] if n <= batch_size else None
     grad = np.empty((d, c))  # the gradient, then Adam's update over it
-    x = t = pi = None  # the batch that the step's two blocks work on
+    w_like = (grad, adam.m, adam.v, adam.scratch, w)  # the d x c arrays, cut by rows of w
 
-    def softmax_minus_targets(x_rows, t_rows, pi_rows):
-        z = np.matmul(x_rows, w, pi_rows)
+    def batch_rows(x, t, pi):  # softmax minus targets of some of a batch's rows
+        z = np.matmul(x, w, pi)
         _softmax_rows(_shifted_logits(z, z), z)
-        z -= t_rows
+        z -= t
 
-    def descend(x_cols_t, g, lo=0, hi=None):
-        # the gradient of weight rows lo..hi-1 (all with hi None), then their
-        # Adam step
-        np.matmul(x_cols_t, pi, g)
-        g /= x.shape[0]
-        _adam_rows(adam, grad, w, w, adam.step, lr, b1, b2, eps, lo, hi)
+    def weight_rows(pi, x_t, g, m, v, scratch, w_rows):
+        # the gradient of some rows of w over the batch of `pi`, then their Adam step
+        np.matmul(x_t, pi, g)
+        g /= pi.shape[0]
+        _adam_rows(adam.step, lr, b1, b2, eps, g, m, v, scratch, w_rows, w_rows)
 
-    def batch_rows(lo, hi):
-        softmax_minus_targets(x[lo:hi], t[lo:hi], pi[lo:hi])
-
-    def weight_rows(lo, hi):
-        descend(x[:, lo:hi].T, grad[lo:hi], lo, hi)
-
-    # Block A runs over a batch's rows and block B over the rows of w. Where
-    # neither splits at the largest batch, every step takes whole arrays: at
-    # 5 x 16, row ranges cost 19% of a 500-epoch probe (5.8 -> 6.9 ms).
+    # batch_rows runs over a batch's rows and weight_rows over the rows of w.
+    # Where neither splits at the largest batch, every step calls them on
+    # whole arrays, which skips the hand-over's argument lists and slices:
+    # at 5 x 16 these cost 5-8% of a 500-epoch probe.
     halves = split_row(m_max, d * c) or split_row(d, m_max * c)
     # the check after the last epoch reports an overflow; numpy's float
     # warnings on the way there add nothing
@@ -106,11 +104,11 @@ def train_linear_probe(
             for x, t, pi in batches:
                 adam.step += 1
                 if halves:
-                    run_row_halves(batch_rows, x.shape[0], d * c)
-                    run_row_halves(weight_rows, d, x.shape[0] * c)
+                    run_row_halves(batch_rows, d * c, x, t, pi)
+                    run_row_halves(functools.partial(weight_rows, pi), pi.size, x.T, *w_like)
                 else:
-                    softmax_minus_targets(x, t, pi)
-                    descend(x.T, grad)
+                    batch_rows(x, t, pi)
+                    weight_rows(pi, x.T, *w_like)
         scores = eval_set.inputs @ w
     # an overflowed second moment freezes w at finite values, so both are checked
     if not (np.isfinite(w).all() and np.isfinite(adam.v).all() and np.isfinite(scores).all()):
@@ -184,16 +182,41 @@ def encode_set(enc: Encoder, data: Dataset, source: str) -> Dataset:
         raise
 
 
+def check_methods(methods) -> list[str]:
+    """The names in `methods`, in their order, with `mse` read as
+    mse-ablation. A name not in METHOD_NAMES or named twice, no name at all,
+    or neighbor without clpdd (it selects against the distilled set) raises
+    ValueError."""
+    names = []
+    for name in methods:
+        name = "mse-ablation" if name == "mse" else name
+        if name not in METHOD_NAMES:
+            raise ValueError(f"unknown compare method {name!r} (choose from {METHOD_NAMES})")
+        if name in names:
+            raise ValueError(f"compare_methods names {name!r} twice")
+        names.append(name)
+    if not names:
+        raise ValueError("compare_methods is empty")
+    if "neighbor" in names and "clpdd" not in names:
+        raise ValueError(
+            "the neighbor baseline selects against the just-distilled set; "
+            "include clpdd in compare_methods"
+        )
+    return names
+
+
 def compare_methods(cfg: DistillConfig, splits, methods, names):
     """Each method's probe accuracy per run, in three stages that each go
     over every run: distill (clpdd with cfg's objective, mse-ablation with
     mse), select and encode, probe. `methods` names some of clpdd, random,
-    centroid, neighbor (which needs clpdd) and mse-ablation. Run i takes the
+    centroid, neighbor and mse-ablation, which `check_methods` checks before
+    the first split is read; `mse` is mse-ablation. Run i takes the
     i-th (train, eval-or-None) of `splits`, read as the distill stage reaches
     it, and seed cfg.seed + i; each stream is keyed by its run's seed, so no
     draw moves. `names` name the train and eval splits in errors. Returns
     ({method: accuracies}, the first run's clpdd curve and set, or [] and
     None); without an eval split nothing is encoded or probed."""
+    methods = check_methods(methods)
     runs, curve, first = [], [], None
     for i, (train, ev) in enumerate(splits):
         run = replace(cfg, seed=cfg.seed + i)

@@ -3,10 +3,11 @@
 All matrices are 2-D float64 numpy arrays treated as immutable after
 construction. Linear systems with symmetric positive definite matrices are
 solved through a Cholesky factorization that can be cached and reused;
-explicit matrix inverses are never formed. `run_row_halves` runs a row-wise
-block of matrix products on two CPUs when that pays and changes no bits;
-`run_beside` runs such a block whole on the second CPU while the caller does
-other work.
+explicit matrix inverses are never formed. A row-wise block is a function
+`part(*arrays)` of the arrays whose rows it computes; `run_row_halves` hands
+it the first rows of each array on a second CPU and the rest in the caller
+when that pays and changes no bits, and `run_beside` runs it whole on the
+second CPU while the caller does other work. Only these two cut rows.
 """
 
 import functools
@@ -150,48 +151,50 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def run_row_halves(part, rows: int, row_madds: int) -> None:
-    """Run `part(lo, hi)` over rows [0, rows), on two CPUs when that pays.
+def run_row_halves(part, row_madds: int, *arrays) -> None:
+    """Run the row-wise block `part(*arrays)`, on two CPUs when that pays.
 
-    `part` computes rows lo..hi-1 of a row-wise block. It writes only into
-    arrays its caller allocated before the call and allocates nothing larger
-    than numpy's 64 KB ufunc buffer, so the malloc arena that glibc gives the
+    `arrays` share their row count n. `part` computes the rows of the arrays
+    it receives and writes only into them, so it may be handed row slices of
+    `arrays` in place of the whole ones. It allocates nothing larger than
+    numpy's 64 KB ufunc buffer, so the malloc arena that glibc gives the
     helper thread stays small and does not grow mid-run. `row_madds` is the
     multiply-adds per row of the block's smallest matrix product. The block
     splits when each half clears SPLIT_MIN_MADDS and `_two_lanes()` holds.
-    Then rows [0, h), with h the largest multiple of SPLIT_ROW_STEP up to
-    rows / 2, run in one helper thread under the caller's numpy error state,
-    and rows [h, rows) in the caller. Each half computes its rows exactly as
-    `part(0, rows)` would, so the output holds the same bytes either way. An
-    exception from either half is raised only once both halves have finished.
-    Called on the helper thread itself, the block runs whole: the helper's
-    one-thread executor would queue a half behind the caller and never run it.
+    Then, with h the largest multiple of SPLIT_ROW_STEP up to n / 2, `part`
+    runs on rows [0, h) of every array in one helper thread under the
+    caller's numpy error state, and on rows [h, n) in the caller. Each half
+    computes its rows exactly as the whole call would, so the output holds
+    the same bytes either way. An exception from either half is raised only
+    once both halves have finished. Called on the helper thread itself, the
+    block runs whole: the helper's one-thread executor would queue a half
+    behind the caller and never run it.
     """
-    half = split_row(rows, row_madds)
+    half = split_row(arrays[0].shape[0], row_madds)
     if not half or _no_second_lane():
-        part(0, rows)
+        part(*arrays)
         return
-    _with_helper(part, 0, half, lambda: part(half, rows))
+    _with_helper(part, [a[:half] for a in arrays], lambda: part(*[a[half:] for a in arrays]))
 
 
-def run_beside(part, rows: int, row_madds: int, work):
-    """Return `work()`, running the row-wise block `part(0, rows)` beside it.
+def run_beside(part, row_madds: int, work, *arrays):
+    """Return `work()`, running the row-wise block `part(*arrays)` beside it.
 
-    `part` follows `run_row_halves`'s rules and `row_madds` means what it does
-    there. When the block's smallest matrix product, rows * row_madds
-    multiply-adds, clears SPLIT_MIN_MADDS and `_two_lanes()` holds, the block
-    runs whole in the helper thread, under the caller's numpy error state,
-    while `work()` runs in the caller; an exception from either is raised only
-    once both have finished. Otherwise, or on the helper thread itself,
-    `work()` runs and then the block, both in the caller. The block computes
-    its rows in one call either way, so it writes the same bytes. `work` may
-    split its own blocks: their helper halves queue behind `part`.
+    `part` and `arrays` follow `run_row_halves`'s rules and `row_madds` means
+    what it does there. When the block's smallest matrix product, n *
+    row_madds multiply-adds, clears SPLIT_MIN_MADDS and `_two_lanes()` holds,
+    the block runs whole in the helper thread, under the caller's numpy error
+    state, while `work()` runs in the caller; an exception from either is
+    raised only once both have finished. Otherwise, or on the helper thread
+    itself, `work()` runs and then the block, both in the caller. The block
+    computes its rows in one call either way, so it writes the same bytes.
+    `work` may split its own blocks: their helper halves queue behind `part`.
     """
-    if rows * row_madds < SPLIT_MIN_MADDS or _no_second_lane():
+    if arrays[0].shape[0] * row_madds < SPLIT_MIN_MADDS or _no_second_lane():
         result = work()
-        part(0, rows)
+        part(*arrays)
         return result
-    return _with_helper(part, 0, rows, work)
+    return _with_helper(part, arrays, work)
 
 
 def _no_second_lane() -> bool:
@@ -200,12 +203,12 @@ def _no_second_lane() -> bool:
     return getattr(_lane, "helper", False) or not _two_lanes()
 
 
-def _with_helper(part, lo: int, hi: int, work):
-    """`work()`'s result, with `part(lo, hi)` run in the helper thread under
+def _with_helper(part, args, work):
+    """`work()`'s result, with `part(*args)` run in the helper thread under
     the caller's numpy error state meanwhile. Either one's exception is
     raised once both have finished, the caller's first."""
     errstate = dict(np.geterr(), call=np.geterrcall())
-    future = _helper_executor().submit(_run_under, errstate, part, lo, hi)
+    future = _helper_executor().submit(_run_under, errstate, part, args)
     try:
         result = work()
     finally:
@@ -222,10 +225,10 @@ def split_row(rows: int, row_madds: int) -> int:
     return half if half * row_madds >= SPLIT_MIN_MADDS else 0
 
 
-def _run_under(errstate: dict, part, lo: int, hi: int) -> None:
+def _run_under(errstate: dict, part, args) -> None:
     # numpy keeps its error state per thread: the helper takes the caller's
     with np.errstate(**errstate):
-        part(lo, hi)
+        part(*args)
 
 
 def _helper_executor():

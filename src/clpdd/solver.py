@@ -114,14 +114,13 @@ def _primal_solution(
 ) -> ProbeSolution:
     """The primal-route ProbeSolution of `_primal_solve`'s (W*, factor), with
     p = (Y - X W*)/lam computed row by row through `run_row_halves`."""
+    def rows(x_rows, y_rows, p_rows):
+        np.matmul(x_rows, w, p_rows)
+        np.subtract(y_rows, p_rows, p_rows)
+        p_rows /= lam
+
     p = np.empty((x.shape[0], w.shape[1]))
-
-    def rows(lo, hi):
-        r = np.matmul(x[lo:hi], w, out=p[lo:hi])
-        np.subtract(y[lo:hi], r, out=r)
-        r /= lam
-
-    run_row_halves(rows, x.shape[0], w.size)
+    run_row_halves(rows, w.size, x, y, p)
     return ProbeSolution(w_star=w, p=p, lam=lam, mode="primal", factor=factor)
 
 
@@ -152,15 +151,15 @@ def _solve_backward(sol: ProbeSolution, x: np.ndarray, g: np.ndarray) -> np.ndar
     # Each row of the gradient needs only its own rows of P and X, so after the
     # one solve the rest runs through `run_row_halves`.
     g_tilde = sol.factor.solve(g)
-    grad, xg, xgw = np.empty(x.shape), np.empty(p.shape), np.empty(x.shape)
 
-    def rows(lo, hi):
-        r = np.matmul(p[lo:hi], g_tilde.T, out=grad[lo:hi])
-        r *= sol.lam
-        u = np.matmul(x[lo:hi], g_tilde, out=xg[lo:hi])
-        r -= np.matmul(u, sol.w_star.T, out=xgw[lo:hi])
+    def rows(p_rows, x_rows, grad, xg, xgw):
+        np.matmul(p_rows, g_tilde.T, grad)
+        grad *= sol.lam
+        np.matmul(x_rows, g_tilde, xg)
+        grad -= np.matmul(xg, sol.w_star.T, xgw)
 
-    run_row_halves(rows, x.shape[0], g.size)
+    grad = np.empty(x.shape)
+    run_row_halves(rows, g.size, p, x, grad, np.empty(p.shape), np.empty(x.shape))
     return grad
 
 

@@ -11,7 +11,9 @@ def two_lanes(monkeypatch):
 
     For the test, every loaded OpenBLAS runs a call in one thread and the
     affinity probe reports two CPUs, so the split is taken on any host. Yields
-    a list that gains (lo, hi) for each half the helper thread runs.
+    a list that gains (0, rows) for each part the helper thread runs, rows
+    being the row count of the arrays it is handed: the helper always takes
+    a block's first rows.
     """
     libs = clpdd.linalg._openblas_libs()
     if not libs:
@@ -25,9 +27,9 @@ def two_lanes(monkeypatch):
     halves = []
     run_under = clpdd.linalg._run_under
 
-    def counted(errstate, part, lo, hi):
-        halves.append((lo, hi))
-        run_under(errstate, part, lo, hi)
+    def counted(errstate, part, args):
+        halves.append((0, args[0].shape[0]))
+        run_under(errstate, part, args)
 
     monkeypatch.setattr(clpdd.linalg, "_run_under", counted)
     for setter, _ in setters:

@@ -137,8 +137,8 @@ def _assert_failed_run_left_nothing(code, out: Path | None, before):
          "compare_methods names 'mse-ablation' twice"),  # mse is mse-ablation
         ("compare", ["compare_methods=clpdd,random,clpdd"], None,
          "compare_methods names 'clpdd' twice"),
-        ("compare", ["compare_seeds=0"], None, "compare_seeds must be >= 1"),
-        ("sweep", ["compare_seeds=-1"], None, "compare_seeds must be >= 1"),
+        ("compare", ["compare_seeds=0"], None, "compare_seeds must be >= 1, got 0"),
+        ("sweep", ["compare_seeds=-1"], None, "compare_seeds must be >= 1, got -1"),
         ("compare", [], "existing-file", "--out {out} exists and is not a directory"),
         ("compare", [], "under-a-file", "file error: {out}: Not a directory"),
         ("distill", [], "under-a-file", "file error: {out}: Not a directory"),

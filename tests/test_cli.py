@@ -1,7 +1,9 @@
+import collections
 import inspect
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -521,14 +523,34 @@ def test_import_and_default_compare_start_no_thread(tmp_path):
     assert proc.stdout.splitlines()[-1] == "(False, 1) 0 (False, 1)"
 
 
-def test_distill_writes_the_same_bytes_on_one_lane_or_two(tmp_path, monkeypatch, two_lanes):
-    # 400 synthetic rows of 256 dims: the mlp1 encode, the VJP and the primal
-    # p and backward of every step split into two halves, and each step
-    # encodes its 800-row real batch whole beside the primal solve
-    cfg = _fast_cfg(encoder="mlp1", blob_classes=200, blob_dim=256, blob_per_class=6, ipc=2,
-                    iterations=3, probe_epochs=2)
+# the helper's rows in a primal-route run: each of 3 steps splits the
+# synthetic encode, the primal p and backward, the VJP and Adam at row 192,
+# and encodes its 800-row real batch whole beside the solve; then the final
+# probe's features are encoded (the synthetic set at row 192, the eval split
+# at row 96), and the first batch of each of its 2 epochs splits both blocks
+# at row 96
+PRIMAL_HELPER_ROWS = {(0, 96): 5, (0, 192): 16, (0, 800): 3}
+# blobs without the per-class rotation: the same shapes, drawn without 200 QRs
+ISOTROPIC = {"blob_anisotropic": False}
+
+
+@pytest.mark.parametrize("sets, helper_rows", [
+    ({}, PRIMAL_HELPER_ROWS),
+    # ipc 1: N = 200 < d takes the kernel route, where each step encodes its
+    # real batch in halves in the caller, split at row 384, and its Adam and
+    # the probe's weight block are too small to split
+    ({"ipc": 1, **ISOTROPIC}, {(0, 96): 10, (0, 384): 3}),
+    ({"encoder": "linear", **ISOTROPIC}, PRIMAL_HELPER_ROWS),
+    ({"outer_objective": "mse", **ISOTROPIC}, PRIMAL_HELPER_ROWS),
+    ({"init": "from_real", **ISOTROPIC}, PRIMAL_HELPER_ROWS),
+], ids=["mlp1-primal", "mlp1-kernel", "linear-primal", "mse", "from-real"])
+def test_distill_writes_the_same_bytes_on_one_lane_or_two(tmp_path, monkeypatch, two_lanes,
+                                                           sets, helper_rows):
+    # 400 synthetic rows of 256 dims at ipc 2 take the primal route
+    cfg = dict(_fast_cfg(encoder="mlp1", blob_classes=200, blob_dim=256, blob_per_class=6, ipc=2,
+                         iterations=3, probe_epochs=2), **sets)
     cmd_distill(cfg, tmp_path / "two")
-    assert len(two_lanes) >= 3 * 5 and two_lanes.count((0, 800)) == 3
+    assert collections.Counter(two_lanes) == helper_rows
     monkeypatch.setattr(clpdd.linalg, "_affinity_cpus", lambda: 1)
     split = len(two_lanes)
     cmd_distill(cfg, tmp_path / "one")
@@ -537,9 +559,14 @@ def test_distill_writes_the_same_bytes_on_one_lane_or_two(tmp_path, monkeypatch,
         assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
-def test_compare_report_checks_its_config():
-    with pytest.raises(ConfigError, match="compare_seeds must be >= 1"):
-        compare_report(dict(default_config(), compare_seeds=0))
+@pytest.mark.parametrize("seeds, message", [
+    (0, "compare_seeds must be >= 1, got 0"),
+    (2.5, "compare_seeds must be an integer, got 2.5"),
+])
+def test_compare_report_checks_its_config(monkeypatch, seeds, message):
+    monkeypatch.setattr(clpdd.cli, "build_data", lambda *a, **k: pytest.fail("data was built"))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        compare_report(dict(default_config(), compare_seeds=seeds))
 
 
 def test_cmd_distill_checks_its_config(tmp_path):

@@ -203,8 +203,9 @@ def test_adam_rows_match_the_reference_whole_and_in_row_ranges():
         adam_update(whole, update, param, stepped, step, lr, 0.9, 0.999, 1e-8)
         # the new parameters over the gradient, one row range at a time
         in_place = grad.copy()
-        for lo, hi in ((0, 1), (1, 3)):
-            _adam_rows(split, in_place, param, in_place, step, lr, 0.9, 0.999, 1e-8, lo, hi)
+        for rows in (slice(0, 1), slice(1, 3)):
+            arrays = (in_place, split.m, split.v, split.scratch, param, in_place)
+            _adam_rows(step, lr, 0.9, 0.999, 1e-8, *(a[rows] for a in arrays))
         m, v, ref = adam_ref(m, v, step, grad, lr, 0.9, 0.999, 1e-8)
         assert whole.step == split.step == 0  # the caller counts the steps
         assert np.array_equal(update, ref)
@@ -238,9 +239,9 @@ def test_a_step_below_the_floor_starts_no_thread(two_lanes, monkeypatch, kind, i
     monkeypatch.setattr(clpdd.linalg, "_helper", None)
     run_beside, calls = clpdd.distill.run_beside, []
 
-    def recording(part, rows, row_madds, work):
-        calls.append(rows)
-        return run_beside(part, rows, row_madds, work)
+    def recording(part, row_madds, work, *arrays):
+        calls.append(arrays[0].shape[0])
+        return run_beside(part, row_madds, work, *arrays)
 
     monkeypatch.setattr(clpdd.distill, "run_beside", recording)
     threads = threading.active_count()

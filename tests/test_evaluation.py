@@ -1,13 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
+import clpdd.distill
 import clpdd.evaluation
 import clpdd.linalg
 from clpdd.data import Dataset, MissingClassError, gen_blobs
-from clpdd.distill import DistillConfig
+from clpdd.distill import DistillConfig, run_distill
 from clpdd.encoder import make_encoder
 from clpdd.evaluation import (
     _accuracy,
+    compare_methods,
     pca_project_2d,
     select_centroid,
     select_neighbor,
@@ -295,9 +299,9 @@ def test_probe_gradient_is_the_class_anchor_gradient_at_tau_1(monkeypatch, batch
     grads = []
     adam_rows = clpdd.evaluation._adam_rows
 
-    def recorded(state, grad, *args):
+    def recorded(step, lr, b1, b2, eps, grad, *arrays):
         grads.append(grad.copy())
-        return adam_rows(state, grad, *args)
+        return adam_rows(step, lr, b1, b2, eps, grad, *arrays)
 
     monkeypatch.setattr(clpdd.evaluation, "_adam_rows", recorded)
     train_linear_probe(train, train, epochs=1, batch_size=batch_size, seed=5)
@@ -324,3 +328,43 @@ def test_probe_writes_the_same_bytes_on_one_lane_or_two(monkeypatch, two_lanes, 
     one = train_linear_probe(train, ev, epochs=2, seed=3)
     assert len(two_lanes) == 4 * batches
     assert np.array_equal(one.w, two.w) and one.eval_acc == two.eval_acc
+
+
+@pytest.mark.parametrize("methods, message", [
+    (["clpdd", "mse", "bogus"], "unknown compare method 'bogus' (choose from ('clpdd', "
+     "'random', 'centroid', 'neighbor', 'mse-ablation'))"),
+    (["clpdd", "random", "clpdd"], "compare_methods names 'clpdd' twice"),
+    (["mse", "mse-ablation"], "compare_methods names 'mse-ablation' twice"),
+    (["random", "neighbor"], "the neighbor baseline selects against the just-distilled set; "
+     "include clpdd in compare_methods"),
+    ([], "compare_methods is empty"),
+], ids=["unknown", "twice", "mse-twice", "neighbor-alone", "empty"])
+def test_compare_methods_checks_its_methods_before_reading_a_split(methods, message):
+    def splits():
+        pytest.fail("a split was read")
+        yield
+
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compare_methods(DistillConfig(), splits(), methods, ("train", "eval"))
+
+
+def test_compare_methods_reads_mse_as_the_mse_ablation():
+    train, ev = gen_blobs(3, 4, 10, 0.5, 0.5, seed=0)
+    cfg = DistillConfig(iterations=2, probe_epochs=2)
+    accs, curve, first = compare_methods(cfg, [(train, ev)], ("mse", "clpdd"), ("train", "eval"))
+    assert list(accs) == ["clpdd", "mse-ablation"] and len(curve) == 2 and first is not None
+
+
+def test_a_default_step_and_probe_run_on_whole_arrays(monkeypatch, two_lanes):
+    # at the default 5 x 16 shape no row block splits, so a step's Adam and
+    # the probe's two blocks are called on whole arrays and skip
+    # run_row_halves, whose argument lists and slices would slow them
+    calls = []
+    for module in (clpdd.distill, clpdd.evaluation):
+        hand_over = module.run_row_halves
+        monkeypatch.setattr(module, "run_row_halves",
+                            lambda *a, _f=hand_over: calls.append(a) or _f(*a))
+    train, ev = gen_blobs(5, 16, 250, 0.1, 0.15, seed=0)
+    syn, _ = run_distill(DistillConfig(iterations=3), train, ev)
+    train_linear_probe(syn, ev, epochs=3)
+    assert calls == [] and two_lanes == []

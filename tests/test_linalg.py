@@ -170,21 +170,22 @@ def test_row_halves_allocate_only_in_the_caller(monkeypatch):
     # thread never needs a large block from the allocator
     peaks = []
 
-    def traced(part, lo, hi):
+    def traced(part, args):
         tracemalloc.start()
         try:
-            part(lo, hi)
+            part(*args)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
 
-    def traced_halves(part, rows, row_madds):
-        for lo, hi in ((0, rows // 2), (rows // 2, rows)):
-            traced(part, lo, hi)
+    def traced_halves(part, row_madds, *arrays):
+        half = arrays[0].shape[0] // 2
+        for rows in (slice(0, half), slice(half, None)):
+            traced(part, [a[rows] for a in arrays])
 
-    def traced_beside(part, rows, row_madds, work):
+    def traced_beside(part, row_madds, work, *arrays):
         result = work()
-        traced(part, 0, rows)
+        traced(part, arrays)
         return result
 
     for module in (clpdd.encoder, clpdd.solver, clpdd.evaluation, clpdd.distill):
@@ -218,13 +219,30 @@ def test_row_halves_allocate_only_in_the_caller(monkeypatch):
 
 
 # the two ways to hand a part to the helper, with the rows it takes of a
-# 192-row block: the first half of the split, or the whole block beside `work`
+# 192-row block: the first half of the split, or the whole block beside
+# `work`, which here runs the part on the last 96 rows in the caller
 HANDOVERS = [
-    pytest.param(lambda part, row_madds: run_row_halves(part, 192, row_madds), (0, 96),
-                 id="row-halves"),
-    pytest.param(lambda part, row_madds: run_beside(part, 192, row_madds, lambda: part(96, 192)),
-                 (0, 192), id="beside"),
+    pytest.param(run_row_halves, (0, 96), id="row-halves"),
+    pytest.param(lambda part, row_madds, *arrays: run_beside(
+        part, row_madds, lambda: part(*(a[96:] for a in arrays)), *arrays), (0, 192), id="beside"),
 ]
+
+
+def _on_helper() -> bool:
+    return threading.current_thread().name.startswith("clpdd-rows")
+
+
+def test_row_halves_hand_each_lane_its_rows_of_every_array(two_lanes):
+    a = np.arange(192.0)[:, None] * np.ones((1, 256))  # row i holds i
+    out, seen = np.zeros((192, 2)), {}
+
+    def part(x, o):
+        seen[_on_helper()] = (x[0, 0], x.shape[0], o.shape[0])
+        o[:] = x[:, :2]
+
+    run_row_halves(part, 256 * 256, a, out)
+    assert seen == {True: (0.0, 96, 96), False: (96.0, 96, 96)} and two_lanes == [(0, 96)]
+    assert np.array_equal(out, a[:, :2])
 
 
 @pytest.mark.parametrize("hand_over, helper_rows", HANDOVERS)
@@ -234,7 +252,7 @@ def test_helper_part_runs_under_the_callers_error_state(two_lanes, hand_over, he
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="ignore"):
-            hand_over(lambda lo, hi: np.matmul(a[lo:hi], w, out=out[lo:hi]), w.size)
+            hand_over(lambda x, o: np.matmul(x, w, o), w.size, a, out)
     assert two_lanes == [helper_rows] and np.isposinf(out).all()
 
 
@@ -243,7 +261,7 @@ def test_helper_part_calls_the_callers_error_callback(two_lanes, hand_over, help
     a, w = np.full((192, 256), 1e306), np.full((256, 256), 10.0)
     out, calls = np.empty((192, 256)), []
     with np.errstate(all="call", call=lambda kind, flag: calls.append(kind)):
-        hand_over(lambda lo, hi: np.matmul(a[lo:hi], w, out=out[lo:hi]), w.size)
+        hand_over(lambda x, o: np.matmul(x, w, o), w.size, a, out)
     assert two_lanes == [helper_rows] and calls == ["overflow", "overflow"]
 
 
@@ -251,8 +269,8 @@ def _halves(raise_in, log):
     """A part whose `raise_in` half fails at once while the other half takes
     a while and logs when it is done."""
 
-    def part(lo, hi):
-        half = "helper" if lo == 0 else "caller"
+    def part(rows):
+        half = "helper" if _on_helper() else "caller"
         if half == raise_in:
             raise KeyError(half)
         time.sleep(0.05)
@@ -266,7 +284,7 @@ def _halves(raise_in, log):
 def test_helper_and_caller_raise_after_both_finish(two_lanes, hand_over, helper_rows, raise_in):
     log = []
     with pytest.raises(KeyError, match=raise_in):
-        hand_over(_halves(raise_in, log), 256 * 256)
+        hand_over(_halves(raise_in, log), 256 * 256, np.arange(192))
     assert log == [{"helper": "caller", "caller": "helper"}[raise_in]]
     assert two_lanes == [helper_rows]
 
@@ -276,11 +294,11 @@ def test_beside_returns_the_work_and_runs_the_part_whole_on_the_helper(two_lanes
     a, w = rng.standard_normal((96, 256)), rng.standard_normal((256, 256))
     out, where = np.empty((96, 256)), []
 
-    def part(lo, hi):
+    def part(x, o):
         where.append(threading.current_thread())
-        np.matmul(a[lo:hi], w, out=out[lo:hi])
+        np.matmul(x, w, o)
 
-    assert run_beside(part, 96, w.size, threading.current_thread) is threading.current_thread()
+    assert run_beside(part, w.size, threading.current_thread, a, out) is threading.current_thread()
     assert two_lanes == [(0, 96)] and where[0] is not threading.current_thread()
     assert np.array_equal(out, a @ w)
 
@@ -291,9 +309,9 @@ def test_beside_below_the_floor_runs_the_part_after_the_work_and_starts_no_threa
     monkeypatch.setattr(clpdd.linalg, "_helper", None)
     threads = threading.active_count()
     log = []
-    result = run_beside(lambda lo, hi: log.append((lo, hi)), 15, SPLIT_MIN_MADDS // 16,
-                        lambda: log.append("work") or 7)
-    assert result == 7 and log == ["work", (0, 15)] and two_lanes == []
+    result = run_beside(lambda rows: log.append(len(rows)), SPLIT_MIN_MADDS // 16,
+                        lambda: log.append("work") or 7, np.arange(15))
+    assert result == 7 and log == ["work", 15] and two_lanes == []
     assert clpdd.linalg._helper is None and threading.active_count() == threads
 
 
@@ -305,15 +323,15 @@ def test_a_hand_over_called_on_the_helper_runs_whole(two_lanes, monkeypatch):
     a, w = rng.standard_normal((192, 256)), rng.standard_normal((256, 256))
     out, inner = np.full((192, 256), np.nan), []
 
-    def rows(lo, hi):
-        inner.append((threading.current_thread().name, lo, hi))
-        np.matmul(a[lo:hi], w, out=out[lo:hi])
+    def rows(x, o):
+        inner.append((threading.current_thread().name, x.shape[0]))
+        np.matmul(x, w, o)
 
-    def part(lo, hi):
-        run_row_halves(rows, 192, w.size)
-        run_beside(rows, 192, w.size, lambda: None)
+    def part(x, o):
+        run_row_halves(rows, w.size, x, o)
+        run_beside(rows, w.size, lambda: None, x, o)
 
-    caller = threading.Thread(target=run_beside, args=(part, 192, w.size, lambda: None))
+    caller = threading.Thread(target=run_beside, args=(part, w.size, lambda: None, a, out))
     caller.start()
     caller.join(timeout=30)
     stuck = caller.is_alive()
@@ -322,8 +340,8 @@ def test_a_hand_over_called_on_the_helper_runs_whole(two_lanes, monkeypatch):
         caller.join(timeout=30)
     assert not stuck
     assert two_lanes == [(0, 192)]  # the outer part; both inner calls stayed on the helper
-    assert [(lo, hi) for _, lo, hi in inner] == [(0, 192)] * 2
-    assert all(name.startswith("clpdd-rows") for name, _, _ in inner)
+    assert [n for _, n in inner] == [192] * 2
+    assert all(name.startswith("clpdd-rows") for name, _ in inner)
     assert np.array_equal(out, a @ w)
 
 
@@ -337,8 +355,8 @@ def test_one_cpu_starts_no_thread(two_lanes, monkeypatch):
     monkeypatch.setattr(clpdd.linalg, "_helper", None)
     threads = threading.active_count()
     rows = []
-    run_row_halves(lambda lo, hi: rows.append((lo, hi)), 1000, 512 * 512)
-    assert rows == [(0, 1000)] and two_lanes == []
+    run_row_halves(lambda r: rows.append(len(r)), 512 * 512, np.arange(1000))
+    assert rows == [1000] and two_lanes == []
     assert clpdd.linalg._helper is None and threading.active_count() == threads
 
 
@@ -346,11 +364,11 @@ def test_one_cpu_starts_no_thread(two_lanes, monkeypatch):
 def test_a_forked_child_makes_its_own_helper(two_lanes):
     # the parent's helper thread is not copied into a child; a child that
     # kept the parent's executor would queue its half and wait forever
-    run_row_halves(lambda lo, hi: None, 192, 256 * 256)
+    run_row_halves(lambda rows: None, 256 * 256, np.arange(192))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
         child = multiprocessing.get_context("fork").Process(
-            target=run_row_halves, args=(lambda lo, hi: None, 192, 256 * 256)
+            target=run_row_halves, args=(lambda rows: None, 256 * 256, np.arange(192))
         )
         child.start()
     child.join(timeout=60)
@@ -361,7 +379,7 @@ def test_a_forked_child_makes_its_own_helper(two_lanes):
 
 def test_row_halves_stay_whole_with_more_blas_threads(two_lanes, monkeypatch):
     monkeypatch.setattr(clpdd.linalg, "_blas_threads", lambda: 2)
-    run_row_halves(lambda lo, hi: None, 1000, 512 * 512)
+    run_row_halves(lambda rows: None, 512 * 512, np.arange(1000))
     assert two_lanes == []
 
 
@@ -376,7 +394,7 @@ def test_callers_on_many_threads_share_the_helper(two_lanes):
     def caller():
         for _ in range(20):
             out = np.full_like(want, np.nan)
-            run_row_halves(lambda lo, hi: np.matmul(a[lo:hi], w, out=out[lo:hi]), 192, w.size)
+            run_row_halves(lambda x, o: np.matmul(x, w, o), w.size, a, out)
             if not np.array_equal(out, want):
                 wrong.append(out)
 
