@@ -11,6 +11,7 @@ per-purpose streams.
 import argparse
 import ctypes
 import errno
+import functools
 import os
 import sys
 import time
@@ -298,30 +299,42 @@ def _parse_methods(cfg: dict) -> list[str]:
     return check_methods(filter(None, map(str.strip, cfg["compare_methods"].split(","))))
 
 
-def _run(cfg: dict, methods: list[str], seeds: int):
-    """The methods over `seeds` run seeds; returns (report, first seed's
-    clpdd set or None)."""
-    t0 = time.perf_counter()
+def _splits(cfg: dict, methods: list[str], seeds: int) -> list:
+    """One split per run seed i < `seeds`, as a function that returns its
+    (train, eval-or-None): the blobs of blob_seed + i, or the data=files
+    source, built when a run first reaches it and then kept. A files source
+    is loaded once, and every compare of a sweep reads the same splits: no
+    sweep parameter changes one."""
     dcfg = distill_config_from(cfg)
-    names = (_split_name(cfg, "data_train"), _split_name(cfg, "data_eval"))
+    train_name = _split_name(cfg, "data_train")
     # from_real init and the random and centroid baselines pick ipc rows per class
     picks = dcfg.init == "from_real" or not {"random", "centroid"}.isdisjoint(methods)
 
-    def splits():  # seed i's, built when the run reaches it; files load once
-        files = build_data(cfg) if cfg["data"] == "files" else None
-        for i in range(seeds):
-            train, ev = files or build_data(cfg, data_seed=cfg["blob_seed"] + i)
-            if picks:
-                try:
-                    check_every_class(train, train.class_count, names[0], dcfg.ipc)
-                except MissingClassError as e:
-                    raise ConfigError(f"ipc={dcfg.ipc}: {e}") from e
-            yield train, ev
+    @functools.cache
+    def split(data_seed):
+        train, ev = build_data(cfg, data_seed)
+        if picks:
+            try:
+                check_every_class(train, train.class_count, train_name, dcfg.ipc)
+            except MissingClassError as e:
+                raise ConfigError(f"ipc={dcfg.ipc}: {e}") from e
+        return train, ev
 
-    accs, curve, syn = compare_methods(dcfg, splits(), methods, names)
+    files = cfg["data"] == "files"
+    return [functools.partial(split, None if files else cfg["blob_seed"] + i)
+            for i in range(seeds)]
+
+
+def _run(cfg: dict, methods: list[str], splits: list):
+    """The methods over one run seed per item of `splits`, which `_splits`
+    made; returns (report, first seed's clpdd set or None)."""
+    t0 = time.perf_counter()
+    names = (_split_name(cfg, "data_train"), _split_name(cfg, "data_eval"))
+    runs = (split() for split in splits)
+    accs, curve, syn = compare_methods(distill_config_from(cfg), runs, methods, names)
     accuracies = {name: MethodAccuracy(accs[name]) for name in METHOD_NAMES if name in accs}
     report = RunReport(config=dict(cfg), curve=curve, accuracies=accuracies,
-                       seeds=[cfg["seed"] + i for i in range(seeds)],
+                       seeds=[cfg["seed"] + i for i in range(len(splits))],
                        wall_seconds=time.perf_counter() - t0)
     return report, syn
 
@@ -345,7 +358,7 @@ def cmd_distill(cfg: dict, out_dir) -> RunReport:
     without one nothing is probed. Writes synthetic.clpf, report.json and
     curve.csv."""
     check_config(cfg, "distill", out_dir)
-    return _write_run(*_run(cfg, ["clpdd"], 1), out_dir)
+    return _write_run(*_run(cfg, ["clpdd"], _splits(cfg, ["clpdd"], 1)), out_dir)
 
 
 def compare_report(cfg: dict):
@@ -354,7 +367,8 @@ def compare_report(cfg: dict):
     Returns (report, first seed's distilled set or None).
     """
     check_config(cfg, "compare", None)
-    return _run(cfg, _parse_methods(cfg), cfg["compare_seeds"])
+    methods = _parse_methods(cfg)
+    return _run(cfg, methods, _splits(cfg, methods, cfg["compare_seeds"]))
 
 
 def cmd_compare(cfg: dict, out_dir) -> RunReport:
@@ -377,7 +391,8 @@ def cmd_sweep(cfg: dict, param: str, values: list, out_dir):
         cfg_v = dict(cfg, **{param: value})
         check_config(cfg_v, "sweep", out_dir)
         runs.append((value, cfg_v))
-    rows = [(value, _run(cfg_v, methods, cfg_v["compare_seeds"])[0]) for value, cfg_v in runs]
+    splits = _splits(cfg, methods, cfg["compare_seeds"])
+    rows = [(value, _run(cfg_v, methods, splits)[0]) for value, cfg_v in runs]
     header = ["param", "value"]
     for name in methods:
         header += [f"{name}_mean", f"{name}_std"]

@@ -19,6 +19,7 @@ CLPF layout, all little-endian:
 float32 payloads are widened to float64 on load.
 """
 
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -57,7 +58,8 @@ class LabelRangeError(FeatureFileError):
 
 
 class ShapeError(FeatureFileError):
-    """Inputs not n x dim with dim >= 1, labels not n long, or no classes."""
+    """Inputs not n x dim with dim >= 1, labels not n long, a class count
+    that is not an integer, or no classes."""
 
 
 class NonFiniteFeatureError(FeatureFileError):
@@ -117,12 +119,13 @@ class Dataset:
 
     Real splits, distilled and selected sets all take this form, and only
     it decides what a labelled set is: finite n x dim inputs with dim >= 1,
-    n labels in [0, class_count), class_count >= 1 and n >= class_count (a
-    class may have no rows). Inputs of an integer or floating dtype are
-    widened to float64 once (float64 ones are kept as they are); labels have
-    an integer dtype. Building a set that breaks this, which scans its inputs
-    once, raises a FeatureFileError subclass. Inputs and labels are then
-    treated as immutable; the class layout is derived once and reused.
+    n labels in [0, class_count), an integer (not bool) class_count >= 1 and
+    n >= class_count (a class may have no rows). Inputs of an integer or
+    floating dtype are widened to float64 once (float64 ones are kept as
+    they are); labels have an integer dtype. Building a set that breaks
+    this, which scans its inputs once, raises a FeatureFileError subclass.
+    Inputs and labels are then treated as immutable; the class layout is
+    derived once and reused.
     """
 
     inputs: np.ndarray  # n x dim float64
@@ -176,6 +179,8 @@ def _check_shape(dim: int, class_count: int, where: str = ""):
     """The dim and class-count half of the Dataset rule; `where` leads the message."""
     if dim == 0:
         raise ShapeError(f"{where}rows have no features (dim 0)")
+    if isinstance(class_count, bool) or not isinstance(class_count, numbers.Integral):
+        raise ShapeError(f"{where}class count must be an integer, got {class_count!r}")
     if class_count < 1:
         raise ShapeError(f"{where}no classes (class count {class_count})")
 
@@ -250,7 +255,9 @@ def gen_blobs(
 
 
 def save_features(dataset: Dataset, path, dtype: str = "f64"):
-    """Write a dataset as CLPF (or CSV when the path ends in .csv)."""
+    """Write a dataset as CLPF (or CSV when the path ends in .csv). With an
+    f32 payload, a row holding a feature beyond the float32 range, which
+    would load back as Inf, raises FeatureFileError and nothing is written."""
     if dtype not in ("f32", "f64"):
         raise ValueError(f"dtype must be 'f32' or 'f64', got {dtype!r}")
     path = Path(path)
@@ -262,8 +269,16 @@ def save_features(dataset: Dataset, path, dtype: str = "f64"):
         CLPF_MAGIC, CLPF_VERSION, flags, dataset.n, dataset.dim, dataset.class_count
     )
     labels = dataset.labels.astype("<u4").tobytes()
-    payload = dataset.inputs.astype("<f8" if dtype == "f64" else "<f4").tobytes()
-    path.write_bytes(header + labels + payload)
+    with np.errstate(over="ignore"):  # an overflow is reported by row below
+        payload = dataset.inputs.astype("<f8" if dtype == "f64" else "<f4")
+    if dtype == "f32":
+        bad = np.flatnonzero(~np.isfinite(payload).all(axis=1))
+        if bad.size:
+            raise FeatureFileError(
+                f"{path}: row {bad[0]} holds a feature beyond the float32 range; "
+                "save it with dtype='f64'"
+            )
+    path.write_bytes(header + labels + payload.tobytes())
 
 
 def load_features(path) -> Dataset:

@@ -36,7 +36,7 @@ from .linalg import (
 )
 from .objective import _accuracy, _class_anchor_loss_and_grad, _mse_outer_loss_and_grad
 from .report import StepMetrics
-from .solver import _primal_solution, _primal_solve, _ridge_kernel, _solve_backward
+from .solver import _ridge_kernel, _solve_backward
 
 OUTER_OBJECTIVES = ("class_anchor", "mse")
 INIT_MODES = ("random_normal", "from_real")
@@ -166,29 +166,29 @@ def adam_update(
     grad: np.ndarray,
     param: np.ndarray,
     out: np.ndarray,
-    step: int,
     lr: float,
     beta1: float,
     beta2: float,
     eps: float,
 ) -> None:
-    """Adam step `step`, counted from 1: advance the moments in place, write
-    the bias-corrected update over `grad`, and `param` minus the update into
-    `out`, which may be `param` or `grad`. The caller advances `state.step`.
+    """Adam step `state.step + 1`, which it counts in `state.step`: advance
+    the moments in place, write the bias-corrected update over `grad`, and
+    `param` minus the update into `out`, which may be `param` or `grad`.
 
     The rows run through `run_row_halves`, each entry counted as
     ADAM_ENTRY_MADDS multiply-adds; a step too small to split calls
     `_adam_rows` on the whole arrays itself, which skips the hand-over's
     argument lists and slices (0.1-0.3 us of a 5 x 16 step).
     """
+    state.step += 1
     rows = grad.shape[0]
     row_madds = ADAM_ENTRY_MADDS * grad.size // max(rows, 1)
     arrays = (grad, state.m, state.v, state.scratch, param, out)
     if split_row(rows, row_madds):
-        part = functools.partial(_adam_rows, step, lr, beta1, beta2, eps)
+        part = functools.partial(_adam_rows, state.step, lr, beta1, beta2, eps)
         run_row_halves(part, row_madds, *arrays)
     else:
-        _adam_rows(step, lr, beta1, beta2, eps, *arrays)
+        _adam_rows(state.step, lr, beta1, beta2, eps, *arrays)
 
 
 def _adam_rows(step, lr, beta1, beta2, eps, g, m, v, scratch, param, out) -> None:
@@ -336,9 +336,9 @@ def meta_loss_and_grad(
 
     On the primal route (N >= feature dim) with an encoder that does work,
     the real batch is encoded whole by `run_beside`, on the second CPU where
-    it pays, while the caller solves the d x d system; the encode does not
-    depend on the solve. The kernel route keeps the serial order: its solve
-    is too short to hide a whole-lane encode.
+    it pays, while the caller runs the whole ridge solve; the solve's row
+    halves queue behind the encode. The kernel route keeps the serial order:
+    its solve is too short to hide a whole-lane encode.
 
     Expects validated inputs: it composes the unchecked cores of those
     public functions, so shapes, finiteness, label range and lam, tau > 0
@@ -348,8 +348,8 @@ def meta_loss_and_grad(
     x_syn, hidden = _encode(enc, inputs)
     if beside:
         rows, row_madds, arrays = _encode_rows(enc, x_real)
-        solved = run_beside(rows, row_madds, lambda: _primal_solve(x_syn, y_onehot, lam), *arrays)
-        sol, feats = _primal_solution(x_syn, y_onehot, lam, *solved), arrays[1]
+        sol = run_beside(rows, row_madds, lambda: _ridge_kernel(x_syn, y_onehot, lam), *arrays)
+        feats = arrays[1]
     else:
         sol = _ridge_kernel(x_syn, y_onehot, lam)
         feats, _ = _encode(enc, x_real)
@@ -433,11 +433,8 @@ def distill_step(
         what = f"gradient norm {grad_norm:.3e} exceeds {GRAD_NORM_LIMIT:.0e}"
         raise _diverged(what, iteration, cfg, enc, inputs_aug)
     lr = cosine_lr(cfg.lr, iteration, cfg.iterations)
-    adam.step += 1
     # the gradient array takes Adam's update, then the new inputs
-    adam_update(
-        adam, grad, inputs, grad, adam.step, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
-    )
+    adam_update(adam, grad, inputs, grad, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     new_inputs = grad
     if not np.isfinite(new_inputs).all():
         raise _diverged("synthetic inputs became non-finite", iteration, cfg, enc, inputs_aug)

@@ -10,14 +10,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, check_at_least, run_row_halves
+from .linalg import DimensionError, NonFiniteError, check_at_least, run_row_halves
 
-ENCODER_KINDS = ("identity", "linear", "mlp1")
+# each kind's weights, in the order `Encoder.weights` holds them
+_WEIGHT_NAMES = {"identity": (), "linear": ("w", "b"), "mlp1": ("w1", "b1", "w2", "b2")}
+ENCODER_KINDS = tuple(_WEIGHT_NAMES)
 
 
 @dataclass(frozen=True)
 class Encoder:
-    """Immutable feature map; weights are fixed for its whole lifetime."""
+    """Immutable feature map; weights are fixed for its whole lifetime.
+
+    `weights` are linear's (w, b) or mlp1's (w1, b1, w2, b2), shaped as
+    `make_encoder` draws them, the hidden width being w1's column count;
+    identity has none. Another count or shape raises DimensionError, and a
+    weight with a NaN or Inf entry NonFiniteError.
+    """
 
     kind: str
     input_dim: int
@@ -33,6 +41,23 @@ class Encoder:
                 f"identity encoder needs input_dim == feature_dim, "
                 f"got {self.input_dim} vs {self.feature_dim}"
             )
+        names = _WEIGHT_NAMES[self.kind]
+        if len(self.weights) != len(names):
+            raise DimensionError(
+                f"{self.kind} encoder needs {len(names)} weights, got {len(self.weights)}"
+            )
+        d, f = self.input_dim, self.feature_dim
+        shapes = ((d, f), (f,))
+        if self.kind == "mlp1":
+            w1 = np.shape(self.weights[0])
+            if len(w1) != 2:
+                raise DimensionError(f"encoder weight w1 must be ({d}, hidden), got {w1}")
+            shapes = ((d, w1[1]), (w1[1],), (w1[1], f), (f,))
+        for name, w, shape in zip(names, self.weights, shapes):
+            if np.shape(w) != shape:
+                raise DimensionError(f"encoder weight {name} must be {shape}, got {np.shape(w)}")
+            if not np.isfinite(w).all():
+                raise NonFiniteError(f"encoder weight {name} holds non-finite entries")
 
 
 def make_encoder(

@@ -99,29 +99,24 @@ def ridge_kernel(x: np.ndarray, y: np.ndarray, lam: float) -> ProbeSolution:
 
 
 def _ridge_kernel(x: np.ndarray, y: np.ndarray, lam: float) -> ProbeSolution:
-    """`ridge_kernel` on arguments already checked."""
+    """`ridge_kernel` on arguments already checked. On the primal route
+    p = (Y - X W*)/lam is computed row by row through `run_row_halves`."""
     n, d = x.shape
     if n < d:
-        factor = cholesky_factor(_add_ridge(x @ x.T, lam))
+        mode, factor = "kernel", cholesky_factor(_add_ridge(x @ x.T, lam))
         p = factor.solve(y)
         w = x.T @ p
-        return ProbeSolution(w_star=w, p=p, lam=lam, mode="kernel", factor=factor)
-    return _primal_solution(x, y, lam, *_primal_solve(x, y, lam))
+    else:
+        mode, (w, factor) = "primal", _primal_solve(x, y, lam)
 
+        def rows(x_rows, y_rows, p_rows):
+            np.matmul(x_rows, w, p_rows)
+            np.subtract(y_rows, p_rows, p_rows)
+            p_rows /= lam
 
-def _primal_solution(
-    x: np.ndarray, y: np.ndarray, lam: float, w: np.ndarray, factor: CholeskyFactor
-) -> ProbeSolution:
-    """The primal-route ProbeSolution of `_primal_solve`'s (W*, factor), with
-    p = (Y - X W*)/lam computed row by row through `run_row_halves`."""
-    def rows(x_rows, y_rows, p_rows):
-        np.matmul(x_rows, w, p_rows)
-        np.subtract(y_rows, p_rows, p_rows)
-        p_rows /= lam
-
-    p = np.empty((x.shape[0], w.shape[1]))
-    run_row_halves(rows, w.size, x, y, p)
-    return ProbeSolution(w_star=w, p=p, lam=lam, mode="primal", factor=factor)
+        p = np.empty((n, w.shape[1]))
+        run_row_halves(rows, w.size, x, y, p)
+    return ProbeSolution(w_star=w, p=p, lam=lam, mode=mode, factor=factor)
 
 
 def solve_backward(sol: ProbeSolution, x: np.ndarray, g: np.ndarray) -> np.ndarray:

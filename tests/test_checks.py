@@ -19,6 +19,7 @@ from clpdd.cli import main
 from clpdd.data import (
     Dataset,
     MissingClassError,
+    ShapeError,
     check_every_class,
     gen_blobs,
     save_features,
@@ -40,7 +41,7 @@ from clpdd.evaluation import (
     select_random,
     train_linear_probe,
 )
-from clpdd.linalg import DimensionError
+from clpdd.linalg import DimensionError, NonFiniteError
 from clpdd.objective import class_anchor_loss_and_grad
 from clpdd.solver import gd_steady_state, ridge_kernel, stable_step_bound
 
@@ -166,6 +167,69 @@ def _meta_loss_with_objective(objective):
         (lambda tmp: Encoder("x", 3, 3), ValueError, "unknown encoder kind 'x'"),
         (lambda tmp: make_encoder("x", 3), ValueError, "unknown encoder kind 'x'"),
         (
+            lambda tmp: Encoder("linear", 4, 3),
+            DimensionError,
+            "linear encoder needs 2 weights, got 0",
+        ),
+        (
+            lambda tmp: Encoder("identity", 3, 3, (np.eye(3),)),
+            DimensionError,
+            "identity encoder needs 0 weights, got 1",
+        ),
+        (
+            lambda tmp: Encoder("linear", 4, 3, (np.ones((5, 3)), np.ones(3))),
+            DimensionError,
+            "encoder weight w must be (4, 3), got (5, 3)",
+        ),
+        (
+            lambda tmp: Encoder("linear", 4, 3, (np.ones((4, 3)), np.ones(4))),
+            DimensionError,
+            "encoder weight b must be (3,), got (4,)",
+        ),
+        (
+            lambda tmp: Encoder(
+                "mlp1", 4, 3, (np.ones(4), np.ones(6), np.ones((6, 3)), np.ones(3))
+            ),
+            DimensionError,
+            "encoder weight w1 must be (4, hidden), got (4,)",
+        ),
+        (
+            lambda tmp: Encoder(
+                "mlp1", 4, 3, (np.ones((4, 6)), np.ones(5), np.ones((6, 3)), np.ones(3))
+            ),
+            DimensionError,
+            "encoder weight b1 must be (6,), got (5,)",
+        ),
+        (
+            lambda tmp: Encoder(
+                "mlp1", 4, 3, (np.ones((4, 6)), np.ones(6), np.ones((5, 3)), np.ones(3))
+            ),
+            DimensionError,
+            "encoder weight w2 must be (6, 3), got (5, 3)",
+        ),
+        (
+            lambda tmp: Encoder("linear", 4, 3, (np.full((4, 3), np.nan), np.ones(3))),
+            NonFiniteError,
+            "encoder weight w holds non-finite entries",
+        ),
+        (
+            lambda tmp: Encoder(
+                "mlp1", 4, 3, (np.ones((4, 6)), np.ones(6), np.ones((6, 3)), np.full(3, np.inf))
+            ),
+            NonFiniteError,
+            "encoder weight b2 holds non-finite entries",
+        ),
+        (
+            lambda tmp: Dataset(np.ones((3, 2)), np.array([0, 1, 1]), 2.5),
+            ShapeError,
+            "class count must be an integer, got 2.5",
+        ),
+        (
+            lambda tmp: Dataset(np.ones((3, 2)), np.array([0, 1, 1]), True),
+            ShapeError,
+            "class count must be an integer, got True",
+        ),
+        (
             lambda tmp: pca_project_2d(np.zeros((1, 3))),
             ValueError,
             "pca_project_2d needs at least 2 rows",
@@ -196,7 +260,10 @@ def _meta_loss_with_objective(objective):
          "select_centroid_ipc_float", "probe_lr", "config_iterations", "config_eval_every",
          "init_mode",
          "from_real_without_real", "negative_sigma", "outer_objective", "encoder_kind",
-         "make_encoder_kind", "pca_one_row", "ridge_not_2d", "ridge_rows",
+         "make_encoder_kind", "encoder_weight_count", "identity_weight_count",
+         "linear_w_shape", "linear_b_shape", "mlp1_w1_not_2d", "mlp1_b1_shape", "mlp1_w2_shape",
+         "encoder_nan_weight", "encoder_inf_weight", "dataset_class_count_float",
+         "dataset_class_count_bool", "pca_one_row", "ridge_not_2d", "ridge_rows",
          "gd_step_size", "step_bound_lambda"],
 )
 def test_each_entry_check_names_what_it_rejects(tmp_path, call, error, message):

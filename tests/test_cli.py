@@ -153,21 +153,15 @@ def test_gradcheck_primal_pipeline_takes_primal_route(monkeypatch):
     from clpdd import gradcheck
 
     solves = []
-    primal_solve = clpdd.distill._primal_solve
 
     def recording_solve(x, y, lam):
         sol = ridge_kernel(x, y, lam)
         solves.append((sol.mode, x.shape[0] // y.shape[1]))
         return sol
 
-    def recording_primal_solve(x, y, lam):
-        solves.append(("primal", x.shape[0] // y.shape[1]))
-        return primal_solve(x, y, lam)
-
-    # meta_loss_and_grad solves through the unchecked cores: the primal solve
-    # alone where it encodes the real batch beside it, `_ridge_kernel` otherwise
+    # meta_loss_and_grad solves through the unchecked core on every route,
+    # beside the real batch's encode or before it
     monkeypatch.setattr(clpdd.distill, "_ridge_kernel", recording_solve)
-    monkeypatch.setattr(clpdd.distill, "_primal_solve", recording_primal_solve)
     for i in range(10):
         gradcheck._CHECKS["pipeline_primal"](np.random.default_rng(i))
     assert solves and all(mode == "primal" and ipc > 1 for mode, ipc in solves)
@@ -271,7 +265,8 @@ def test_sweep_checks_every_value_before_the_first_compare(
     tmp_path, capsys, monkeypatch, param, values
 ):
     ran = []
-    monkeypatch.setattr(clpdd.cli, "compare_report", lambda *a, **k: ran.append(a))
+    for name in ("compare_methods", "build_data"):
+        monkeypatch.setattr(clpdd.cli, name, lambda *a, name=name: ran.append(name))
     out = tmp_path / "sw"
     assert main(["sweep", "--param", param, "--values", values, "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -436,6 +431,8 @@ def test_cli_steady_state_steps_take_no_page_faults(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     code, *faults = map(int, proc.stdout.split()[-21:])
     assert code == 0 and len(faults) == 20
+    # without the thresholds step 1 faults 751 pages back in, 251 with them
+    assert faults[1] <= 500, faults
     assert sum(faults[10:]) <= 50, faults
 
 
@@ -944,6 +941,34 @@ def test_files_compare_loads_each_file_once(tmp_path, monkeypatch):
     report = cmd_compare(dict(cfg, compare_seeds=3), tmp_path / "cmp")
     assert report.seeds == [cfg["seed"] + i for i in range(3)]
     assert sorted(loaded) == sorted([cfg["data_train"], cfg["data_eval"]])
+
+
+def test_files_sweep_loads_each_file_once(tmp_path, monkeypatch):
+    cfg = dict(_train_and_eval_files(tmp_path), compare_seeds=2)
+    loaded = []
+    load = clpdd.cli.load_features
+    monkeypatch.setattr(clpdd.cli, "load_features", lambda p: loaded.append(str(p)) or load(p))
+    rows = cmd_sweep(cfg, "tau", ["0.05", "0.07", "0.1"], tmp_path / "sw")
+    assert [report.seeds for _, report in rows] == [[cfg["seed"], cfg["seed"] + 1]] * 3
+    assert sorted(loaded) == sorted([cfg["data_train"], cfg["data_eval"]])
+
+
+def test_blob_sweep_builds_each_seeds_splits_once(tmp_path, monkeypatch):
+    cfg = _fast_cfg(compare_seeds=2, blob_seed=4)
+    built = []
+    gen = clpdd.cli.gen_blobs
+
+    def recording_gen(*args, **kwargs):
+        built.append(kwargs["seed"])
+        return gen(*args, **kwargs)
+
+    monkeypatch.setattr(clpdd.cli, "gen_blobs", recording_gen)
+    rows = cmd_sweep(cfg, "lambda", ["0.1", "0.2", "0.5"], tmp_path / "sw")
+    assert built == [4, 5] and len(rows) == 3
+    # every value reads the splits a compare of that value builds for itself
+    compare = cmd_compare(dict(cfg, **{"lambda": 0.5}), tmp_path / "cmp")
+    for name, acc in rows[2][1].accuracies.items():
+        assert acc.values == compare.accuracies[name].values
 
 
 @pytest.mark.parametrize("data", ["blobs", "files"])

@@ -146,6 +146,24 @@ def test_clpf_round_trip_f32_widens(tmp_path):
     assert np.array_equal(loaded.labels, ds.labels)
 
 
+def test_save_f32_rejects_a_row_beyond_the_float32_range_and_writes_nothing(tmp_path):
+    # 3e38 fits in float32 (max 3.4e38); 4e38 and -5e38 would load back as Inf
+    ds = Dataset(np.array([[1.0, 3e38], [3e38, 4e38], [-5e38, 0.0]]), np.array([0, 1, 1]), 2)
+    path = tmp_path / "big.clpf"
+    with pytest.raises(FeatureFileError) as ei:
+        save_features(ds, path, dtype="f32")
+    assert type(ei.value) is FeatureFileError
+    assert str(ei.value) == (
+        f"{path}: row 1 holds a feature beyond the float32 range; save it with dtype='f64'"
+    )
+    assert not path.exists()
+    save_features(ds, path)
+    assert datasets_equal(load_features(path), ds)
+    fits = Dataset(ds.inputs[:1], ds.labels[:1], 1)
+    save_features(fits, path, dtype="f32")
+    assert np.array_equal(load_features(path).inputs, fits.inputs.astype(np.float32))
+
+
 def test_clpf_bad_magic(tmp_path):
     path = tmp_path / "bad.clpf"
     rng = np.random.default_rng(2)

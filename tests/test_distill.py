@@ -200,14 +200,15 @@ def test_adam_rows_match_the_reference_whole_and_in_row_ranges():
         grad = rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-3, 3)
         lr = 0.05 / step
         update, stepped = grad.copy(), np.empty((3, 4))
-        adam_update(whole, update, param, stepped, step, lr, 0.9, 0.999, 1e-8)
+        adam_update(whole, update, param, stepped, lr, 0.9, 0.999, 1e-8)
         # the new parameters over the gradient, one row range at a time
         in_place = grad.copy()
         for rows in (slice(0, 1), slice(1, 3)):
             arrays = (in_place, split.m, split.v, split.scratch, param, in_place)
             _adam_rows(step, lr, 0.9, 0.999, 1e-8, *(a[rows] for a in arrays))
         m, v, ref = adam_ref(m, v, step, grad, lr, 0.9, 0.999, 1e-8)
-        assert whole.step == split.step == 0  # the caller counts the steps
+        assert whole.step == step  # adam_update counts its steps
+        assert split.step == 0  # _adam_rows is handed the count
         assert np.array_equal(update, ref)
         assert np.array_equal(stepped, param - ref) and np.array_equal(in_place, param - ref)
         for state in (whole, split):
@@ -693,7 +694,7 @@ def test_each_step_guard_names_what_failed_the_iteration_and_the_bound(
     )
     if update is not None:
 
-        def adam_update(state, grad, param, out, step, lr, b1, b2, eps):
+        def adam_update(state, grad, param, out, lr, b1, b2, eps):
             out[...] = param - update
 
         monkeypatch.setattr(clpdd.distill, "adam_update", adam_update)
