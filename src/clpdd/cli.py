@@ -23,7 +23,6 @@ import numpy as np
 from .data import (
     Dataset,
     FeatureFileError,
-    MissingClassError,
     check_blob_sizes,
     check_every_class,
     feature_shape,
@@ -171,9 +170,8 @@ def check_config(cfg: dict, command: str, out) -> None:
             if cfg[key]:
                 raise ConfigError(f"{key} is set, but data=blobs ignores it; set data=files")
         try:
-            names = ("blob_classes", "blob_dim", "blob_per_class")
+            names = ("blob_classes", "blob_dim", "blob_per_class", "blob_seed")
             check_blob_sizes(*(cfg[name] for name in names), names)
-            check_at_least("blob_seed", cfg["blob_seed"], 0)
             check_positive("blob_center_scale", cfg["blob_center_scale"], or_zero=True)
             check_positive("blob_cluster_std", cfg["blob_cluster_std"])
         except ValueError as e:
@@ -299,27 +297,13 @@ def _parse_methods(cfg: dict) -> list[str]:
     return check_methods(filter(None, map(str.strip, cfg["compare_methods"].split(","))))
 
 
-def _splits(cfg: dict, methods: list[str], seeds: int) -> list:
+def _splits(cfg: dict, seeds: int) -> list:
     """One split per run seed i < `seeds`, as a function that returns its
     (train, eval-or-None): the blobs of blob_seed + i, or the data=files
     source, built when a run first reaches it and then kept. A files source
     is loaded once, and every compare of a sweep reads the same splits: no
     sweep parameter changes one."""
-    dcfg = distill_config_from(cfg)
-    train_name = _split_name(cfg, "data_train")
-    # from_real init and the random and centroid baselines pick ipc rows per class
-    picks = dcfg.init == "from_real" or not {"random", "centroid"}.isdisjoint(methods)
-
-    @functools.cache
-    def split(data_seed):
-        train, ev = build_data(cfg, data_seed)
-        if picks:
-            try:
-                check_every_class(train, train.class_count, train_name, dcfg.ipc)
-            except MissingClassError as e:
-                raise ConfigError(f"ipc={dcfg.ipc}: {e}") from e
-        return train, ev
-
+    split = functools.cache(functools.partial(build_data, cfg))
     files = cfg["data"] == "files"
     return [functools.partial(split, None if files else cfg["blob_seed"] + i)
             for i in range(seeds)]
@@ -358,7 +342,7 @@ def cmd_distill(cfg: dict, out_dir) -> RunReport:
     without one nothing is probed. Writes synthetic.clpf, report.json and
     curve.csv."""
     check_config(cfg, "distill", out_dir)
-    return _write_run(*_run(cfg, ["clpdd"], _splits(cfg, ["clpdd"], 1)), out_dir)
+    return _write_run(*_run(cfg, ["clpdd"], _splits(cfg, 1)), out_dir)
 
 
 def compare_report(cfg: dict):
@@ -368,7 +352,7 @@ def compare_report(cfg: dict):
     """
     check_config(cfg, "compare", None)
     methods = _parse_methods(cfg)
-    return _run(cfg, methods, _splits(cfg, methods, cfg["compare_seeds"]))
+    return _run(cfg, methods, _splits(cfg, cfg["compare_seeds"]))
 
 
 def cmd_compare(cfg: dict, out_dir) -> RunReport:
@@ -391,7 +375,7 @@ def cmd_sweep(cfg: dict, param: str, values: list, out_dir):
         cfg_v = dict(cfg, **{param: value})
         check_config(cfg_v, "sweep", out_dir)
         runs.append((value, cfg_v))
-    splits = _splits(cfg, methods, cfg["compare_seeds"])
+    splits = _splits(cfg, cfg["compare_seeds"])
     rows = [(value, _run(cfg_v, methods, splits)[0]) for value, cfg_v in runs]
     header = ["param", "value"]
     for name in methods:

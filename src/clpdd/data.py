@@ -202,17 +202,22 @@ def _file_dataset(path, inputs, labels, class_count: int, first_line: int | None
 BLOB_MIN_PER_CLASS = 5
 
 
-def check_blob_sizes(c, dim, n_per_class, names=("c", "dim", "n_per_class")) -> None:
+def check_blob_sizes(c, dim, n_per_class, seed,
+                     names=("c", "dim", "n_per_class", "seed")) -> None:
     """Raise ValueError unless `gen_blobs` can split these sizes: class count
-    and dim integers >= 1, and at least BLOB_MIN_PER_CLASS rows per class.
-    `names` are the three values' names in the message."""
+    and dim integers >= 1, an integer count of at least BLOB_MIN_PER_CLASS
+    rows per class, and an integer seed >= 0. `names` are the four values'
+    names in the message."""
     check_at_least(names[0], c, 1)
     check_at_least(names[1], dim, 1)
+    # the integer rule alone: a count below the floor gets the 80/20 message
+    check_at_least(names[2], n_per_class, min(n_per_class, BLOB_MIN_PER_CLASS))
     if n_per_class < BLOB_MIN_PER_CLASS:
         raise ValueError(
             f"{names[2]} must be >= {BLOB_MIN_PER_CLASS} so the 80/20 split leaves each "
             f"class an eval row, got {n_per_class}"
         )
+    check_at_least(names[3], seed, 0)
 
 
 def gen_blobs(
@@ -232,7 +237,7 @@ def gen_blobs(
     by a random rotation), which keeps centroid selection from being a
     near-oracle and makes the two outer objectives behave differently.
     """
-    check_blob_sizes(c, dim, n_per_class)
+    check_blob_sizes(c, dim, n_per_class, seed)
     n_train = int(np.ceil(0.8 * n_per_class))
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((c, dim)) * center_scale

@@ -36,6 +36,8 @@ class Encoder:
     def __post_init__(self):
         if self.kind not in ENCODER_KINDS:
             raise ValueError(f"unknown encoder kind {self.kind!r}")
+        check_at_least("input_dim", self.input_dim, 1)
+        check_at_least("feature_dim", self.feature_dim, 1)
         if self.kind == "identity" and self.input_dim != self.feature_dim:
             raise DimensionError(
                 f"identity encoder needs input_dim == feature_dim, "

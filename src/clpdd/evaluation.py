@@ -213,12 +213,18 @@ def compare_methods(cfg: DistillConfig, splits, methods, names):
     the first split is read; `mse` is mse-ablation. Run i takes the
     i-th (train, eval-or-None) of `splits`, read as the distill stage reaches
     it, and seed cfg.seed + i; each stream is keyed by its run's seed, so no
-    draw moves. `names` name the train and eval splits in errors. Returns
-    ({method: accuracies}, the first run's clpdd curve and set, or [] and
-    None); without an eval split nothing is encoded or probed."""
+    draw moves. `names` name the train and eval splits in errors. A run
+    that picks ipc real rows per class (from_real init, or random or
+    centroid where it has an eval split) raises MissingClassError naming
+    `ipc=` and its train split, before it distills, when a class has fewer.
+    Returns ({method: accuracies}, the first run's clpdd curve and set, or
+    [] and None); without an eval split nothing is encoded or probed."""
     methods = check_methods(methods)
+    selects = not {"random", "centroid"}.isdisjoint(methods)
     runs, curve, first = [], [], None
     for i, (train, ev) in enumerate(splits):
+        if cfg.init == "from_real" or (selects and ev is not None):
+            check_every_class(train, train.class_count, f"ipc={cfg.ipc}: {names[0]}", cfg.ipc)
         run = replace(cfg, seed=cfg.seed + i)
         enc, sets = run.build_encoder(train.dim), {}
         if "clpdd" in methods:

@@ -72,14 +72,18 @@ class NotPositiveDefiniteError(LinalgError):
 
 
 def check_positive(name: str, value: float, or_zero: bool = False) -> None:
-    """Raise ValueError naming `name` unless `value` is finite and > 0 (>= 0 with `or_zero`)."""
+    """Raise ValueError naming `name` unless `value` is a number (not a bool)
+    that is finite and > 0 (>= 0 with `or_zero`)."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value}")
     if not (math.isfinite(value) and (value >= 0 if or_zero else value > 0)):
         raise ValueError(f"{name} must be finite and {'>=' if or_zero else '>'} 0, got {value}")
 
 
 def check_at_least(name: str, value: int, low: int) -> None:
-    """Raise ValueError naming `name` unless `value` is an integer >= `low`."""
-    if not isinstance(value, numbers.Integral):
+    """Raise ValueError naming `name` unless `value` is an integer (not a
+    bool) >= `low`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")

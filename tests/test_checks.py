@@ -230,6 +230,60 @@ def _meta_loss_with_objective(objective):
             "class count must be an integer, got True",
         ),
         (
+            lambda tmp: DistillConfig(ipc=True, iterations=False),
+            ValueError,
+            "iterations must be an integer, got False",
+        ),
+        (lambda tmp: DistillConfig(lam=True, tau=True), ValueError,
+         "lambda must be a number, got True"),
+        (lambda tmp: DistillConfig(tau=True), ValueError, "tau must be a number, got True"),
+        (lambda tmp: select_centroid(EVAL, True), ValueError, "ipc must be an integer, got True"),
+        (lambda tmp: init_synthetic(3, True, 4), ValueError, "ipc must be an integer, got True"),
+        (
+            lambda tmp: train_linear_probe(EVAL, EVAL, epochs=True),
+            ValueError,
+            "epochs must be an integer, got True",
+        ),
+        (lambda tmp: select_random(EVAL, True), ValueError, "ipc must be an integer, got True"),
+        (
+            lambda tmp: next(balanced_batches(EVAL, True, rng_stream(0, "batch"))),
+            ValueError,
+            "b_per_class must be an integer, got True",
+        ),
+        (
+            lambda tmp: train_linear_probe(EVAL, EVAL, batch_size=True),
+            ValueError,
+            "batch_size must be an integer, got True",
+        ),
+        (
+            lambda tmp: make_encoder("linear", True, 3),
+            ValueError,
+            "input_dim must be an integer, got True",
+        ),
+        (
+            lambda tmp: gen_blobs(True, 4, 10, 0.1, 0.1),
+            ValueError,
+            "c must be an integer, got True",
+        ),
+        (
+            lambda tmp: gen_blobs(3, 4, 7.5, 0.1, 0.1),
+            ValueError,
+            "n_per_class must be an integer, got 7.5",
+        ),
+        (
+            lambda tmp: gen_blobs(3, 4, 10, 0.1, 0.1, seed=-1),
+            ValueError,
+            "seed must be >= 0, got -1",
+        ),
+        (lambda tmp: Encoder("identity", 0, 0), ValueError, "input_dim must be >= 1, got 0"),
+        (lambda tmp: Encoder("identity", -1, -1), ValueError, "input_dim must be >= 1, got -1"),
+        (
+            lambda tmp: Encoder("identity", 2.5, 2.5),
+            ValueError,
+            "input_dim must be an integer, got 2.5",
+        ),
+        (lambda tmp: Encoder("linear", 3, 0), ValueError, "feature_dim must be >= 1, got 0"),
+        (
             lambda tmp: pca_project_2d(np.zeros((1, 3))),
             ValueError,
             "pca_project_2d needs at least 2 rows",
@@ -263,7 +317,12 @@ def _meta_loss_with_objective(objective):
          "make_encoder_kind", "encoder_weight_count", "identity_weight_count",
          "linear_w_shape", "linear_b_shape", "mlp1_w1_not_2d", "mlp1_b1_shape", "mlp1_w2_shape",
          "encoder_nan_weight", "encoder_inf_weight", "dataset_class_count_float",
-         "dataset_class_count_bool", "pca_one_row", "ridge_not_2d", "ridge_rows",
+         "dataset_class_count_bool", "config_int_bool", "config_lambda_bool",
+         "config_tau_bool", "select_centroid_ipc_bool", "init_ipc_bool", "probe_epochs_bool",
+         "select_random_ipc_bool", "balanced_batches_bool", "probe_batch_size_bool",
+         "make_encoder_dim_bool", "blobs_c_bool", "blobs_n_per_class_float", "blobs_seed",
+         "encoder_input_dim_0", "encoder_input_dim_negative", "encoder_input_dim_float",
+         "encoder_feature_dim_0", "pca_one_row", "ridge_not_2d", "ridge_rows",
          "gd_step_size", "step_bound_lambda"],
 )
 def test_each_entry_check_names_what_it_rejects(tmp_path, call, error, message):

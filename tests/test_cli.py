@@ -282,12 +282,28 @@ def test_sweep_unknown_param(tmp_path):
         cmd_sweep(_fast_cfg(), "tau", [], tmp_path / "sw")
 
 
-def test_cmd_eval_on_saved_synthetic(tmp_path):
-    cfg = _fast_cfg()
+@pytest.mark.parametrize("sets, lanes", [
+    ({}, False),
+    ({"encoder": "mlp1"}, False),  # 3 synthetic rows < 6 dims: kernel route
+    ({"encoder": "mlp1", "ipc": 4}, False),  # 12 rows >= 6 dims: primal route
+    ({"encoder": "linear"}, False),
+    # the probe's row blocks split at 1000 rows of 512 dims
+    ({"blob_classes": 100, "blob_dim": 512, "blob_anisotropic": False, "ipc": 10,
+      "iterations": 2, "probe_epochs": 1}, True),
+], ids=["identity", "mlp1-kernel", "mlp1-primal", "linear", "two-lanes"])
+def test_cmd_eval_on_saved_synthetic(tmp_path, request, sets, lanes):
+    # eval keeps its own probe call; it must score the saved set exactly as
+    # distill's probe stage scored it
+    helper_parts = request.getfixturevalue("two_lanes") if lanes else None
+    cfg = _fast_cfg(**sets)
     report = cmd_distill(cfg, tmp_path / "run")
+    distilled = None if helper_parts is None else len(helper_parts)
     result = cmd_eval(cfg, tmp_path / "run" / "synthetic.clpf", json_path=tmp_path / "e.json")
-    assert result["eval_acc"] == pytest.approx(report.accuracies["clpdd"].mean)
-    assert json.loads((tmp_path / "e.json").read_text())["n_synthetic"] == 3
+    assert result["eval_acc"] == report.accuracies["clpdd"].mean
+    n = cfg["blob_classes"] * cfg["ipc"]
+    assert json.loads((tmp_path / "e.json").read_text())["n_synthetic"] == n
+    if helper_parts is not None:
+        assert distilled > 0 and len(helper_parts) > distilled
 
 
 def test_export_embeddings_rows(tmp_path):
@@ -891,7 +907,7 @@ def test_main_rejects_ipc_past_the_smallest_train_class(tmp_path, capsys, monkey
         argv += ["--set", item]
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["config error: ipc=201: the blob train split: fewer than 201 rows "
+    assert err == ["feature file error: ipc=201: the blob train split: fewer than 201 rows "
                    "for class ids [0, 1, 2, 3, 4] of 5 classes"]
     assert ran == []
 

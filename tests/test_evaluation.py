@@ -355,6 +355,30 @@ def test_compare_methods_reads_mse_as_the_mse_ablation():
     assert list(accs) == ["clpdd", "mse-ablation"] and len(curve) == 2 and first is not None
 
 
+@pytest.mark.parametrize("init, methods", [
+    ("random_normal", ["clpdd", "random"]),
+    ("random_normal", ["clpdd", "centroid"]),
+    ("from_real", ["clpdd"]),
+], ids=["random", "centroid", "from_real"])
+def test_compare_methods_checks_ipc_rows_before_it_distills(monkeypatch, init, methods):
+    ran = []
+    monkeypatch.setattr(clpdd.evaluation, "run_distill", lambda *a, **k: ran.append(a))
+    train, ev = gen_blobs(3, 4, 10, 0.5, 0.5, seed=0)  # 8 train rows per class
+    cfg = DistillConfig(ipc=9, init=init, iterations=2)
+    with pytest.raises(MissingClassError) as ei:
+        compare_methods(cfg, [(train, ev)] * 2, methods, ("train", "eval"))
+    assert str(ei.value) == "ipc=9: train: fewer than 9 rows for class ids [0, 1, 2] of 3 classes"
+    assert ran == []
+
+
+def test_compare_methods_without_an_eval_split_picks_no_rows():
+    train, _ = gen_blobs(3, 4, 10, 0.5, 0.5, seed=0)
+    cfg = DistillConfig(ipc=9, iterations=2)
+    accs, curve, first = compare_methods(cfg, [(train, None)], ["clpdd", "random"],
+                                         ("train", "eval"))
+    assert accs == {} and len(curve) == 2 and first.n == 27
+
+
 def test_a_default_step_and_probe_run_on_whole_arrays(monkeypatch, two_lanes):
     # at the default 5 x 16 shape no row block splits, so a step's Adam and
     # the probe's two blocks are called on whole arrays and skip
