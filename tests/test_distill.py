@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -323,6 +324,141 @@ def test_augment_noise_matches_sequential_draws(shape):
         if i % block == 0:  # a refill draws what one (block, *shape) call would
             refilled.standard_normal((block, *shape))
             assert ours.bit_generator.state == refilled.bit_generator.state
+
+
+class _RecordedDraws:
+    """An "augment" generator that records the thread of each draw."""
+
+    def __init__(self, seed):
+        self.rng, self.threads = rng_stream(seed, "augment"), []
+
+    def standard_normal(self, *args, **kwargs):
+        self.threads.append(threading.current_thread().name)
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def _record_augment_draws(monkeypatch):
+    draws = []
+    rng_stream_of = clpdd.distill.rng_stream
+
+    def recording(seed, name):
+        if name != "augment":
+            return rng_stream_of(seed, name)
+        draws.append(_RecordedDraws(seed))
+        return draws[-1]
+
+    monkeypatch.setattr(clpdd.distill, "rng_stream", recording)
+    return draws
+
+
+def _above_floor_task(ipc=8):
+    # 16 classes x 128 dims, mlp1 at ipc 8: N = 128 >= d takes the primal
+    # route. Its 128 x 128 noise clears the draw-ahead floor, and its 256-row
+    # real batch (16 per class) the hand-over floor of the encode beside the solve
+    real, _ = gen_blobs(16, 128, 20, 0.3, 0.3, seed=3)
+    cfg = DistillConfig(encoder_kind="mlp1", ipc=ipc, b_per_class=16, iterations=4, seed=5)
+    return real, cfg
+
+
+# at ipc 6, N = 96 < d takes the kernel route, whose 96 x 128 noise still
+# clears the floor but has no helper part to draw it: each step draws its own
+@pytest.mark.parametrize("ipc, ahead_on_helper", [(8, True), (6, False)], ids=["primal", "kernel"])
+def test_a_run_above_the_floor_draws_the_same_noise(monkeypatch, two_lanes, ipc, ahead_on_helper):
+    real, cfg = _above_floor_task(ipc)
+    draws = _record_augment_draws(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the two threads trade the lock as often as they can
+    try:
+        two, _ = run_distill(cfg, real)
+    finally:
+        sys.setswitchinterval(interval)
+    # step 0 draws its own noise; on the primal route each later step's is
+    # drawn by the step before, on the helper; the last step draws none ahead
+    caller = threading.current_thread().name
+    helper = [name.startswith("clpdd-rows") for name in draws[0].threads]
+    assert len(helper) == cfg.iterations
+    assert helper == [False] + [ahead_on_helper] * (cfg.iterations - 1)
+    assert draws[0].threads[0] == caller
+    if ahead_on_helper:
+        assert two_lanes.count((0, 256)) == cfg.iterations  # the encode beside each solve
+    ref = rng_stream(cfg.seed, "augment")
+    for _ in range(cfg.iterations):
+        ref.standard_normal((16 * ipc, 128))
+    assert draws[0].rng.bit_generator.state == ref.bit_generator.state
+    monkeypatch.setattr(clpdd.linalg, "_affinity_cpus", lambda: 1)
+    one, _ = run_distill(cfg, real)
+    assert draws[1].threads == [caller] * cfg.iterations
+    assert draws[1].rng.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(one.inputs, two.inputs)
+
+
+def test_a_divergence_while_the_helper_draws_leaves_it_idle(monkeypatch, two_lanes):
+    real, cfg = _above_floor_task()
+    first, _ = run_distill(cfg, real)
+    parts = []
+    run_under = clpdd.linalg._run_under
+
+    def tracked(errstate, part, args):
+        parts.append("start")
+        run_under(errstate, part, args)
+        parts.append("end")
+
+    monkeypatch.setattr(clpdd.linalg, "_run_under", tracked)
+    ridge_kernel_of, solves = clpdd.distill._ridge_kernel, []
+
+    def failing(*args):
+        solves.append(len(solves))
+        if len(solves) == 3:  # step 2's solve, while the helper draws step 3's noise
+            raise FloatingPointError("solve failed")
+        return ridge_kernel_of(*args)
+
+    monkeypatch.setattr(clpdd.distill, "_ridge_kernel", failing)
+    with pytest.raises(FloatingPointError, match="^solve failed$"):
+        run_distill(cfg, real)
+    assert parts == ["start", "end"] * 3  # each part ran to its end, none is pending
+    monkeypatch.setattr(clpdd.distill, "_ridge_kernel", ridge_kernel_of)
+    again, _ = run_distill(cfg, real)
+    assert np.array_equal(again.inputs, first.inputs)
+    # a step's own guard reports its iteration as on one lane
+    diverging = DistillConfig(**{**cfg.__dict__, "tau": 1e-12})
+    with pytest.raises(DistillDivergenceError) as two:
+        run_distill(diverging, real)
+    assert parts.count("start") == parts.count("end")
+    monkeypatch.setattr(clpdd.linalg, "_affinity_cpus", lambda: 1)
+    with pytest.raises(DistillDivergenceError) as one:
+        run_distill(diverging, real)
+    assert str(two.value) == str(one.value)
+    assert " at iteration 0 (lambda=0.1, tau=1e-12, " in str(two.value)
+
+
+def test_the_tiny_step_draws_as_before(monkeypatch, two_lanes):
+    # the default 5 x 16 task: its noise is far below the draw-ahead floor,
+    # so each refill of about BLOCK_DOUBLES values feeds 102 steps in the caller
+    monkeypatch.setattr(clpdd.linalg, "_helper", None)
+    calls, arrays, aheads = [], [], []
+    for module, name in ((clpdd.distill, "run_beside"), (clpdd.linalg, "_with_helper")):
+        monkeypatch.setattr(module, name, lambda *a, _name=name: calls.append(_name))
+    augment_noise_of, step = clpdd.distill.augment_noise, clpdd.distill.distill_step
+
+    def recorded_noise(*args):
+        for noise in augment_noise_of(*args):
+            arrays.append(noise)
+            yield noise
+
+    def recorded_step(*args):
+        aheads.append(args[-1])
+        return step(*args)
+
+    monkeypatch.setattr(clpdd.distill, "augment_noise", recorded_noise)
+    monkeypatch.setattr(clpdd.distill, "distill_step", recorded_step)
+    threads = threading.active_count()
+    train, _ = gen_blobs(5, 16, 250, 0.1, 0.15, seed=0, anisotropic=True)
+    run_distill(DistillConfig(iterations=120), train)
+    block = BLOCK_DOUBLES // (5 * 16)
+    assert calls == [] and two_lanes == [] and aheads == [None] * 120
+    assert [a.base.shape for a in arrays] == [(block, 5, 16)] * 120
+    assert len({id(a.base) for a in arrays}) == 2  # two refills
+    assert clpdd.linalg._helper is None and threading.active_count() == threads
 
 
 def _tiny_cfg(**kw):
