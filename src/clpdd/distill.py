@@ -53,7 +53,8 @@ BLOCK_DOUBLES = 1 << 13
 ADAM_ENTRY_MADDS = 128
 # what one standard normal weighs against SPLIT_MIN_MADDS: on the same host a
 # normal took about 9.4 ns, as long as about 400 of dgemm's multiply-adds. A
-# run whose noise array clears the floor draws each step's noise one step ahead
+# noise array that clears the floor is drawn into two kept arrays, and may be
+# drawn one step ahead (see `_draws_ahead`)
 NORMAL_MADDS = 400
 _AT_LEAST_ONE = ("b_per_class", "ipc", "eval_every", "probe_batch_size")  # other int fields: >= 0
 
@@ -92,9 +93,6 @@ class DistillConfig:
     iterations: int = 1000  # desk-scale budget; full-scale runs use 4000
     lr: float = 0.05
     lr_schedule: str = "cosine"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     outer_objective: str = "class_anchor"
     # encoder
     encoder_kind: str = "identity"
@@ -119,13 +117,10 @@ class DistillConfig:
             ("lambda", self.lam, False),
             ("tau", self.tau, False),
             ("lr", self.lr, True),
-            ("adam_eps", self.adam_eps, True),
             ("augment_noise_sigma", self.augment_noise_sigma, True),
             ("probe_lr", self.probe_lr, True),
         ):
             check_positive(name, value, or_zero)
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("adam_beta1 and adam_beta2 must lie in [0, 1)")
         if self.outer_objective not in OUTER_OBJECTIVES:
             raise ValueError(f"unknown outer objective {self.outer_objective!r}")
         if self.init not in INIT_MODES:
@@ -166,19 +161,10 @@ class AdamState:
         return cls(m=np.zeros_like(inputs), v=np.zeros_like(inputs), scratch=np.empty_like(inputs))
 
 
-def adam_update(
-    state: AdamState,
-    grad: np.ndarray,
-    param: np.ndarray,
-    out: np.ndarray,
-    lr: float,
-    beta1: float,
-    beta2: float,
-    eps: float,
-) -> None:
+def adam_update(state: AdamState, grad: np.ndarray, param: np.ndarray, lr: float) -> None:
     """Adam step `state.step + 1`, which it counts in `state.step`: advance
-    the moments in place, write the bias-corrected update over `grad`, and
-    `param` minus the update into `out`, which may be `param` or `grad`.
+    the moments in place and write `param` minus the bias-corrected update
+    over `grad`.
 
     The rows run through `run_row_halves`, each entry counted as
     ADAM_ENTRY_MADDS multiply-adds; a step too small to split calls
@@ -188,17 +174,23 @@ def adam_update(
     state.step += 1
     rows = grad.shape[0]
     row_madds = ADAM_ENTRY_MADDS * grad.size // max(rows, 1)
-    arrays = (grad, state.m, state.v, state.scratch, param, out)
+    arrays = (grad, state.m, state.v, state.scratch, param, grad)
     if split_row(rows, row_madds):
-        part = functools.partial(_adam_rows, state.step, lr, beta1, beta2, eps)
-        run_row_halves(part, row_madds, *arrays)
+        run_row_halves(functools.partial(_adam_rows, state.step, lr), row_madds, *arrays)
     else:
-        _adam_rows(state.step, lr, beta1, beta2, eps, *arrays)
+        _adam_rows(state.step, lr, *arrays)
 
 
-def _adam_rows(step, lr, beta1, beta2, eps, g, m, v, scratch, param, out) -> None:
+# Adam's constants, shared by the distillation step and the trained probe
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def _adam_rows(step, lr, g, m, v, scratch, param, out) -> None:
     """`adam_update` on the rows it is handed of the gradient `g`, the
-    moments `m` and `v`, the scratch array, `param` and `out`.
+    moments `m` and `v`, the scratch array, `param` and `out`. b1, b2 and eps
+    are ADAM_BETA1, ADAM_BETA2 and ADAM_EPS as they read at the call.
 
     Evaluates m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
     lr * m_hat / (sqrt(v_hat) + eps) in the operation order of those formulas,
@@ -207,17 +199,17 @@ def _adam_rows(step, lr, beta1, beta2, eps, g, m, v, scratch, param, out) -> Non
     of `run_row_halves`. Output arrays go by position: keyword arguments cost
     numpy a parse per call, 2% of a 5 x 16 probe.
     """
-    np.multiply(1.0 - beta1, g, scratch)
-    m *= beta1
+    np.multiply(1.0 - ADAM_BETA1, g, scratch)
+    m *= ADAM_BETA1
     m += scratch
-    np.multiply(1.0 - beta2, g, scratch)
+    np.multiply(1.0 - ADAM_BETA2, g, scratch)
     scratch *= g
-    v *= beta2
+    v *= ADAM_BETA2
     v += scratch
-    denom = np.divide(v, 1.0 - beta2**step, scratch)
+    denom = np.divide(v, 1.0 - ADAM_BETA2**step, scratch)
     np.sqrt(denom, denom)
-    denom += eps
-    update = np.divide(m, 1.0 - beta1**step, g)
+    denom += ADAM_EPS
+    update = np.divide(m, 1.0 - ADAM_BETA1**step, g)
     update *= lr
     update /= denom
     np.subtract(param, update, out)
@@ -338,8 +330,12 @@ def augment_noise(
 
 
 def _draws_ahead(shape: tuple[int, ...], sigma: float) -> bool:
-    """Whether a run draws each step's noise one step ahead: sigma > 0, and
-    the draw, each normal weighed as NORMAL_MADDS, clears SPLIT_MIN_MADDS."""
+    """Whether `augment_noise` streams its noise through two arrays that a
+    step may draw one step ahead: sigma > 0, and the draw, each normal weighed
+    as NORMAL_MADDS, clears SPLIT_MIN_MADDS. It does not decide that any step
+    draws ahead: only `meta_loss_and_grad`'s primal route with an encoder that
+    does work takes the draw beside its solve, so on the kernel route or with
+    the identity encoder no step draws ahead."""
     return sigma > 0 and math.prod(shape) * NORMAL_MADDS >= SPLIT_MIN_MADDS
 
 
@@ -406,15 +402,22 @@ def _diverged(
     """The step's error: `what` failed at `iteration`, with lambda, tau and a
     bound on the condition number of the ridge system at the step's `inputs`,
     or, where the encoded inputs' Gram matrix overflows, that it is not finite."""
-    with np.errstate(all="ignore"):
-        x = encode(enc, inputs)
-        gram = x @ x.T
+    gram = _solve_gram(enc, inputs)
     bound = "the Gram matrix of the encoded inputs is not finite"
     if np.isfinite(gram).all():
         bound = f"cond(A) <= {(np.linalg.eigvalsh(gram)[-1] + cfg.lam) / cfg.lam:.3e}"
     return DistillDivergenceError(
         f"{what} at iteration {iteration} (lambda={cfg.lam}, tau={cfg.tau}, {bound})"
     )
+
+
+def _solve_gram(enc: Encoder, inputs: np.ndarray) -> np.ndarray:
+    """The Gram matrix that the ridge solve factors at the encoded `inputs` X:
+    X X^T on the kernel route, X^T X on the primal; not finite where it
+    overflows."""
+    with np.errstate(all="ignore"):
+        x = encode(enc, inputs)
+        return x @ x.T if x.shape[0] < x.shape[1] else x.T @ x
 
 
 def _check_encoder_dim(enc: Encoder, real_dim: int):
@@ -474,9 +477,14 @@ def distill_step(
     if grad_norm > GRAD_NORM_LIMIT:
         what = f"gradient norm {grad_norm:.3e} exceeds {GRAD_NORM_LIMIT:.0e}"
         raise _diverged(what, iteration, cfg, enc, inputs_aug)
+    # an overflowed Gram matrix factors with an infinite diagonal and no error,
+    # and every solve against it gives 0, so the gradient is exactly 0; only
+    # then is the Gram matrix tested (a one-class run has a zero gradient too)
+    if grad_norm == 0.0 and not np.isfinite(_solve_gram(enc, inputs_aug)).all():
+        raise _diverged("the ridge solve overflowed", iteration, cfg, enc, inputs_aug)
     lr = cosine_lr(cfg.lr, iteration, cfg.iterations)
     # the gradient array takes Adam's update, then the new inputs
-    adam_update(adam, grad, inputs, grad, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    adam_update(adam, grad, inputs, lr)
     new_inputs = grad
     if not np.isfinite(new_inputs).all():
         raise _diverged("synthetic inputs became non-finite", iteration, cfg, enc, inputs_aug)
@@ -535,9 +543,10 @@ def run_distill(
     adam = AdamState.like(inputs)
     batches = balanced_batches(real, cfg.b_per_class, rng_stream(cfg.seed, "batch"))
     noise = augment_noise(inputs.shape, cfg.augment_noise_sigma, rng_stream(cfg.seed, "augment"))
-    # decided once per run: below the floor no step draws ahead. Above it
-    # each `next(ahead, None)` draws the next step's noise, and the last
-    # step's finds the iterator spent
+    # below the floor no step draws ahead. Above it each `next(ahead, None)`
+    # draws the next step's noise, and the last step's finds the iterator
+    # spent; only the primal route with an encoder that does work calls it
+    # (see `meta_loss_and_grad`), so elsewhere every step draws its own
     ahead = None
     if _draws_ahead(inputs.shape, cfg.augment_noise_sigma):
         ahead = map(noise.send, itertools.repeat(True, cfg.iterations - 1))

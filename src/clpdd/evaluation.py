@@ -65,7 +65,6 @@ def train_linear_probe(
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((d, c)) / np.sqrt(d)
     adam = AdamState.like(w)
-    b1, b2, eps = DistillConfig.adam_beta1, DistillConfig.adam_beta2, DistillConfig.adam_eps
     m_max = min(n, batch_size)
     pi_buf = np.empty((m_max, c))  # softmax minus targets of a batch's rows
     # full batch: the one batch is the whole set in its own order, gathered once
@@ -82,7 +81,7 @@ def train_linear_probe(
         # the gradient of some rows of w over the batch of `pi`, then their Adam step
         np.matmul(x_t, pi, g)
         g /= pi.shape[0]
-        _adam_rows(adam.step, lr, b1, b2, eps, g, m, v, scratch, w_rows, w_rows)
+        _adam_rows(adam.step, lr, g, m, v, scratch, w_rows, w_rows)
 
     # batch_rows runs over a batch's rows and weight_rows over the rows of w.
     # Where neither splits at the largest batch, every step calls them on

@@ -72,10 +72,10 @@ class NotPositiveDefiniteError(LinalgError):
 
 
 def check_positive(name: str, value: float, or_zero: bool = False) -> None:
-    """Raise ValueError naming `name` unless `value` is a number (not a bool)
-    that is finite and > 0 (>= 0 with `or_zero`)."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a number, got {value}")
+    """Raise ValueError naming `name` unless `value` is a real number (not a
+    bool) that is finite and > 0 (>= 0 with `or_zero`)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not (math.isfinite(value) and (value >= 0 if or_zero else value > 0)):
         raise ValueError(f"{name} must be finite and {'>=' if or_zero else '>'} 0, got {value}")
 

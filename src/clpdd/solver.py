@@ -64,6 +64,13 @@ def _check_onehot(y: np.ndarray):
         raise ValueError("y rows must be one-hot")
 
 
+def _check_factor(factor: CholeskyFactor) -> None:
+    # a Gram matrix that overflows factors with an infinite diagonal and no
+    # error, and every solve against that factor gives 0
+    if not np.isfinite(factor.lower.diagonal()).all():
+        raise NonFiniteError("the Gram matrix of the ridge inputs overflows")
+
+
 def _add_ridge(gram: np.ndarray, lam: float) -> np.ndarray:
     """gram + lam*I, in place on a freshly computed (so C-contiguous, and
     ravel() a view of it) Gram matrix."""
@@ -82,7 +89,8 @@ def ridge_primal(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """W* from the d x d normal equations (X^T X + lam*I) W = X^T Y."""
     _check_ridge_args(x, y, lam)
     _check_onehot(y)
-    w, _ = _primal_solve(x, y, lam)
+    w, factor = _primal_solve(x, y, lam)
+    _check_factor(factor)
     return w
 
 
@@ -91,11 +99,14 @@ def ridge_kernel(x: np.ndarray, y: np.ndarray, lam: float) -> ProbeSolution:
 
     For N >= d the primal route is used instead (same W*, cheaper factor);
     either way `p = (Y - X W*)/lam` solves (K + lam*I) p = Y exactly. Rows of
-    `y` that are not one-hot raise ValueError, as in `ridge_primal`.
+    `y` that are not one-hot raise ValueError, as in `ridge_primal`, and
+    inputs whose Gram matrix overflows NonFiniteError.
     """
     _check_ridge_args(x, y, lam)
     _check_onehot(y)
-    return _ridge_kernel(x, y, lam)
+    sol = _ridge_kernel(x, y, lam)
+    _check_factor(sol.factor)
+    return sol
 
 
 def _ridge_kernel(x: np.ndarray, y: np.ndarray, lam: float) -> ProbeSolution:

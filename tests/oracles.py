@@ -112,9 +112,10 @@ def distill_loop_ref(inputs, real_inputs, real_labels, class_count, cfg, loss_an
                      rng_batch, rng_augment):
     """The distillation loop drawn step by step: each step takes one
     floyd_balanced_picks batch and one sigma * standard_normal noise array,
-    then one Adam step at the cosine-annealed learning rate. `loss_and_grad(
-    x_aug, x_real, labels)` is the outer loss and its gradient; `cfg` supplies
-    the hyperparameters. Returns the final inputs and the per-step losses."""
+    then one Adam step (beta1 0.9, beta2 0.999, eps 1e-8) at the
+    cosine-annealed learning rate. `loss_and_grad(x_aug, x_real, labels)` is
+    the outer loss and its gradient; `cfg` supplies the other hyperparameters.
+    Returns the final inputs and the per-step losses."""
     m, v = np.zeros_like(inputs), np.zeros_like(inputs)
     losses = []
     for t in range(cfg.iterations):
@@ -125,9 +126,7 @@ def distill_loop_ref(inputs, real_inputs, real_labels, class_count, cfg, loss_an
             x_aug = noise + inputs
         loss, g = loss_and_grad(x_aug, real_inputs[picks], real_labels[picks])
         lr = 0.5 * cfg.lr * (1.0 + math.cos(math.pi * t / cfg.iterations))
-        m, v, update = adam_ref(
-            m, v, t + 1, g, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
-        )
+        m, v, update = adam_ref(m, v, t + 1, g, lr, 0.9, 0.999, 1e-8)
         inputs = inputs - update
         losses.append(loss)
     return inputs, losses

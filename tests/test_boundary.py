@@ -181,6 +181,25 @@ def test_a_step_whose_inputs_overflow_reports_one_divergence(tmp_path, setting):
     assert not out.exists()
 
 
+def test_a_step_whose_ridge_solve_overflows_reports_one_divergence(tmp_path):
+    # step 0 moves the inputs to about 1e154, so step 1's Gram matrix overflows;
+    # the solve would return W* = 0 and a zero gradient without an error
+    out = tmp_path / "o"
+    code, err = _call(["distill", "--out", str(out), "--set", "iterations=20",
+                       "--set", "lr=1e154"])
+    assert code == 1 and len(err) == 1
+    assert err[0].startswith("divergence: the ridge solve overflowed at iteration 1 (")
+    assert "Gram matrix of the encoded inputs is not finite" in err[0]
+    assert not out.exists()
+
+
+def test_a_one_class_run_with_a_zero_gradient_keeps_running(tmp_path):
+    out = tmp_path / "o"
+    code, err = _call(["distill", "--out", str(out)] + _sets(dict(TINY, blob_classes="1")))
+    assert (code, err) == (0, [])
+    assert (out / "synthetic.clpf").exists()
+
+
 def test_a_probe_that_overflows_reports_one_divergence(tmp_path):
     out = tmp_path / "o"
     code, err = _call(["compare", "--out", str(out)] + _sets(TINY)

@@ -237,6 +237,19 @@ def _meta_loss_with_objective(objective):
         (lambda tmp: DistillConfig(lam=True, tau=True), ValueError,
          "lambda must be a number, got True"),
         (lambda tmp: DistillConfig(tau=True), ValueError, "tau must be a number, got True"),
+        (lambda tmp: DistillConfig(lam="0.1"), ValueError, "lambda must be a number, got '0.1'"),
+        (lambda tmp: DistillConfig(lam=None), ValueError, "lambda must be a number, got None"),
+        (lambda tmp: DistillConfig(tau=1j), ValueError, "tau must be a number, got 1j"),
+        (
+            lambda tmp: ridge_kernel(np.eye(2), np.eye(2), "0.1"),
+            ValueError,
+            "ridge coefficient must be a number, got '0.1'",
+        ),
+        (
+            lambda tmp: train_linear_probe(EVAL, EVAL, lr=np.True_),
+            ValueError,
+            "lr must be a number, got np.True_",
+        ),
         (lambda tmp: select_centroid(EVAL, True), ValueError, "ipc must be an integer, got True"),
         (lambda tmp: init_synthetic(3, True, 4), ValueError, "ipc must be an integer, got True"),
         (
@@ -318,7 +331,9 @@ def _meta_loss_with_objective(objective):
          "linear_w_shape", "linear_b_shape", "mlp1_w1_not_2d", "mlp1_b1_shape", "mlp1_w2_shape",
          "encoder_nan_weight", "encoder_inf_weight", "dataset_class_count_float",
          "dataset_class_count_bool", "config_int_bool", "config_lambda_bool",
-         "config_tau_bool", "select_centroid_ipc_bool", "init_ipc_bool", "probe_epochs_bool",
+         "config_tau_bool", "config_lambda_str", "config_lambda_none", "config_tau_complex",
+         "ridge_lambda_str", "probe_lr_numpy_bool", "select_centroid_ipc_bool", "init_ipc_bool",
+         "probe_epochs_bool",
          "select_random_ipc_bool", "balanced_batches_bool", "probe_batch_size_bool",
          "make_encoder_dim_bool", "blobs_c_bool", "blobs_n_per_class_float", "blobs_seed",
          "encoder_input_dim_0", "encoder_input_dim_negative", "encoder_input_dim_float",
@@ -389,7 +404,6 @@ def test_distill_config_rejects_a_non_integer_int_field(name, value):
         ("lam", "lambda must be finite and > 0"),
         ("tau", "tau must be finite and > 0"),
         ("lr", "lr must be finite and >= 0"),
-        ("adam_eps", "adam_eps must be finite and >= 0"),
         ("augment_noise_sigma", "augment_noise_sigma must be finite and >= 0"),
         ("probe_lr", "probe_lr must be finite and >= 0"),
     ],
@@ -404,7 +418,7 @@ def test_distill_config_names_each_float_rule_and_its_value(field, rule, value):
 def test_distill_config_rejects_a_zero_lambda_or_tau(field):
     with pytest.raises(ValueError, match="must be finite and > 0, got 0.0$"):
         DistillConfig(**{field: 0.0})
-    assert DistillConfig(lr=0.0, adam_eps=0.0, augment_noise_sigma=0.0, probe_lr=0.0).lr == 0.0
+    assert DistillConfig(lr=0.0, augment_noise_sigma=0.0, probe_lr=0.0).lr == 0.0
 
 
 @pytest.mark.parametrize(

@@ -64,14 +64,26 @@ def test_config_file_round_trip(tmp_path):
     assert parse_config_file(path) == cfg
 
 
-def test_config_unknown_key_diagnostics(tmp_path):
+def test_config_unknown_key_diagnostics(tmp_path, capsys, monkeypatch):
     path = tmp_path / "bad.cfg"
-    for line in ("bogus=3", "pca_export=true"):  # export-embeddings writes the PCA CSV
+    built = []
+    monkeypatch.setattr(clpdd.cli, "build_data", lambda *a, **k: built.append(a))
+    # export-embeddings writes the PCA CSV; Adam's beta1, beta2 and eps are constants
+    for line in ("bogus=3", "pca_export=true", "adam_beta1=0.9", "adam_beta2=0.999",
+                 "adam_eps=1e-8"):
+        key = line.partition("=")[0]
         path.write_text(f"# comment\nlambda=0.1\n{line}\n")
         with pytest.raises(ConfigError) as ei:
             parse_config_file(path)
-        assert "bad.cfg:3" in str(ei.value)
-        assert line.partition("=")[0] in str(ei.value)
+        assert str(ei.value) == f"{path}:3: unknown config key {key!r}"
+        with pytest.raises(ConfigError) as ei:
+            load_config(overrides=[line])
+        assert str(ei.value) == f"--set {key}: unknown config key {key!r}"
+        for argv in (["--config", str(path)], ["--set", line]):
+            assert main(["distill", "--out", str(tmp_path / "m")] + argv) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("config error: ") and key in err[0]
+    assert built == []
 
 
 def test_config_bad_value_diagnostics(tmp_path):
@@ -355,16 +367,12 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         "probe_epochs=-1",
         "feature_dim=-1",
         "hidden_dim=-2",
-        "adam_beta1=1.0",
-        "adam_beta2=1.0",
-        "adam_beta1=-0.1",
         "tau=nan",
         "lr=nan",
         "lambda=inf",
         "augment_noise_sigma=inf",
         "probe_lr=nan",
         "probe_lr=-0.01",
-        "adam_eps=-1",
         "seed=-1",
         "feature_dim=8",  # the default identity encoder keeps the input dim
         "hidden_dim=7",  # the default identity encoder has no hidden layer

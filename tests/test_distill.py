@@ -200,13 +200,14 @@ def test_adam_rows_match_the_reference_whole_and_in_row_ranges():
     for step in range(1, 8):
         grad = rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-3, 3)
         lr = 0.05 / step
-        update, stepped = grad.copy(), np.empty((3, 4))
-        adam_update(whole, update, param, stepped, lr, 0.9, 0.999, 1e-8)
-        # the new parameters over the gradient, one row range at a time
+        # the new parameters over the gradient, whole
         in_place = grad.copy()
+        adam_update(whole, in_place, param, lr)
+        # the update over the gradient and the new parameters beside it, one row range at a time
+        update, stepped = grad.copy(), np.empty((3, 4))
         for rows in (slice(0, 1), slice(1, 3)):
-            arrays = (in_place, split.m, split.v, split.scratch, param, in_place)
-            _adam_rows(step, lr, 0.9, 0.999, 1e-8, *(a[rows] for a in arrays))
+            arrays = (update, split.m, split.v, split.scratch, param, stepped)
+            _adam_rows(step, lr, *(a[rows] for a in arrays))
         m, v, ref = adam_ref(m, v, step, grad, lr, 0.9, 0.999, 1e-8)
         assert whole.step == step  # adam_update counts its steps
         assert split.step == 0  # _adam_rows is handed the count
@@ -830,8 +831,8 @@ def test_each_step_guard_names_what_failed_the_iteration_and_the_bound(
     )
     if update is not None:
 
-        def adam_update(state, grad, param, out, lr, b1, b2, eps):
-            out[...] = param - update
+        def adam_update(state, grad, param, lr):
+            grad[...] = param - update
 
         monkeypatch.setattr(clpdd.distill, "adam_update", adam_update)
     with pytest.raises(DistillDivergenceError) as ei:

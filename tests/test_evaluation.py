@@ -67,22 +67,32 @@ def test_probe_rejects_a_class_with_no_training_rows():
         train_linear_probe(train, ev, epochs=5)
 
 
-def test_probe_and_gradcheck_read_their_defaults_from_distill_config(monkeypatch):
-    # Adam's eps and the temperature have one owner: patching it moves both readers
+def test_step_and_probe_read_adams_constants_from_one_owner(monkeypatch):
+    # patching the one eps moves both the distillation step and the trained probe
     train, ev = gen_blobs(3, 4, 10, 1.0, 1.0, seed=0)
-    enc = make_encoder("linear", 3, 4, seed=0)
+    cfg = DistillConfig(iterations=3)
 
     def outputs():
-        probe = train_linear_probe(train, ev, epochs=3, seed=0).w
-        analytic, _ = _pipeline_instance(np.random.default_rng(0), enc, 2, 1, "class_anchor")
-        return probe, analytic
+        syn, _ = run_distill(cfg, train)
+        return syn.inputs, train_linear_probe(train, ev, epochs=3, seed=0).w
 
-    probe, analytic = outputs()
-    monkeypatch.setattr(DistillConfig, "adam_eps", 1.0)
-    monkeypatch.setattr(DistillConfig, "tau", 1.0)
-    patched_probe, patched_analytic = outputs()
+    inputs, probe = outputs()
+    monkeypatch.setattr(clpdd.distill, "ADAM_EPS", 1.0)
+    patched_inputs, patched_probe = outputs()
+    assert not np.allclose(inputs, patched_inputs)
     assert not np.allclose(probe, patched_probe)
-    assert not np.allclose(analytic, patched_analytic)
+
+
+def test_gradcheck_reads_its_tau_from_distill_config(monkeypatch):
+    # the temperature has one owner: patching it moves the battery's instances
+    enc = make_encoder("linear", 3, 4, seed=0)
+
+    def analytic():
+        return _pipeline_instance(np.random.default_rng(0), enc, 2, 1, "class_anchor")[0]
+
+    before = analytic()
+    monkeypatch.setattr(DistillConfig, "tau", 1.0)
+    assert not np.allclose(before, analytic())
 
 
 def test_probe_takes_class_count_from_train():
@@ -299,9 +309,9 @@ def test_probe_gradient_is_the_class_anchor_gradient_at_tau_1(monkeypatch, batch
     grads = []
     adam_rows = clpdd.evaluation._adam_rows
 
-    def recorded(step, lr, b1, b2, eps, grad, *arrays):
+    def recorded(step, lr, grad, *arrays):
         grads.append(grad.copy())
-        return adam_rows(step, lr, b1, b2, eps, grad, *arrays)
+        return adam_rows(step, lr, grad, *arrays)
 
     monkeypatch.setattr(clpdd.evaluation, "_adam_rows", recorded)
     train_linear_probe(train, train, epochs=1, batch_size=batch_size, seed=5)

@@ -46,6 +46,17 @@ def test_primal_input_validation():
         ridge_primal(np.eye(2), np.array([[0.5, 0.5], [1.0, 0.0]]), 0.1)
 
 
+@pytest.mark.parametrize("rows", [5, 20], ids=["kernel_route", "primal_route"])
+@pytest.mark.parametrize("solve", [ridge_kernel, ridge_primal], ids=["kernel", "primal"])
+def test_both_solvers_reject_inputs_whose_gram_matrix_overflows(solve, rows):
+    # finite inputs: the Gram matrix overflows, and the factor LAPACK returns
+    # without an error would make every solve, and so W*, exactly 0
+    x = np.random.default_rng(0).standard_normal((rows, 16)) * 1e160
+    y = np.eye(5)[np.arange(rows) % 5]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+        solve(x, y, 0.1)
+
+
 @pytest.mark.parametrize("solve", [ridge_kernel, ridge_primal], ids=["kernel", "primal"])
 def test_both_solvers_reject_targets_that_are_not_one_hot(solve):
     # 2 rows of 3 features: N < d, so ridge_kernel would take the kernel route
