@@ -11,7 +11,7 @@ import functools
 import itertools
 import math
 import zlib
-from collections.abc import Iterator
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -27,7 +27,6 @@ from .encoder import (
     make_encoder,
 )
 from .linalg import (
-    SPLIT_MIN_MADDS,
     DimensionError,
     check_at_least,
     check_positive,
@@ -51,11 +50,6 @@ BLOCK_DOUBLES = 1 << 13
 # dgemm's multiply-adds. Counted low, so a step's Adam splits from 192 rows of
 # 512 entries, where each half still takes about 0.2 ms.
 ADAM_ENTRY_MADDS = 128
-# what one standard normal weighs against SPLIT_MIN_MADDS: on the same host a
-# normal took about 9.4 ns, as long as about 400 of dgemm's multiply-adds. A
-# noise array that clears the floor is drawn into two kept arrays, and may be
-# drawn one step ahead (see `_draws_ahead`)
-NORMAL_MADDS = 400
 _AT_LEAST_ONE = ("b_per_class", "ipc", "eval_every", "probe_batch_size")  # other int fields: >= 0
 
 
@@ -292,34 +286,37 @@ def balanced_batches(
 
 def augment_noise(
     shape: tuple[int, ...], sigma: float, rng: np.random.Generator
-) -> Iterator[np.ndarray | None]:
+) -> Generator[np.ndarray | None, bool | None, None]:
     """Endless stream of sigma * N(0, 1) arrays of `shape`, one per step.
 
-    Below the floor of `_draws_ahead`, one `rng.standard_normal((k, *shape))`
-    call, scaled by sigma once, feeds k steps, with k capped so that a refill
-    holds about BLOCK_DOUBLES values. Above it the stream owns two arrays of
-    `shape`, and step t takes array t % 2: `rng.standard_normal(out=)` fills
-    it and sigma scales it in place, so no step allocates one. There
-    `send(True)` draws the next step's array, in the thread that calls it,
-    while the step that took the other array still uses it; the next `next`
-    then hands it over without drawing. Either way the arrays are those of
-    sequential draws of `shape`, bit for bit, and the generator has made one
-    draw per array handed over or drawn ahead. The step adds its inputs into
-    the array it takes. With sigma = 0 nothing is drawn and the stream yields
-    None: no noise. A sigma not finite and >= 0, or a shape with an extent
-    below 1, raises ValueError at the first step.
+    Where a refill of about BLOCK_DOUBLES values holds k > 1 arrays, one
+    `rng.standard_normal((k, *shape))` call, scaled by sigma once, feeds k
+    steps. Otherwise the stream owns two arrays of `shape`, and step t takes
+    array t % 2: `rng.standard_normal(out=)` fills it and sigma scales it in
+    place, so no step allocates one. There `send(True)` after a `next` draws
+    the next step's array, in the thread that calls it, while the step that
+    took the other array still uses it; the next `next` then hands it over
+    without drawing. In the block mode, or with sigma = 0, where the stream
+    yields None (no noise), a send draws nothing. Either way the arrays are
+    those of sequential draws of `shape`, bit for bit, and the generator has
+    made one draw per array handed over or drawn ahead. The step adds its
+    inputs into the array it takes. A sigma not finite and >= 0, or a shape
+    with an extent below 1, raises ValueError at the first step.
     """
     check_positive("sigma", sigma, or_zero=True)
     if min(shape, default=1) < 1:
         raise ValueError(f"shape must have extents >= 1, got {shape}")
     if sigma == 0.0:
-        yield from itertools.repeat(None)
-    if not _draws_ahead(shape, sigma):
-        block = max(1, BLOCK_DOUBLES // math.prod(shape))
         while True:
-            noise = rng.standard_normal((block, *shape))
-            noise *= sigma
-            yield from noise
+            if (yield None):  # send(True): nothing to draw
+                yield
+    count = BLOCK_DOUBLES // math.prod(shape)  # arrays per refill
+    while count > 1:  # the block mode, endless
+        block = rng.standard_normal((count, *shape))
+        block *= sigma
+        for noise in block:
+            if (yield noise):  # send(True): the next `next` takes a row or refills
+                yield
     drawn_ahead = None
     for noise in itertools.cycle(np.empty((2, *shape))):
         rng.standard_normal(out=noise)
@@ -327,16 +324,6 @@ def augment_noise(
         if drawn_ahead:  # by send(True), which returns here
             yield
         drawn_ahead = yield noise
-
-
-def _draws_ahead(shape: tuple[int, ...], sigma: float) -> bool:
-    """Whether `augment_noise` streams its noise through two arrays that a
-    step may draw one step ahead: sigma > 0, and the draw, each normal weighed
-    as NORMAL_MADDS, clears SPLIT_MIN_MADDS. It does not decide that any step
-    draws ahead: only `meta_loss_and_grad`'s primal route with an encoder that
-    does work takes the draw beside its solve, so on the kernel route or with
-    the identity encoder no step draws ahead."""
-    return sigma > 0 and math.prod(shape) * NORMAL_MADDS >= SPLIT_MIN_MADDS
 
 
 def meta_loss_and_grad(
@@ -348,7 +335,7 @@ def meta_loss_and_grad(
     lam: float,
     tau: float,
     objective: str = "class_anchor",
-    ahead: Iterator | None = None,
+    ahead: Generator | None = None,
 ):
     """Outer loss and its exact gradient with respect to the synthetic inputs.
 
@@ -359,11 +346,11 @@ def meta_loss_and_grad(
 
     On the primal route (N >= feature dim) with an encoder that does work,
     the real batch is encoded whole by `run_beside`, on the second CPU where
-    it pays, while the caller runs the whole ridge solve; then the same lane
-    calls `next(ahead, None)`, which draws the next step's noise where the
-    run draws ahead (see `run_distill`). The solve's row halves queue behind
-    both. The kernel route keeps the serial order and leaves `ahead` alone:
-    its solve is too short to hide a whole-lane encode.
+    it pays, while the caller runs the whole ridge solve; then, unless `ahead`
+    is None, the same lane calls `ahead.send(True)`, which lets the run's
+    `augment_noise` stream draw the next step's noise. The solve's row halves
+    queue behind both. The kernel route keeps the serial order and leaves
+    `ahead` alone: its solve is too short to hide a whole-lane encode.
 
     Expects validated inputs: it composes the unchecked cores of those
     public functions, so shapes, finiteness, label range and lam, tau > 0
@@ -390,10 +377,10 @@ def meta_loss_and_grad(
     return loss, _encode_vjp(enc, inputs, grad_x, hidden)
 
 
-def _then_next(rows, ahead: Iterator, *arrays) -> None:
+def _then_next(rows, ahead: Generator, *arrays) -> None:
     """The encode block `rows` on `arrays`, then the next step's noise draw."""
     rows(*arrays)
-    next(ahead, None)
+    ahead.send(True)
 
 
 def _diverged(
@@ -434,9 +421,8 @@ def distill_step(
     cfg: DistillConfig,
     enc: Encoder,
     batches: Iterator[tuple[np.ndarray, np.ndarray]],
-    noise: Iterator[np.ndarray | None],
+    noise: Generator[np.ndarray | None, bool | None, None],
     iteration: int,
-    ahead: Iterator | None = None,
 ):
     """One outer iteration; returns (updated synthetic inputs, step metrics).
 
@@ -445,13 +431,13 @@ def distill_step(
     `augment_noise(inputs.shape, cfg.augment_noise_sigma, rng)`; the step
     takes one item from each. A batch refill happens inside the step that
     needs it, and so does a noise draw unless the step before drew it ahead.
-    `ahead` is None, or the run's iterator of those draws (see `run_distill`);
-    the step hands it to `meta_loss_and_grad`, whose primal route takes one
-    item, the next step's draw. The noise array is the step's until it
-    returns, and consumed: the step adds the inputs into it. The
-    forward/backward pass runs at the augmented inputs (additive noise has
-    identity Jacobian, so the gradient transfers unchanged), while the Adam
-    update applies to the clean inputs.
+    Every step but the last of `cfg.iterations` hands `noise` to
+    `meta_loss_and_grad`, whose primal route sends it True once to offer the
+    next step's draw, so on that route `noise` must be an `augment_noise`
+    stream. The noise array is the step's until it returns, and consumed: the
+    step adds the inputs into it. The forward/backward pass runs at the
+    augmented inputs (additive noise has identity Jacobian, so the gradient
+    transfers unchanged), while the Adam update applies to the clean inputs.
 
     Expects validated inputs, as `run_distill` hands them over: batches from a
     finite real set with rows in every class, inputs of the encoder's input
@@ -467,6 +453,7 @@ def distill_step(
         inputs_aug = inputs
     else:
         inputs_aug += inputs  # sigma * z + inputs, written into the noise array
+    ahead = noise if iteration + 1 < cfg.iterations else None
     loss, grad = meta_loss_and_grad(
         inputs_aug, y_onehot, enc, x_real, labels, cfg.lam, cfg.tau, cfg.outer_objective, ahead
     )
@@ -522,11 +509,11 @@ def run_distill(
     predicted), raises MissingClassError, and an eval split of another dim or an `enc` whose
     input dim differs from the real set's DimensionError.
 
-    Where the noise array clears the floor of `_draws_ahead` and the primal
-    route encodes the real batch beside the solve, each step but the last
-    draws the next step's noise in that part, on the second CPU where it is
-    handed over. The noise and the "augment" generator's state are those of
-    one draw per step either way.
+    Where the noise stream keeps two arrays and the primal route encodes the
+    real batch beside the solve, each step but the last draws the next step's
+    noise in that part, on the second CPU where it is handed over. The noise
+    and the "augment" generator's state are those of one draw per step either
+    way.
     """
     # the one check of the run; every step after it runs unchecked
     if eval_set is None:
@@ -543,21 +530,12 @@ def run_distill(
     adam = AdamState.like(inputs)
     batches = balanced_batches(real, cfg.b_per_class, rng_stream(cfg.seed, "batch"))
     noise = augment_noise(inputs.shape, cfg.augment_noise_sigma, rng_stream(cfg.seed, "augment"))
-    # below the floor no step draws ahead. Above it each `next(ahead, None)`
-    # draws the next step's noise, and the last step's finds the iterator
-    # spent; only the primal route with an encoder that does work calls it
-    # (see `meta_loss_and_grad`), so elsewhere every step draws its own
-    ahead = None
-    if _draws_ahead(inputs.shape, cfg.augment_noise_sigma):
-        ahead = map(noise.send, itertools.repeat(True, cfg.iterations - 1))
     curve: list[StepMetrics] = []
     # the step's guards report a non-finite loss, gradient or input as
     # DistillDivergenceError; numpy's float warnings on the way there add nothing
     with np.errstate(all="ignore"):
         for t in range(cfg.iterations):
-            inputs, metrics = distill_step(
-                inputs, y_onehot, adam, cfg, enc, batches, noise, t, ahead
-            )
+            inputs, metrics = distill_step(inputs, y_onehot, adam, cfg, enc, batches, noise, t)
             if eval_set is not None and (t + 1) % cfg.eval_every == 0:
                 metrics.eval_acc = _monitor_accuracy(enc, inputs, y_onehot, cfg.lam, eval_set)
             curve.append(metrics)

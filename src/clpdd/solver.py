@@ -86,10 +86,12 @@ def _primal_solve(x: np.ndarray, y: np.ndarray, lam: float):
 
 
 def ridge_primal(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """W* from the d x d normal equations (X^T X + lam*I) W = X^T Y."""
+    """W* from the d x d normal equations (X^T X + lam*I) W = X^T Y. Inputs
+    whose Gram matrix overflows raise NonFiniteError."""
     _check_ridge_args(x, y, lam)
     _check_onehot(y)
-    w, factor = _primal_solve(x, y, lam)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_factor names an overflow
+        w, factor = _primal_solve(x, y, lam)
     _check_factor(factor)
     return w
 
@@ -104,7 +106,8 @@ def ridge_kernel(x: np.ndarray, y: np.ndarray, lam: float) -> ProbeSolution:
     """
     _check_ridge_args(x, y, lam)
     _check_onehot(y)
-    sol = _ridge_kernel(x, y, lam)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_factor names an overflow
+        sol = _ridge_kernel(x, y, lam)
     _check_factor(sol.factor)
     return sol
 

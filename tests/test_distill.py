@@ -1,3 +1,5 @@
+import functools
+import math
 import sys
 import threading
 
@@ -280,6 +282,7 @@ def test_augment_identity_at_zero_sigma():
     state = rng.bit_generator.state
     noise = augment_noise((4, 3), 0.0, rng)
     assert [next(noise) for _ in range(3)] == [None, None, None]
+    assert [(noise.send(True), next(noise)) for _ in range(3)] == [(None, None)] * 3
     assert rng.bit_generator.state == state  # nothing drawn
 
 
@@ -314,17 +317,30 @@ def test_streams_reject_an_empty_draw(stream, arg, match):
         next(draws)
 
 
-@pytest.mark.parametrize("shape", [(5, 16), (40, 512)])  # ~100 steps per refill, and 1
+# a refill of about BLOCK_DOUBLES values holds 102 arrays of 5 x 16 and 2 of
+# 4096 values; from 4097 values on the stream keeps two arrays
+@pytest.mark.parametrize("shape", [(5, 16), (40, 512), (64, 64), (1, 4097)])
 def test_augment_noise_matches_sequential_draws(shape):
-    ours, ref = rng_stream(6, "augment"), rng_stream(6, "augment")
-    block = max(1, BLOCK_DOUBLES // (shape[0] * shape[1]))
-    refilled = rng_stream(6, "augment")
-    noise = augment_noise(shape, 0.01, ours)
-    for i in range(2 * block + 1):  # across two refill boundaries
-        assert np.array_equal(next(noise), 0.01 * ref.standard_normal(shape))
-        if i % block == 0:  # a refill draws what one (block, *shape) call would
-            refilled.standard_normal((block, *shape))
-            assert ours.bit_generator.state == refilled.bit_generator.state
+    # plain nexts, then True sent after every next, the last array of each
+    # block included: the block mode draws nothing then, two kept arrays the
+    # next step's array, which the next `next` hands over without drawing
+    block = BLOCK_DOUBLES // math.prod(shape)
+    kept = block < 2
+    for send in (False, True):
+        ours, ref, states = (rng_stream(6, "augment") for _ in range(3))
+        noise = augment_noise(shape, 0.01, ours)
+        drawn = 0
+        for i in range(2 * max(block, 2) + 1):  # across two refill boundaries
+            assert np.array_equal(next(noise), 0.01 * ref.standard_normal(shape))
+            # a refill draws what one (block, *shape) call would
+            made = i + 1 if kept else (i // block + 1) * block
+            if send:
+                assert noise.send(True) is None
+                made += kept
+            for _ in range(made - drawn):
+                states.standard_normal(shape)
+            drawn = made
+            assert ours.bit_generator.state == states.bit_generator.state
 
 
 class _RecordedDraws:
@@ -354,18 +370,34 @@ def _record_augment_draws(monkeypatch):
 
 def _above_floor_task(ipc=8):
     # 16 classes x 128 dims, mlp1 at ipc 8: N = 128 >= d takes the primal
-    # route. Its 128 x 128 noise clears the draw-ahead floor, and its 256-row
-    # real batch (16 per class) the hand-over floor of the encode beside the solve
+    # route. Its 128 x 128 noise keeps two arrays, and its 256-row real batch
+    # (16 per class) clears the hand-over floor of the encode beside the solve
     real, _ = gen_blobs(16, 128, 20, 0.3, 0.3, seed=3)
     cfg = DistillConfig(encoder_kind="mlp1", ipc=ipc, b_per_class=16, iterations=4, seed=5)
     return real, cfg
 
 
+def _two_array_band_task():
+    # 10 classes x 64 dims, mlp1 at ipc 8: N = 80 >= d takes the primal route.
+    # Its 80 x 64 noise (5120 values) is more than half a refill, so it keeps
+    # two arrays; with 256 hidden units its 260-row real batch (26 per class)
+    # clears the hand-over floor of the encode beside the solve
+    real, _ = gen_blobs(10, 64, 30, 0.3, 0.3, seed=3)
+    cfg = DistillConfig(
+        encoder_kind="mlp1", hidden_dim=256, ipc=8, b_per_class=26, iterations=4, seed=5
+    )
+    return real, cfg
+
+
 # at ipc 6, N = 96 < d takes the kernel route, whose 96 x 128 noise still
-# clears the floor but has no helper part to draw it: each step draws its own
-@pytest.mark.parametrize("ipc, ahead_on_helper", [(8, True), (6, False)], ids=["primal", "kernel"])
-def test_a_run_above_the_floor_draws_the_same_noise(monkeypatch, two_lanes, ipc, ahead_on_helper):
-    real, cfg = _above_floor_task(ipc)
+# keeps two arrays but has no helper part to draw it: each step draws its own
+@pytest.mark.parametrize("task, ahead_on_helper", [
+    (_above_floor_task, True), (functools.partial(_above_floor_task, 6), False),
+    (_two_array_band_task, True),
+], ids=["primal", "kernel", "primal-5120-values"])
+def test_a_run_above_the_floor_draws_the_same_noise(monkeypatch, two_lanes, task, ahead_on_helper):
+    real, cfg = task()
+    shape, batch_rows = (real.class_count * cfg.ipc, real.dim), real.class_count * cfg.b_per_class
     draws = _record_augment_draws(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # the two threads trade the lock as often as they can
@@ -381,10 +413,10 @@ def test_a_run_above_the_floor_draws_the_same_noise(monkeypatch, two_lanes, ipc,
     assert helper == [False] + [ahead_on_helper] * (cfg.iterations - 1)
     assert draws[0].threads[0] == caller
     if ahead_on_helper:
-        assert two_lanes.count((0, 256)) == cfg.iterations  # the encode beside each solve
+        assert two_lanes.count((0, batch_rows)) == cfg.iterations  # the encode beside each solve
     ref = rng_stream(cfg.seed, "augment")
     for _ in range(cfg.iterations):
-        ref.standard_normal((16 * ipc, 128))
+        ref.standard_normal(shape)
     assert draws[0].rng.bit_generator.state == ref.bit_generator.state
     monkeypatch.setattr(clpdd.linalg, "_affinity_cpus", lambda: 1)
     one, _ = run_distill(cfg, real)
@@ -433,30 +465,27 @@ def test_a_divergence_while_the_helper_draws_leaves_it_idle(monkeypatch, two_lan
 
 
 def test_the_tiny_step_draws_as_before(monkeypatch, two_lanes):
-    # the default 5 x 16 task: its noise is far below the draw-ahead floor,
-    # so each refill of about BLOCK_DOUBLES values feeds 102 steps in the caller
+    # the default 5 x 16 task: each refill of about BLOCK_DOUBLES values feeds
+    # 102 steps in the caller, and the identity encoder sends the stream nothing
     monkeypatch.setattr(clpdd.linalg, "_helper", None)
-    calls, arrays, aheads = [], [], []
+    calls, arrays, sends = [], [], []
     for module, name in ((clpdd.distill, "run_beside"), (clpdd.linalg, "_with_helper")):
         monkeypatch.setattr(module, name, lambda *a, _name=name: calls.append(_name))
-    augment_noise_of, step = clpdd.distill.augment_noise, clpdd.distill.distill_step
+    augment_noise_of = clpdd.distill.augment_noise
 
     def recorded_noise(*args):
         for noise in augment_noise_of(*args):
             arrays.append(noise)
-            yield noise
-
-    def recorded_step(*args):
-        aheads.append(args[-1])
-        return step(*args)
+            sent = yield noise
+            if sent is not None:
+                sends.append(sent)
 
     monkeypatch.setattr(clpdd.distill, "augment_noise", recorded_noise)
-    monkeypatch.setattr(clpdd.distill, "distill_step", recorded_step)
     threads = threading.active_count()
     train, _ = gen_blobs(5, 16, 250, 0.1, 0.15, seed=0, anisotropic=True)
     run_distill(DistillConfig(iterations=120), train)
     block = BLOCK_DOUBLES // (5 * 16)
-    assert calls == [] and two_lanes == [] and aheads == [None] * 120
+    assert calls == [] and two_lanes == [] and sends == []
     assert [a.base.shape for a in arrays] == [(block, 5, 16)] * 120
     assert len({id(a.base) for a in arrays}) == 2  # two refills
     assert clpdd.linalg._helper is None and threading.active_count() == threads
@@ -585,25 +614,41 @@ def test_same_seed_identical_loss_sequences():
     assert [m.outer_loss for m in curve1] == [m.outer_loss for m in curve2]
 
 
+# the linear encoder's primal route (ipc 2: N = 6 >= d = 5) sends the noise
+# stream True in every step but the last: its 6 x 5 noise draws in blocks of 2
+# when a refill holds 60 values, and keeps two arrays, drawn ahead, at 59
 @pytest.mark.parametrize(
-    "objective, ipc, sigma, block_doubles, iterations",
+    "objective, ipc, sigma, block_doubles, iterations, kind",
     [
-        ("class_anchor", 1, 0.01, 60, 30),
-        ("mse", 1, 0.01, 60, 30),
-        ("class_anchor", 2, 0.01, 60, 30),
-        ("mse", 2, 0.0, 60, 30),
-        ("class_anchor", 2, 0.01, BLOCK_DOUBLES, 300),  # crosses one noise refill
+        ("class_anchor", 1, 0.01, 60, 30, "identity"),
+        ("mse", 1, 0.01, 60, 30, "identity"),
+        ("class_anchor", 2, 0.01, 60, 30, "identity"),
+        ("mse", 2, 0.0, 60, 30, "identity"),
+        ("class_anchor", 2, 0.01, BLOCK_DOUBLES, 300, "identity"),  # crosses one noise refill
+        ("class_anchor", 2, 0.01, 60, 30, "linear"),
+        ("class_anchor", 2, 0.01, 59, 30, "linear"),
     ],
+    ids=["class_anchor-1-0.01-60-30", "mse-1-0.01-60-30", "class_anchor-2-0.01-60-30",
+         "mse-2-0.0-60-30", "class_anchor-2-0.01-8192-300", "linear-blocks", "linear-two-arrays"],
 )
 def test_run_distill_matches_a_loop_drawing_every_step(
-    monkeypatch, objective, ipc, sigma, block_doubles, iterations
+    monkeypatch, objective, ipc, sigma, block_doubles, iterations, kind
 ):
     monkeypatch.setattr(clpdd.distill, "BLOCK_DOUBLES", block_doubles)
+    then_next, sends = clpdd.distill._then_next, []
+
+    def counted(*args):
+        sends.append(len(sends))
+        then_next(*args)
+
+    monkeypatch.setattr(clpdd.distill, "_then_next", counted)
     train, _ = _blob_task()
     cfg = _tiny_cfg(
-        iterations=iterations, ipc=ipc, augment_noise_sigma=sigma, outer_objective=objective
+        iterations=iterations, ipc=ipc, augment_noise_sigma=sigma, outer_objective=objective,
+        encoder_kind=kind,
     )
     syn, curve = run_distill(cfg, train)
+    assert len(sends) == (iterations - 1 if kind == "linear" else 0)
     init = init_synthetic(3, ipc, train.dim, seed=stream_seed(cfg.seed, "init"))
     enc, y = cfg.build_encoder(train.dim), init.onehot_labels()
 
