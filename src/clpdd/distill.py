@@ -42,8 +42,8 @@ OUTER_OBJECTIVES = ("class_anchor", "mse")
 INIT_MODES = ("random_normal", "from_real")
 
 GRAD_NORM_LIMIT = 1e6
-# doubles drawn per refill of a run's batch or noise stream (64 KB): the draws
-# of many small steps share one call, and memory does not grow with the budget
+# doubles drawn per refill of a run's batch or noise stream (64 KB; the noise
+# stream keeps two): small steps share one call, and memory does not grow
 BLOCK_DOUBLES = 1 << 13
 # what one Adam entry weighs against SPLIT_MIN_MADDS: on a 2-vCPU x86-64 host
 # with BLAS at one thread an entry took 3.8-5.7 ns, as long as 150-290 of
@@ -289,19 +289,18 @@ def augment_noise(
 ) -> Generator[np.ndarray | None, bool | None, None]:
     """Endless stream of sigma * N(0, 1) arrays of `shape`, one per step.
 
-    Where a refill of about BLOCK_DOUBLES values holds k > 1 arrays, one
-    `rng.standard_normal((k, *shape))` call, scaled by sigma once, feeds k
-    steps. Otherwise the stream owns two arrays of `shape`, and step t takes
-    array t % 2: `rng.standard_normal(out=)` fills it and sigma scales it in
-    place, so no step allocates one. There `send(True)` after a `next` draws
-    the next step's array, in the thread that calls it, while the step that
-    took the other array still uses it; the next `next` then hands it over
-    without drawing. In the block mode, or with sigma = 0, where the stream
-    yields None (no noise), a send draws nothing. Either way the arrays are
-    those of sequential draws of `shape`, bit for bit, and the generator has
-    made one draw per array handed over or drawn ahead. The step adds its
-    inputs into the array it takes. A sigma not finite and >= 0, or a shape
-    with an extent below 1, raises ValueError at the first step.
+    The stream keeps a ring of two refills of k >= 1 arrays, k as many as fit
+    in about BLOCK_DOUBLES values. One `rng.standard_normal(out=)` call fills
+    a refill and sigma scales it in place, so no step allocates. `send(True)`
+    after a refill's last array draws the next refill, in the thread that
+    calls it, while the step that took that array still uses it; the next
+    `next` hands it over without drawing. After any other array, or with
+    sigma = 0, where the stream yields None (no noise), a send draws nothing.
+    Either way the arrays are those of sequential draws of `shape`, bit for
+    bit, and the generator has drawn each refill handed over or drawn ahead.
+    The step adds its inputs into the array it takes. A sigma not finite and
+    >= 0, or a shape with an extent below 1, raises ValueError at the first
+    step.
     """
     check_positive("sigma", sigma, or_zero=True)
     if min(shape, default=1) < 1:
@@ -310,20 +309,17 @@ def augment_noise(
         while True:
             if (yield None):  # send(True): nothing to draw
                 yield
-    count = BLOCK_DOUBLES // math.prod(shape)  # arrays per refill
-    while count > 1:  # the block mode, endless
-        block = rng.standard_normal((count, *shape))
-        block *= sigma
-        for noise in block:
-            if (yield noise):  # send(True): the next `next` takes a row or refills
-                yield
+    count = max(1, BLOCK_DOUBLES // math.prod(shape))  # arrays per refill
     drawn_ahead = None
-    for noise in itertools.cycle(np.empty((2, *shape))):
-        rng.standard_normal(out=noise)
-        noise *= sigma
+    for block in itertools.cycle(np.empty((2, count, *shape))):
+        rng.standard_normal(out=block)
+        block *= sigma
         if drawn_ahead:  # by send(True), which returns here
             yield
-        drawn_ahead = yield noise
+        for noise in block[:-1]:
+            if (yield noise):  # send(True): this refill holds the next array
+                yield
+        drawn_ahead = yield block[-1]
 
 
 def meta_loss_and_grad(
@@ -348,7 +344,7 @@ def meta_loss_and_grad(
     the real batch is encoded whole by `run_beside`, on the second CPU where
     it pays, while the caller runs the whole ridge solve; then, unless `ahead`
     is None, the same lane calls `ahead.send(True)`, which lets the run's
-    `augment_noise` stream draw the next step's noise. The solve's row halves
+    `augment_noise` stream draw its next refill ahead. The solve's row halves
     queue behind both. The kernel route keeps the serial order and leaves
     `ahead` alone: its solve is too short to hide a whole-lane encode.
 
@@ -430,7 +426,7 @@ def distill_step(
     `balanced_batches(real, cfg.b_per_class, rng)` and
     `augment_noise(inputs.shape, cfg.augment_noise_sigma, rng)`; the step
     takes one item from each. A batch refill happens inside the step that
-    needs it, and so does a noise draw unless the step before drew it ahead.
+    needs it, and so does a noise refill unless the step before drew it ahead.
     Every step but the last of `cfg.iterations` hands `noise` to
     `meta_loss_and_grad`, whose primal route sends it True once to offer the
     next step's draw, so on that route `noise` must be an `augment_noise`
@@ -509,11 +505,11 @@ def run_distill(
     predicted), raises MissingClassError, and an eval split of another dim or an `enc` whose
     input dim differs from the real set's DimensionError.
 
-    Where the noise stream keeps two arrays and the primal route encodes the
-    real batch beside the solve, each step but the last draws the next step's
-    noise in that part, on the second CPU where it is handed over. The noise
-    and the "augment" generator's state are those of one draw per step either
-    way.
+    Where the primal route encodes the real batch beside the solve, each step
+    but the last sends the noise stream True there, so the next noise refill
+    is drawn in the step that took the last array before it, on the second
+    CPU where it is handed over. The noise is that of one draw per step
+    either way.
     """
     # the one check of the run; every step after it runs unchecked
     if eval_set is None:

@@ -317,26 +317,25 @@ def test_streams_reject_an_empty_draw(stream, arg, match):
         next(draws)
 
 
-# a refill of about BLOCK_DOUBLES values holds 102 arrays of 5 x 16 and 2 of
-# 4096 values; from 4097 values on the stream keeps two arrays
-@pytest.mark.parametrize("shape", [(5, 16), (40, 512), (64, 64), (1, 4097)])
+# a refill of about BLOCK_DOUBLES values holds k arrays: 102 of 5 x 16, 2 of
+# 4096 values, 390 of 3 x 7, and one of 4097 values or more
+@pytest.mark.parametrize("shape", [(5, 16), (40, 512), (64, 64), (1, 4097), (1, 8192), (3, 7)])
 def test_augment_noise_matches_sequential_draws(shape):
-    # plain nexts, then True sent after every next, the last array of each
-    # block included: the block mode draws nothing then, two kept arrays the
-    # next step's array, which the next `next` hands over without drawing
-    block = BLOCK_DOUBLES // math.prod(shape)
-    kept = block < 2
+    # plain nexts, then True sent after every next: a send after a refill's
+    # last array draws the next refill, which the next `next` hands over
+    # without drawing, and a send after any other array draws nothing
+    k = max(1, BLOCK_DOUBLES // math.prod(shape))
     for send in (False, True):
         ours, ref, states = (rng_stream(6, "augment") for _ in range(3))
         noise = augment_noise(shape, 0.01, ours)
         drawn = 0
-        for i in range(2 * max(block, 2) + 1):  # across two refill boundaries
+        for i in range(2 * max(k, 2) + 1):  # across two refill boundaries
             assert np.array_equal(next(noise), 0.01 * ref.standard_normal(shape))
-            # a refill draws what one (block, *shape) call would
-            made = i + 1 if kept else (i // block + 1) * block
+            # a refill draws what k draws of `shape` would
+            made = (i // k + 1) * k
             if send:
                 assert noise.send(True) is None
-                made += kept
+                made += k * (i % k == k - 1)
             for _ in range(made - drawn):
                 states.standard_normal(shape)
             drawn = made
@@ -368,19 +367,21 @@ def _record_augment_draws(monkeypatch):
     return draws
 
 
-def _above_floor_task(ipc=8):
+def _above_floor_task(ipc=8, iterations=4):
     # 16 classes x 128 dims, mlp1 at ipc 8: N = 128 >= d takes the primal
-    # route. Its 128 x 128 noise keeps two arrays, and its 256-row real batch
+    # route. Its 128 x 128 noise fills a refill alone, and its 256-row real batch
     # (16 per class) clears the hand-over floor of the encode beside the solve
     real, _ = gen_blobs(16, 128, 20, 0.3, 0.3, seed=3)
-    cfg = DistillConfig(encoder_kind="mlp1", ipc=ipc, b_per_class=16, iterations=4, seed=5)
+    cfg = DistillConfig(
+        encoder_kind="mlp1", ipc=ipc, b_per_class=16, iterations=iterations, seed=5
+    )
     return real, cfg
 
 
-def _two_array_band_task():
+def _over_half_a_refill_task():
     # 10 classes x 64 dims, mlp1 at ipc 8: N = 80 >= d takes the primal route.
-    # Its 80 x 64 noise (5120 values) is more than half a refill, so it keeps
-    # two arrays; with 256 hidden units its 260-row real batch (26 per class)
+    # Its 80 x 64 noise (5120 values) is more than half a refill, so it fills
+    # one alone; with 256 hidden units its 260-row real batch (26 per class)
     # clears the hand-over floor of the encode beside the solve
     real, _ = gen_blobs(10, 64, 30, 0.3, 0.3, seed=3)
     cfg = DistillConfig(
@@ -390,14 +391,21 @@ def _two_array_band_task():
 
 
 # at ipc 6, N = 96 < d takes the kernel route, whose 96 x 128 noise still
-# keeps two arrays but has no helper part to draw it: each step draws its own
-@pytest.mark.parametrize("task, ahead_on_helper", [
-    (_above_floor_task, True), (functools.partial(_above_floor_task, 6), False),
-    (_two_array_band_task, True),
-], ids=["primal", "kernel", "primal-5120-values"])
-def test_a_run_above_the_floor_draws_the_same_noise(monkeypatch, two_lanes, task, ahead_on_helper):
+# fills a refill alone but has no helper part to draw it: each step draws its own.
+# With refills of two 128 x 128 arrays, 7 steps go twice round the ring
+@pytest.mark.parametrize("task, ahead_on_helper, k", [
+    (_above_floor_task, True, 1), (functools.partial(_above_floor_task, 6), False, 1),
+    (_over_half_a_refill_task, True, 1),
+    (functools.partial(_above_floor_task, iterations=7), True, 2),
+], ids=["primal", "kernel", "primal-5120-values", "primal-refills-of-2"])
+def test_a_run_above_the_floor_draws_the_same_noise(
+    monkeypatch, two_lanes, task, ahead_on_helper, k
+):
     real, cfg = task()
     shape, batch_rows = (real.class_count * cfg.ipc, real.dim), real.class_count * cfg.b_per_class
+    if k > 1:
+        monkeypatch.setattr(clpdd.distill, "BLOCK_DOUBLES", k * math.prod(shape))
+    refills = math.ceil(cfg.iterations / k)
     draws = _record_augment_draws(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # the two threads trade the lock as often as they can
@@ -405,22 +413,21 @@ def test_a_run_above_the_floor_draws_the_same_noise(monkeypatch, two_lanes, task
         two, _ = run_distill(cfg, real)
     finally:
         sys.setswitchinterval(interval)
-    # step 0 draws its own noise; on the primal route each later step's is
-    # drawn by the step before, on the helper; the last step draws none ahead
+    # step 0 draws its own refill; on the primal route each later refill is
+    # drawn by the step that took the last array before it, on the helper
     caller = threading.current_thread().name
     helper = [name.startswith("clpdd-rows") for name in draws[0].threads]
-    assert len(helper) == cfg.iterations
-    assert helper == [False] + [ahead_on_helper] * (cfg.iterations - 1)
+    assert helper == [False] + [ahead_on_helper] * (refills - 1)
     assert draws[0].threads[0] == caller
     if ahead_on_helper:
         assert two_lanes.count((0, batch_rows)) == cfg.iterations  # the encode beside each solve
     ref = rng_stream(cfg.seed, "augment")
-    for _ in range(cfg.iterations):
+    for _ in range(refills * k):
         ref.standard_normal(shape)
     assert draws[0].rng.bit_generator.state == ref.bit_generator.state
     monkeypatch.setattr(clpdd.linalg, "_affinity_cpus", lambda: 1)
     one, _ = run_distill(cfg, real)
-    assert draws[1].threads == [caller] * cfg.iterations
+    assert draws[1].threads == [caller] * refills
     assert draws[1].rng.bit_generator.state == ref.bit_generator.state
     assert np.array_equal(one.inputs, two.inputs)
 
@@ -486,8 +493,8 @@ def test_the_tiny_step_draws_as_before(monkeypatch, two_lanes):
     run_distill(DistillConfig(iterations=120), train)
     block = BLOCK_DOUBLES // (5 * 16)
     assert calls == [] and two_lanes == [] and sends == []
-    assert [a.base.shape for a in arrays] == [(block, 5, 16)] * 120
-    assert len({id(a.base) for a in arrays}) == 2  # two refills
+    assert [a.base.shape for a in arrays] == [(2, block, 5, 16)] * 120
+    assert len({id(a.base) for a in arrays}) == 1  # one ring of two refills
     assert clpdd.linalg._helper is None and threading.active_count() == threads
 
 
@@ -615,8 +622,9 @@ def test_same_seed_identical_loss_sequences():
 
 
 # the linear encoder's primal route (ipc 2: N = 6 >= d = 5) sends the noise
-# stream True in every step but the last: its 6 x 5 noise draws in blocks of 2
-# when a refill holds 60 values, and keeps two arrays, drawn ahead, at 59
+# stream True in every step but the last: its 6 x 5 noise fills refills of 2
+# arrays when a refill holds 60 values, and of one at 59; at 31 steps the last
+# step's refill is drawn ahead by the step before
 @pytest.mark.parametrize(
     "objective, ipc, sigma, block_doubles, iterations, kind",
     [
@@ -627,9 +635,11 @@ def test_same_seed_identical_loss_sequences():
         ("class_anchor", 2, 0.01, BLOCK_DOUBLES, 300, "identity"),  # crosses one noise refill
         ("class_anchor", 2, 0.01, 60, 30, "linear"),
         ("class_anchor", 2, 0.01, 59, 30, "linear"),
+        ("class_anchor", 2, 0.01, 60, 31, "linear"),
     ],
     ids=["class_anchor-1-0.01-60-30", "mse-1-0.01-60-30", "class_anchor-2-0.01-60-30",
-         "mse-2-0.0-60-30", "class_anchor-2-0.01-8192-300", "linear-blocks", "linear-two-arrays"],
+         "mse-2-0.0-60-30", "class_anchor-2-0.01-8192-300", "linear-blocks", "linear-two-arrays",
+         "linear-blocks-odd-budget"],
 )
 def test_run_distill_matches_a_loop_drawing_every_step(
     monkeypatch, objective, ipc, sigma, block_doubles, iterations, kind
@@ -642,6 +652,7 @@ def test_run_distill_matches_a_loop_drawing_every_step(
         then_next(*args)
 
     monkeypatch.setattr(clpdd.distill, "_then_next", counted)
+    draws = _record_augment_draws(monkeypatch)
     train, _ = _blob_task()
     cfg = _tiny_cfg(
         iterations=iterations, ipc=ipc, augment_noise_sigma=sigma, outer_objective=objective,
@@ -649,6 +660,9 @@ def test_run_distill_matches_a_loop_drawing_every_step(
     )
     syn, curve = run_distill(cfg, train)
     assert len(sends) == (iterations - 1 if kind == "linear" else 0)
+    # the "augment" generator ends after the refills that hold the run's arrays
+    k = max(1, block_doubles // (3 * ipc * train.dim))
+    assert len(draws[0].threads) == (math.ceil(iterations / k) if sigma else 0)
     init = init_synthetic(3, ipc, train.dim, seed=stream_seed(cfg.seed, "init"))
     enc, y = cfg.build_encoder(train.dim), init.onehot_labels()
 
