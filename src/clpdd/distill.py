@@ -43,7 +43,10 @@ INIT_MODES = ("random_normal", "from_real")
 
 GRAD_NORM_LIMIT = 1e6
 # doubles drawn per refill of a run's batch or noise stream (64 KB; the noise
-# stream keeps two): small steps share one call, and memory does not grow
+# stream keeps two): small steps share one call, and memory does not grow.
+# One noise refill feeds 102 default (5 x 16) steps; an array of more than
+# 4096 values fills one alone. Drawing in refills took compare-tiny from 146
+# to 109 us per iteration (BENCH_pr8.json).
 BLOCK_DOUBLES = 1 << 13
 # what one Adam entry weighs against SPLIT_MIN_MADDS: on a 2-vCPU x86-64 host
 # with BLAS at one thread an entry took 3.8-5.7 ns, as long as 150-290 of
@@ -352,6 +355,9 @@ def meta_loss_and_grad(
     public functions, so shapes, finiteness, label range and lam, tau > 0
     are the caller's to guarantee, as `run_distill` does once per run.
     """
+    # encoding beside the solve took distill-primal-clpf from 37.9 to 34.5 ms
+    # per iteration (BENCH_pr25.json), and drawing the next refill there from
+    # 77.6 to 70.2 ms (BENCH_pr30.json)
     beside = enc.kind != "identity" and inputs.shape[0] >= enc.feature_dim
     x_syn, hidden = _encode(enc, inputs)
     if beside:

@@ -31,7 +31,8 @@ def _load_flapack(linalg_dir):
     scipy._lib's array-API layer, numpy.f2py and numpy.testing. For two
     routines that cost `import clpdd.cli` about 0.3 s (0.43-0.54 s against
     0.16-0.21 s here) and 19 MB of peak RSS (57 MB against 38 MB), on a
-    2-vCPU x86-64 host with scipy 1.17. The extension loaded here is the one
+    2-vCPU x86-64 host with scipy 1.17; compare-tiny's `setup_s` fell from
+    0.446 to 0.179 s (BENCH_pr10.json). The extension loaded here is the one
     scipy.linalg.lapack re-exports; it is single-phase-init, so a later
     `import scipy.linalg` hands out the very same routine objects.
     """
@@ -129,7 +130,9 @@ def cholesky_factor(a_spd: np.ndarray) -> CholeskyFactor:
 # The floor also keeps every product of a half above the size up to which
 # OpenBLAS takes its small-matrix kernel (M*N*K <= 100^3). Split at this floor,
 # 600 random products x @ w split by rows and 600 products x.T @ p split by
-# the rows of x.T each matched the whole product bit for bit.
+# the rows of x.T each matched the whole product bit for bit. Splitting the
+# step's blocks took distill-primal-clpf from 107 to 83 ms per iteration
+# (BENCH_pr18.json).
 SPLIT_MIN_MADDS = 1 << 22
 # The first half's row count is a multiple of this. OpenBLAS's dgemm walks the
 # rows in chunks, and the kernel that takes a chunk's ragged end can sum in
@@ -274,7 +277,10 @@ def _blas_threads() -> int:
 def one_blas_thread() -> None:
     """Run every loaded OpenBLAS at one thread per call, through the setter
     beside each getter that `_openblas_libs` found. With more threads a
-    product's bits depend on the thread count, and the row halves stay whole."""
+    product's bits depend on the thread count, and the row halves stay whole.
+    BLAS threads cost more than they give here: on two cores the thread count
+    moved step time by up to 5x, and the primal step ran at 160-188 ms with
+    two BLAS threads against 80-89 ms with one and two lanes (BENCH_pr18.json)."""
     import ctypes
 
     for lib, getter in _openblas_libs():

@@ -137,8 +137,8 @@ def solve_backward(sol: ProbeSolution, x: np.ndarray, g: np.ndarray) -> np.ndarr
     """Gradient of L = <g, W*(X)> with respect to X, reusing the cached factor.
 
     With S = (K + lam*I)^{-1} and P = S Y the kernel-route gradient is
-    P g^T - (S X g) (P^T X) - P ((S X g)^T X); S is only ever applied through
-    solves against the stored factorization, never formed.
+    P g^T - (S X g) W*^T - P ((S X g)^T X), since P^T X = W*^T; S is only ever
+    applied through solves against the stored factorization, never formed.
     """
     if x.shape[0] != sol.n:
         raise DimensionError(f"x has {x.shape[0]} rows but solution has {sol.n}")
@@ -152,7 +152,7 @@ def _solve_backward(sol: ProbeSolution, x: np.ndarray, g: np.ndarray) -> np.ndar
     p = sol.p
     if sol.mode == "kernel":
         u = sol.factor.solve(x @ g)  # S X g, one extra N x C solve
-        return p @ g.T - u @ (p.T @ x) - p @ (u.T @ x)
+        return p @ g.T - u @ sol.w_star.T - p @ (u.T @ x)
     # primal route: W* = H^{-1} X^T Y with H = X^T X + lam*I, so with
     # g~ = H^{-1} g the gradient is (Y - X W*) g~^T - X g~ W*^T, and
     # Y - X W* = lam * P. Grouped as (X g~) W*^T the last term costs 2NdC

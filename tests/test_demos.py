@@ -1,7 +1,9 @@
 """Each demo script runs to completion against the package in this checkout."""
 
+import importlib
 import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -45,3 +47,23 @@ def test_every_public_function_has_a_caller_outside_the_tests():
         and not re.search(rf"\b{name}\(", text)
     ]
     assert uncalled == []
+
+
+def test_readme_names_only_constants_bench_files_and_anchors_that_exist():
+    # the README names each speed rule's constant and cites the BENCH file
+    # behind each figure; a renamed constant or a dropped file leaves it stale
+    text = (ROOT / "README.md").read_text()
+    modules = [
+        importlib.import_module(f"clpdd.{info.name}") for info in pkgutil.iter_modules(clpdd.__path__)
+    ]
+    section = text.split("\n## How a step runs\n")[1].split("\n## ")[0]
+    constants = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", section))
+    assert constants, "no constant named in How a step runs"
+    assert sorted(c for c in constants if not any(hasattr(m, c) for m in modules)) == []
+    benches = set(re.findall(r"\bBENCH_\w+\.json\b", text))
+    assert sorted(b for b in benches if not (ROOT / b).is_file()) == []
+    slugs = {
+        re.sub(r"[^\w\- ]", "", h.strip().lower()).replace(" ", "-")
+        for h in re.findall(r"^#+ (.+)$", text, flags=re.MULTILINE)
+    }
+    assert sorted(set(re.findall(r"\]\(#([^)]+)\)", text)) - slugs) == []

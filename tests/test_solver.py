@@ -294,6 +294,24 @@ def test_backward_matches_finite_differences_on_both_routes(problem):
     assert max_rel_err(analytic, fd) <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "n, d, c", [(5, 16, 5), (20, 64, 20), (40, 64, 20), (100, 128, 100), (100, 512, 100)]
+)
+def test_kernel_backward_matches_the_three_product_formula_bitwise(n, d, c):
+    # the kernel route writes P^T X as W*^T, which x.T @ p computed, and
+    # keeps the bytes of the formula that forms P^T X again
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((n, d))
+    y, _ = random_onehot(rng, n, c)
+    g = rng.standard_normal((d, c))
+    sol = ridge_kernel(x, y, 0.1)
+    assert sol.mode == "kernel"
+    p = sol.p
+    u = sol.factor.solve(x @ g)
+    want = p @ g.T - u @ (p.T @ x) - p @ (u.T @ x)
+    assert solve_backward(sol, x, g).tobytes() == want.tobytes()
+
+
 def test_backward_shape_mismatch():
     rng = np.random.default_rng(15)
     x = rng.standard_normal((3, 5))
