@@ -375,6 +375,8 @@ def meta_loss_and_grad(
         loss, g = _mse_outer_loss_and_grad(feats, labels, sol.w_star)
     else:
         raise ValueError(f"unknown outer objective {objective!r}")
+    # on the primal route the gradient comes as its factors (U, V), which the
+    # VJP applies without forming it where that costs fewer multiply-adds
     grad_x = _solve_backward(sol, x_syn, g)
     return loss, _encode_vjp(enc, inputs, grad_x, hidden)
 

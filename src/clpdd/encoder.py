@@ -10,7 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, NonFiniteError, check_at_least, run_row_halves
+from .linalg import (
+    DimensionError,
+    NonFiniteError,
+    check_at_least,
+    low_rank_product,
+    run_row_halves,
+)
 
 # each kind's weights, in the order `Encoder.weights` holds them
 _WEIGHT_NAMES = {"identity": (), "linear": ("w", "b"), "mlp1": ("w1", "b1", "w2", "b2")}
@@ -166,29 +172,56 @@ def encode_vjp(enc: Encoder, inputs: np.ndarray, upstream: np.ndarray) -> np.nda
 
 
 def _encode_vjp(
-    enc: Encoder, inputs: np.ndarray, upstream: np.ndarray, hidden: np.ndarray | None
+    enc: Encoder, inputs: np.ndarray, upstream, hidden: np.ndarray | None
 ) -> np.ndarray:
     """`encode_vjp` on arguments already checked; for mlp1, `hidden` is the
     activation `_encode` returned at `inputs`, or None to recompute it. It is
-    read, never modified."""
+    read, never modified. `upstream` is the n x feature_dim array, or a pair
+    (U, V) of an n x r and a feature_dim x r array that stands for U V^T, as
+    `solver._solve_backward` returns it on the primal route. Where
+    `_applies_factored` holds, the pair goes through the weight W next to the
+    features as U (W V)^T, with W V a row block of its own; else U V^T is
+    expanded first."""
+    if isinstance(upstream, tuple) and not _applies_factored(enc, *upstream[0].shape):
+        upstream = low_rank_product(*upstream)
     if enc.kind == "identity":
         return upstream
-    out = np.empty((upstream.shape[0], enc.input_dim))
+    # the first product is a @ b.T: the upstream times W^T, or U (W V)^T
+    w = enc.weights[0 if enc.kind == "linear" else 2]
+    if isinstance(upstream, tuple):
+        a, v = upstream
+        b = np.empty((w.shape[0], v.shape[1]))
+        run_row_halves(lambda w_rows, o: np.matmul(w_rows, v, o), v.size, w, b)
+    else:
+        a, b = upstream, w
+    out = np.empty((a.shape[0], enc.input_dim))
     if enc.kind == "linear":
-        w, _ = enc.weights
-        run_row_halves(lambda u, o: np.matmul(u, w.T, o), w.size, upstream, out)
+        run_row_halves(lambda a_rows, o: np.matmul(a_rows, b.T, o), b.size, a, out)
         return out
-    w1, b1, w2, _ = enc.weights
+    w1, b1, _, _ = enc.weights
     if hidden is None:
         hidden = np.tanh(inputs @ w1 + b1)
 
-    def rows(h, u, slope, dh, o):
+    def rows(h, a_rows, slope, dh, o):
         np.multiply(h, h, slope)
         np.subtract(1.0, slope, slope)  # tanh' = 1 - tanh^2
-        np.matmul(u, w2.T, dh)
+        np.matmul(a_rows, b.T, dh)
         dh *= slope
         np.matmul(dh, w1.T, o)
 
     slope, dh = np.empty((2, *hidden.shape))
-    run_row_halves(rows, min(w1.size, w2.size), hidden, upstream, slope, dh, out)
+    run_row_halves(rows, min(w1.size, b.size), hidden, a, slope, dh, out)
     return out
+
+
+def _applies_factored(enc: Encoder, n: int, rank: int) -> bool:
+    """Whether `_encode_vjp` applies an upstream U V^T, with U n x rank, in
+    factored form. With W the k x f weight next to the features (linear's w,
+    mlp1's w2), U (W V)^T costs k f r + n r k multiply-adds, and expanding
+    U V^T and multiplying it by W^T costs n f r + n f k; the pair stays
+    factored where that is fewer. For k = f that is where n > r. Identity has
+    no weight: it always expands."""
+    if enc.kind == "identity":
+        return False
+    k, f = enc.weights[0 if enc.kind == "linear" else 2].shape
+    return k * f * rank + n * rank * k < n * f * rank + n * f * k

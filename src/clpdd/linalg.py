@@ -7,7 +7,8 @@ explicit matrix inverses are never formed. A row-wise block is a function
 `part(*arrays)` of the arrays whose rows it computes; `run_row_halves` hands
 it the first rows of each array on a second CPU and the rest in the caller
 when that pays and changes no bits, and `run_beside` runs it whole on the
-second CPU while the caller does other work. Only these two cut rows.
+second CPU while the caller does other work. Only these two cut rows;
+`low_rank_product` expands a factored U V^T through the first.
 """
 
 import functools
@@ -202,6 +203,14 @@ def run_beside(part, row_madds: int, work, *arrays):
         part(*arrays)
         return result
     return _with_helper(part, arrays, work)
+
+
+def low_rank_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """U V^T of an n x r `u` and an m x r `v`, row by row through
+    `run_row_halves`."""
+    out = np.empty((u.shape[0], v.shape[0]))
+    run_row_halves(lambda u_rows, o: np.matmul(u_rows, v.T, o), v.size, u, out)
+    return out
 
 
 def _no_second_lane() -> bool:

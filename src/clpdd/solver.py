@@ -10,7 +10,10 @@ routes are provided:
 
 `ridge_kernel` picks the cheaper route, caches the Cholesky factorization in
 the returned ProbeSolution, and `solve_backward` reuses that factorization to
-push an upstream gradient dL/dW* back to dL/dX in closed form. A plain
+push an upstream gradient dL/dW* back to dL/dX in closed form. On the primal
+route that gradient has rank at most 2C, and the step's core
+`_solve_backward` hands it on as two thin factors U (N x 2C) and V (d x 2C),
+which the encoder VJP can apply without forming the N x d product. A plain
 unrolled gradient-descent reference (`gd_steady_state`) converges to the same
 W* for any step size below `stable_step_bound` and is kept as a cross-check.
 """
@@ -25,6 +28,7 @@ from .linalg import (
     NonFiniteError,
     check_positive,
     cholesky_factor,
+    low_rank_product,
     run_row_halves,
 )
 
@@ -139,37 +143,44 @@ def solve_backward(sol: ProbeSolution, x: np.ndarray, g: np.ndarray) -> np.ndarr
     With S = (K + lam*I)^{-1} and P = S Y the kernel-route gradient is
     P g^T - (S X g) W*^T - P ((S X g)^T X), since P^T X = W*^T; S is only ever
     applied through solves against the stored factorization, never formed.
+    On the primal route, with H = X^T X + lam*I and g~ = H^{-1} g, it is
+    lam P g~^T - (X g~) W*^T = U V^T, where U = [lam P, -X g~] and
+    V = [g~, W*]; this returns that product.
     """
     if x.shape[0] != sol.n:
         raise DimensionError(f"x has {x.shape[0]} rows but solution has {sol.n}")
     if g.shape != sol.w_star.shape:
         raise DimensionError(f"g must be {sol.w_star.shape}, got {g.shape}")
-    return _solve_backward(sol, x, g)
+    grad = _solve_backward(sol, x, g)
+    return low_rank_product(*grad) if sol.mode == "primal" else grad
 
 
-def _solve_backward(sol: ProbeSolution, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """`solve_backward` on arguments already checked."""
+def _solve_backward(sol: ProbeSolution, x: np.ndarray, g: np.ndarray):
+    """`solve_backward` on arguments already checked: the N x d gradient on
+    the kernel route, and on the primal route its factors (U, V), N x 2C and
+    d x 2C, whose product U V^T is the gradient."""
     p = sol.p
     if sol.mode == "kernel":
         u = sol.factor.solve(x @ g)  # S X g, one extra N x C solve
         return p @ g.T - u @ sol.w_star.T - p @ (u.T @ x)
     # primal route: W* = H^{-1} X^T Y with H = X^T X + lam*I, so with
     # g~ = H^{-1} g the gradient is (Y - X W*) g~^T - X g~ W*^T, and
-    # Y - X W* = lam * P. Grouped as (X g~) W*^T the last term costs 2NdC
-    # multiply-adds; X (g~ W*^T) would cost d^2 C + N d^2, far more when C << d.
-    # Each row of the gradient needs only its own rows of P and X, so after the
-    # one solve the rest runs through `run_row_halves`.
+    # Y - X W* = lam * P. It has rank at most 2C: its factors cost the NdC
+    # multiply-adds of X g~, and expanding them 2NdC more, so they are handed
+    # on and the encoder VJP expands them only where that costs less. Each
+    # row of U needs only its own rows of P and X, so after the one solve U
+    # is built through `run_row_halves`; X (-g~) is -(X g~) bit for bit.
     g_tilde = sol.factor.solve(g)
+    c = g.shape[1]
+    minus_g_tilde = -g_tilde
 
-    def rows(p_rows, x_rows, grad, xg, xgw):
-        np.matmul(p_rows, g_tilde.T, grad)
-        grad *= sol.lam
-        np.matmul(x_rows, g_tilde, xg)
-        grad -= np.matmul(xg, sol.w_star.T, xgw)
+    def rows(p_rows, x_rows, u_rows):
+        np.multiply(p_rows, sol.lam, u_rows[:, :c])
+        np.matmul(x_rows, minus_g_tilde, u_rows[:, c:])
 
-    grad = np.empty(x.shape)
-    run_row_halves(rows, g.size, p, x, grad, np.empty(p.shape), np.empty(x.shape))
-    return grad
+    u = np.empty((x.shape[0], 2 * c))
+    run_row_halves(rows, g.size, p, x, u)
+    return u, np.concatenate((g_tilde, sol.w_star), axis=1)
 
 
 def gd_steady_state(
