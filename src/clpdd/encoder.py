@@ -187,7 +187,7 @@ def _encode_vjp(
     if enc.kind == "identity":
         return upstream
     # the first product is a @ b.T: the upstream times W^T, or U (W V)^T
-    w = enc.weights[0 if enc.kind == "linear" else 2]
+    w = _feature_weight(enc)
     if isinstance(upstream, tuple):
         a, v = upstream
         b = np.empty((w.shape[0], v.shape[1]))
@@ -223,5 +223,10 @@ def _applies_factored(enc: Encoder, n: int, rank: int) -> bool:
     no weight: it always expands."""
     if enc.kind == "identity":
         return False
-    k, f = enc.weights[0 if enc.kind == "linear" else 2].shape
+    k, f = _feature_weight(enc).shape
     return k * f * rank + n * rank * k < n * f * rank + n * f * k
+
+
+def _feature_weight(enc: Encoder) -> np.ndarray:
+    """The weight next to the features: linear's w, mlp1's w2."""
+    return enc.weights[0 if enc.kind == "linear" else 2]
