@@ -376,7 +376,7 @@ def meta_loss_and_grad(
     else:
         raise ValueError(f"unknown outer objective {objective!r}")
     # on the primal route the gradient comes as its factors (U, V), which the
-    # VJP applies without forming it where that costs fewer multiply-adds
+    # VJP applies without forming it
     grad_x = _solve_backward(sol, x_syn, g)
     return loss, _encode_vjp(enc, inputs, grad_x, hidden)
 

@@ -178,16 +178,16 @@ def _encode_vjp(
     activation `_encode` returned at `inputs`, or None to recompute it. It is
     read, never modified. `upstream` is the n x feature_dim array, or a pair
     (U, V) of an n x r and a feature_dim x r array that stands for U V^T, as
-    `solver._solve_backward` returns it on the primal route. Where
-    `_applies_factored` holds, the pair goes through the weight W next to the
-    features as U (W V)^T, with W V a row block of its own; else U V^T is
-    expanded first."""
-    if isinstance(upstream, tuple) and not _applies_factored(enc, *upstream[0].shape):
-        upstream = low_rank_product(*upstream)
+    `solver._solve_backward` returns it on the primal route. Identity expands
+    the pair; linear and mlp1 take it through the weight W next to the
+    features as U (W V)^T, with W V a row block of its own."""
     if enc.kind == "identity":
-        return upstream
-    # the first product is a @ b.T: the upstream times W^T, or U (W V)^T
-    w = _feature_weight(enc)
+        return low_rank_product(*upstream) if isinstance(upstream, tuple) else upstream
+    # the first product is a @ b.T: the upstream times W^T, or U (W V)^T.
+    # With W k x f, the pair costs k f r + n r k multiply-adds where expanding
+    # U V^T first costs n f r + n f k; on the primal route n >= f and r = 2C,
+    # so for k = f the pair costs no more wherever n >= 2C
+    w = enc.weights[0 if enc.kind == "linear" else 2]
     if isinstance(upstream, tuple):
         a, v = upstream
         b = np.empty((w.shape[0], v.shape[1]))
@@ -212,21 +212,3 @@ def _encode_vjp(
     slope, dh = np.empty((2, *hidden.shape))
     run_row_halves(rows, min(w1.size, b.size), hidden, a, slope, dh, out)
     return out
-
-
-def _applies_factored(enc: Encoder, n: int, rank: int) -> bool:
-    """Whether `_encode_vjp` applies an upstream U V^T, with U n x rank, in
-    factored form. With W the k x f weight next to the features (linear's w,
-    mlp1's w2), U (W V)^T costs k f r + n r k multiply-adds, and expanding
-    U V^T and multiplying it by W^T costs n f r + n f k; the pair stays
-    factored where that is fewer. For k = f that is where n > r. Identity has
-    no weight: it always expands."""
-    if enc.kind == "identity":
-        return False
-    k, f = _feature_weight(enc).shape
-    return k * f * rank + n * rank * k < n * f * rank + n * f * k
-
-
-def _feature_weight(enc: Encoder) -> np.ndarray:
-    """The weight next to the features: linear's w, mlp1's w2."""
-    return enc.weights[0 if enc.kind == "linear" else 2]

@@ -7,12 +7,10 @@ kept as the ablation counterpart. Both take the real rows' integer class ids
 and come with exact gradients with respect to the probe.
 """
 
-import functools
-
 import numpy as np
 
 from .data import _check_label_range
-from .linalg import SPLIT_MIN_MADDS, DimensionError, check_positive, run_row_halves, split_row
+from .linalg import DimensionError, check_positive
 
 
 def _check_batch_w(x: np.ndarray, labels: np.ndarray, w_star: np.ndarray):
@@ -59,59 +57,14 @@ def class_anchor_loss_and_grad(
 def _class_anchor_loss_and_grad(
     x: np.ndarray, labels: np.ndarray, w_star: np.ndarray, tau: float
 ) -> tuple[float, np.ndarray]:
-    """`class_anchor_loss_and_grad` on arguments already checked, in the row
-    blocks `_loss_splits` describes."""
-    m, c = x.shape[0], w_star.shape[1]
-    if _loss_splits(x, c):
-        p, terms = np.empty((m, c)), np.empty(m)
-        anchor_rows = functools.partial(_anchor_rows, w_star, tau)
-        run_row_halves(anchor_rows, w_star.size, x, labels, p, terms)
-        g = np.empty(w_star.shape)
-        run_row_halves(functools.partial(_weight_rows, p, m * tau), m * c, x.T, g)
-    else:
-        p, terms = _anchor_rows(w_star, tau, x, labels)
-        g = _weight_rows(p, m * tau, x.T)
-    return float(np.add.reduce(terms) / m), g
-
-
-def _loss_splits(x: np.ndarray, c: int) -> bool:
-    """Whether an outer loss over the batch `x` with `c` classes runs in
-    halves. Like the trained probe's step, the loss runs as two row blocks:
-    one over the batch's rows that writes their residual P (softmax(Z) - T,
-    or X W* - T), then X^T P over the rows of X^T. Where either block
-    splits, both go through `run_row_halves`. Below that floor both run
-    whole in the caller and numpy allocates their outputs, so a 5 x 16 step
-    adds only this test to its work. Every row of either block is computed
-    as the whole call computes it, so the loss and gradient hold the same
-    bytes either way."""
-    m, f = x.shape
-    # a half holds at most half of a block's m f c multiply-adds, so a small
-    # batch is told apart with one product
-    return m * f * c >= 2 * SPLIT_MIN_MADDS and bool(split_row(m, f * c) or split_row(f, m * c))
-
-
-def _anchor_rows(w_star, tau, x, labels, p=None, terms=None):
-    """The class-anchor loss on the rows it is handed of the batch `x` and
-    their `labels`: (softmax(Z) - T, each row's loss), from one set of
-    logits Z computed in `p`, written into `p` and `terms` (new arrays where
-    they are None)."""
-    rows = np.arange(x.shape[0])
-    z = np.matmul(x, w_star, p)
-    z /= tau
-    _shifted_logits(z, z)
-    picked = z[rows, labels]
-    _, row_sums = _softmax_rows(z, z)
-    terms = np.log(row_sums[:, 0], terms)
-    terms -= picked
-    z[rows, labels] -= 1.0
-    return z, terms
-
-
-def _weight_rows(p, scale, x_t, g=None):
-    # the rows of X^T P / scale that the rows `x_t` of X^T give, into `g`
-    g = np.matmul(x_t, p, g)
-    g /= scale
-    return g
+    """`class_anchor_loss_and_grad` on arguments already checked."""
+    m = x.shape[0]
+    rows = np.arange(m)
+    z = _shifted_logits((x @ w_star) / tau)
+    p, row_sums = _softmax_rows(z)
+    loss = float(np.add.reduce(np.log(row_sums[:, 0]) - z[rows, labels]) / m)
+    p[rows, labels] -= 1.0
+    return loss, x.T @ p / (m * tau)
 
 
 def mse_outer_loss_and_grad(
@@ -126,23 +79,8 @@ def mse_outer_loss_and_grad(
 def _mse_outer_loss_and_grad(
     x: np.ndarray, labels: np.ndarray, w_star: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """`mse_outer_loss_and_grad` on arguments already checked, in the row
-    blocks `_loss_splits` describes."""
-    m, c = x.shape[0], w_star.shape[1]
-    if _loss_splits(x, c):
-        r = np.empty((m, c))
-        run_row_halves(functools.partial(_mse_rows, w_star), w_star.size, x, labels, r)
-        g = np.empty(w_star.shape)
-        run_row_halves(functools.partial(_weight_rows, r, m), m * c, x.T, g)
-    else:
-        r = _mse_rows(w_star, x, labels)
-        g = _weight_rows(r, m, x.T)
-    return float(0.5 * np.sum(r * r) / m), g
-
-
-def _mse_rows(w_star, x, labels, r=None):
-    # the residual X W* - T of the rows it is handed, into `r` (a new array
-    # where it is None)
-    r = np.matmul(x, w_star, r)
-    r[np.arange(x.shape[0]), labels] -= 1.0
-    return r
+    """`mse_outer_loss_and_grad` on arguments already checked."""
+    m = x.shape[0]
+    r = x @ w_star
+    r[np.arange(m), labels] -= 1.0
+    return float(0.5 * np.sum(r * r) / m), x.T @ r / m

@@ -13,7 +13,7 @@ the returned ProbeSolution, and `solve_backward` reuses that factorization to
 push an upstream gradient dL/dW* back to dL/dX in closed form. On the primal
 route that gradient has rank at most 2C, and the step's core
 `_solve_backward` hands it on as two thin factors U (N x 2C) and V (d x 2C),
-which the encoder VJP can apply without forming the N x d product. A plain
+which the encoder VJP applies without forming the N x d product. A plain
 unrolled gradient-descent reference (`gd_steady_state`) converges to the same
 W* for any step size below `stable_step_bound` and is kept as a cross-check.
 """
@@ -167,7 +167,7 @@ def _solve_backward(sol: ProbeSolution, x: np.ndarray, g: np.ndarray):
     # g~ = H^{-1} g the gradient is (Y - X W*) g~^T - X g~ W*^T, and
     # Y - X W* = lam * P. It has rank at most 2C: its factors cost the NdC
     # multiply-adds of X g~, and expanding them 2NdC more, so they are handed
-    # on and the encoder VJP expands them only where that costs less. Each
+    # on and only the identity encoder's VJP expands them. Each
     # row of U needs only its own rows of P and X, so after the one solve U
     # is built through `run_row_halves`; X (-g~) is -(X g~) bit for bit.
     g_tilde = sol.factor.solve(g)

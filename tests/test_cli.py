@@ -165,29 +165,31 @@ def test_gradcheck_primal_pipeline_takes_primal_route(monkeypatch):
     import clpdd.encoder
     from clpdd import gradcheck
 
-    solves = []
+    solves, shapes = [], []
 
     def recording_solve(x, y, lam):
         sol = ridge_kernel(x, y, lam)
         solves.append((sol.mode, x.shape[0] // y.shape[1]))
+        shapes.append((x.shape[0], 2 * y.shape[1]))
         return sol
 
-    applies_factored, factored = clpdd.encoder._applies_factored, []
+    upstreams, expanded = [], []
 
-    def recording_rule(enc, n, rank):
-        factored.append(applies_factored(enc, n, rank))
-        return factored[-1]
+    def recording_vjp(enc, inputs, upstream, hidden):
+        upstreams.append(upstream)
+        return clpdd.encoder._encode_vjp(enc, inputs, upstream, hidden)
 
     # meta_loss_and_grad solves through the unchecked core on every route,
     # beside the real batch's encode or before it
     monkeypatch.setattr(clpdd.distill, "_ridge_kernel", recording_solve)
-    monkeypatch.setattr(clpdd.encoder, "_applies_factored", recording_rule)
+    monkeypatch.setattr(clpdd.distill, "_encode_vjp", recording_vjp)
+    monkeypatch.setattr(clpdd.encoder, "low_rank_product", lambda *pair: expanded.append(pair))
     for i in range(10):
         gradcheck._CHECKS["pipeline_primal"](np.random.default_rng(i))
     assert solves and all(mode == "primal" and ipc > 1 for mode, ipc in solves)
-    # the VJP takes every primal gradient as its factors U, V of rank 2C; at
-    # ipc 3, N > 2C, some instances keep them factored
-    assert len(factored) == len(solves) and any(factored) and not all(factored)
+    # the mlp1 VJP takes every primal gradient as its factors U, V of rank 2C
+    # and never expands them
+    assert [u[0].shape for u in upstreams] == shapes and not expanded
 
 
 def test_distill_writes_artifacts(tmp_path):
@@ -555,14 +557,13 @@ def test_import_and_default_compare_start_no_thread(tmp_path):
     assert proc.stdout.splitlines()[-1] == "(False, 1) 0 (False, 1)"
 
 
-# the helper's rows in a primal-route run at N = 2C = 400, where the VJP
-# expands the backward's factors: each of 3 steps splits the synthetic encode,
-# the primal p, U and U V^T, the VJP and Adam at row 192 and the outer loss's
-# batch block at row 384 and weight block at row 96, and encodes its 800-row
-# real batch whole beside the solve; then the final probe's features are
-# encoded (the synthetic set at row 192, the eval split at row 96), and the
-# first batch of each of its 2 epochs splits both blocks at row 96
-PRIMAL_HELPER_ROWS = {(0, 96): 8, (0, 192): 19, (0, 384): 3, (0, 800): 3}
+# the helper's rows in a primal-route run: each of 3 steps splits the
+# synthetic encode, the primal p and the backward's U, the VJP and Adam at
+# row 192 and the VJP's W V over the 256 rows of W at row 96, and encodes its
+# 800-row real batch whole beside the solve; then the final probe's features
+# are encoded (the synthetic set at row 192, the eval split at row 96), and
+# the first batch of each of its 2 epochs splits both blocks at row 96
+PRIMAL_HELPER_ROWS = {(0, 96): 8, (0, 192): 16, (0, 800): 3}
 # blobs without the per-class rotation: the same shapes, drawn without 200 QRs
 ISOTROPIC = {"blob_anisotropic": False}
 
@@ -570,19 +571,13 @@ ISOTROPIC = {"blob_anisotropic": False}
 @pytest.mark.parametrize("sets, helper_rows", [
     ({}, PRIMAL_HELPER_ROWS),
     # ipc 1: N = 200 < d takes the kernel route, where each step encodes its
-    # real batch in halves in the caller, split at row 384 like the loss's
-    # batch block, and its Adam and the probe's weight block are too small
-    # to split
-    ({"ipc": 1, **ISOTROPIC}, {(0, 96): 13, (0, 384): 6}),
-    # ipc 3: N = 600 > 2C keeps the factors, so each step splits w2 V at
-    # row 96 and U (w2 V)^T, with the other 600-row blocks, at row 288; the
-    # probe's first two batches of each epoch split both blocks at row 96
-    ({"ipc": 3, **ISOTROPIC}, {(0, 96): 15, (0, 288): 16, (0, 384): 3, (0, 800): 3}),
+    # real batch in halves in the caller, split at row 384, and its Adam and
+    # the probe's weight block are too small to split
+    ({"ipc": 1, **ISOTROPIC}, {(0, 96): 10, (0, 384): 3}),
     ({"encoder": "linear", **ISOTROPIC}, PRIMAL_HELPER_ROWS),
     ({"outer_objective": "mse", **ISOTROPIC}, PRIMAL_HELPER_ROWS),
     ({"init": "from_real", **ISOTROPIC}, PRIMAL_HELPER_ROWS),
-], ids=["mlp1-primal", "mlp1-kernel", "mlp1-primal-factored", "linear-primal", "mse",
-        "from-real"])
+], ids=["mlp1-primal", "mlp1-kernel", "linear-primal", "mse", "from-real"])
 def test_distill_writes_the_same_bytes_on_one_lane_or_two(tmp_path, monkeypatch, two_lanes,
                                                            sets, helper_rows):
     # 400 synthetic rows of 256 dims at ipc 2 take the primal route

@@ -574,10 +574,8 @@ def _public_chain(inputs, y, enc, x_real, labels, lam, tau, objective):
     pytest.param(3, 6, 5, 1, "kernel", id="1-kernel"),
     pytest.param(3, 6, 5, 4, "primal", id="4-primal"),
     # 400 rows >= d: the encoder, its VJP and the primal backward each clear
-    # SPLIT_MIN_MADDS, so they run on two lanes; at N = 2C the VJP expands
-    # the backward's factors, and at 600 rows it keeps them
+    # SPLIT_MIN_MADDS, so they run on two lanes
     pytest.param(200, 256, 256, 2, "primal", id="2-primal-two-lanes"),
-    pytest.param(200, 256, 256, 3, "primal", id="3-primal-factored-two-lanes"),
 ])
 @pytest.mark.parametrize("objective", OUTER_OBJECTIVES)
 @pytest.mark.parametrize("kind", ENCODER_KINDS)
@@ -585,10 +583,9 @@ def test_meta_loss_cores_match_the_public_chain(request, monkeypatch, kind, obje
                                                  hidden, ipc, mode):
     # the step runs unchecked cores; they must compute the same loss bits as
     # the checked functions a library caller sees, and the same bits as one
-    # lane does. On the kernel route the gradient holds the same bits too; on
-    # the primal route the step may apply the backward's factors U, V through
-    # the encoder where the public chain applies their product U V^T, which
-    # moves last bits
+    # lane does. The gradient holds the same bits too, but where linear and
+    # mlp1 take the primal backward's factors U, V through the encoder: the
+    # public chain applies their product U V^T, which moves last bits
     two_lanes = request.getfixturevalue("two_lanes") if c * ipc >= 400 else None
     rng = np.random.default_rng(21)
     enc = make_encoder(kind, d, d, hidden_dim=hidden, seed=9)
@@ -601,28 +598,23 @@ def test_meta_loss_cores_match_the_public_chain(request, monkeypatch, kind, obje
     )
     assert ref_mode == mode
     assert loss == ref_loss
-    if mode == "kernel":
+    if mode == "kernel" or kind == "identity":
         assert np.array_equal(grad, ref_grad)
     else:
         assert max_rel_err(grad, ref_grad) <= 1e-12
     if two_lanes is not None:
-        # the helper's rows of each split block: per chain, the primal p, the
-        # outer loss's batch block (800 rows, split at row 384) and weight
-        # block (256 rows of X^T, at row 96), the backward's U and its
-        # expansion U V^T, each split at row 192 or, at 600 rows, 288. The
-        # step's VJP keeps the factors at 600 rows: it splits the 256 rows
-        # of W V (linear's w, mlp1's w2) at row 96 in place of the expansion. For linear and mlp1
-        # the synthetic encode and the VJP split too; the step encodes the
-        # real batch's 800 rows whole beside the solve, and the public chain
+        # the helper's rows of each split block: per chain, the primal p and
+        # the backward's U, each split at row 192; identity, and the public
+        # chain, expand U V^T there too. For linear and mlp1 the synthetic
+        # encode and the VJP split at row 192, and the step's VJP splits the
+        # 256 rows of W V (linear's w, mlp1's w2) at row 96. The step encodes
+        # the real batch's 800 rows whole beside the solve; the public chain
         # splits them at row 384.
-        h = 192 if ipc == 2 else 288
-        loss_rows = [(0, 384), (0, 96)]
-        expand = [(0, h)] if ipc == 2 or kind == "identity" else [(0, 96)]
         if kind == "identity":
-            assert two_lanes == ([(0, h)] + loss_rows + [(0, h), (0, h)]) * 2
+            assert two_lanes == [(0, 192)] * 6
         else:
-            step = [(0, h), (0, 800), (0, h), *loss_rows, (0, h), *expand, (0, h)]
-            public = [(0, h), (0, h), (0, 384), *loss_rows, (0, h), (0, h), (0, h)]
+            step = [(0, 192), (0, 800), (0, 192), (0, 192), (0, 96), (0, 192)]
+            public = [(0, 192), (0, 192), (0, 384), (0, 192), (0, 192), (0, 192)]
             assert two_lanes == step + public
         monkeypatch.setattr(clpdd.linalg, "_affinity_cpus", lambda: 1)
         one_lane = meta_loss_and_grad(inputs, y, enc, x_real, labels, 0.1, 0.07, objective)

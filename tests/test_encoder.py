@@ -4,7 +4,6 @@ import pytest
 from clpdd.encoder import (
     ENCODER_KINDS,
     Encoder,
-    _applies_factored,
     _encode,
     _encode_vjp,
     encode,
@@ -120,23 +119,22 @@ def test_vjp_reuses_stored_hidden_bitwise():
     assert np.array_equal(reused, mlp1_vjp_ref(enc.weights, x, u))
 
 
-# (n, d, hidden, c, factored): n x d encoded inputs of c classes take the
-# primal solve, whose gradient U V^T has rank 2c. With the weight next to the
-# features k x d (k = d for linear, the hidden width for mlp1), the VJP keeps
-# the pair where k d 2c + n 2c k < n d 2c + n d k, which for k = d is n > 2c;
-# `factored` says where linear and mlp1 keep it. The last case's blocks clear
-# SPLIT_MIN_MADDS and run on two lanes.
+# (n, d, hidden, c): n x d encoded inputs of c classes take the primal solve,
+# whose gradient U V^T has rank 2c, with n above, at and below 2c, and a
+# hidden layer wider than d. The last case's blocks clear SPLIT_MIN_MADDS and
+# run on two lanes.
 FACTOR_CASES = [
-    pytest.param(12, 6, 6, 3, {"linear", "mlp1"}, id="n-over-2c"),
-    pytest.param(8, 6, 6, 4, set(), id="n-at-2c"),
-    pytest.param(12, 4, 10, 3, {"linear"}, id="wide-hidden"),
-    pytest.param(600, 256, 256, 200, {"linear", "mlp1"}, id="600x256-two-lanes"),
+    pytest.param(12, 6, 6, 3, id="n-over-2c"),
+    pytest.param(8, 6, 6, 4, id="n-at-2c"),
+    pytest.param(6, 4, 4, 6, id="n-under-2c"),
+    pytest.param(12, 4, 10, 3, id="wide-hidden"),
+    pytest.param(600, 256, 256, 200, id="600x256-two-lanes"),
 ]
 
 
-@pytest.mark.parametrize("n, d, hidden, c, factored", FACTOR_CASES)
+@pytest.mark.parametrize("n, d, hidden, c", FACTOR_CASES)
 @pytest.mark.parametrize("kind", ENCODER_KINDS)
-def test_factored_vjp_matches_the_dense_chain(request, kind, n, d, hidden, c, factored):
+def test_factored_vjp_matches_the_dense_chain(request, kind, n, d, hidden, c):
     two_lanes = request.getfixturevalue("two_lanes") if n >= 600 else None
     rng = np.random.default_rng(n + d)
     enc = make_encoder(kind, d, d, hidden_dim=hidden, seed=7)
@@ -151,7 +149,6 @@ def test_factored_vjp_matches_the_dense_chain(request, kind, n, d, hidden, c, fa
     u, v = _solve_backward(sol, x, g)
     assert u.shape == (n, 2 * c) and v.shape == (d, 2 * c)
     assert max_rel_err(u @ v.T, dense) <= 1e-12
-    assert _applies_factored(enc, n, 2 * c) == (kind in factored)
     got = _encode_vjp(enc, inputs, (u, v), hidden_act)
     assert max_rel_err(got, encode_vjp(enc, inputs, dense)) <= 1e-12
     if two_lanes is not None:

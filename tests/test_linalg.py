@@ -14,7 +14,6 @@ import clpdd.distill
 import clpdd.encoder
 import clpdd.evaluation
 import clpdd.linalg
-import clpdd.objective
 import clpdd.solver
 from clpdd.data import Dataset
 from clpdd.distill import DistillConfig, run_distill
@@ -29,7 +28,6 @@ from clpdd.linalg import (
     run_beside,
     run_row_halves,
 )
-from clpdd.objective import class_anchor_loss_and_grad, mse_outer_loss_and_grad
 from clpdd.solver import ridge_kernel, solve_backward
 
 
@@ -112,25 +110,23 @@ def test_cholesky_factor_reuse():
 
 # (rows, dim, probe_dim, classes, helper rows). `_row_blocks` runs both
 # encoders' forward pass and VJP on rows x dim inputs with dim x dim weights,
-# and where rows > dim their factored VJP (W V over W's dim rows, then
-# U (W V)^T over the batch's); the ridge solve's p = (Y - X W*)/lam, its
-# backward's U and the expansion U V^T on rows x probe_dim features of
-# `classes` classes (in row halves on the primal route only, where rows >=
-# probe_dim); the class-anchor and MSE losses, each a block over the batch's
-# rows, then one over the probe_dim rows of X^T; and one full-batch epoch of
-# the trained probe on those features: its batch rows, then the probe_dim
-# rows of its weights. The helper's half of each split block covers rows
-# [0, h), h listed in that order. In the first case every block sits one step
-# under SPLIT_MIN_MADDS but U V^T, whose rank 2 * classes doubles its work per
-# row; in the second every block sits just above it. The ragged shapes are
-# ones whose halves at rows / 2 would not keep their bits; 256 and 232 are the
-# linear probe's batches at the primal benchmark shape, whose ridge solve
-# takes the kernel route.
-ROW_CASES = [(240, 209, 240, 182, [96]), (240, 210, 240, 183, [96] * 17),
-             (1000, 512, 512, 100, [480, 480, 240, 480] * 2 + [480] * 3 + [480, 240] * 3),
-             (973, 187, 187, 323, [480] * 9 + [480, 48] * 3),
-             (256, 512, 512, 100, [96] * 4 + [96, 240] * 3),
-             (232, 512, 512, 100, [96] * 4 + [96, 240] * 3)]
+# and their factored VJP (W V over W's dim rows, then U (W V)^T over the
+# batch's); the ridge solve's p = (Y - X W*)/lam, its backward's U and the
+# expansion U V^T on rows x probe_dim features of `classes` classes (in row
+# halves on the primal route only, where rows >= probe_dim); and one
+# full-batch epoch of the trained probe on those features: its batch rows,
+# then the probe_dim rows of its weights. The helper's half of each split
+# block covers rows [0, h), h listed in that order. In the first case every
+# block sits one step under SPLIT_MIN_MADDS but U V^T, whose rank
+# 2 * classes doubles its work per row; in the second every block sits just
+# above it. The ragged shapes are ones whose halves at rows / 2 would not
+# keep their bits; 256 and 232 are the linear probe's batches at the primal
+# benchmark shape, whose ridge solve takes the kernel route.
+ROW_CASES = [(240, 209, 240, 182, [96]), (240, 210, 240, 183, [96] * 13),
+             (1000, 512, 512, 100, [480, 480, 240, 480] * 2 + [480] * 4 + [240]),
+             (973, 187, 187, 323, [480] * 10 + [48]),
+             (256, 512, 512, 100, [96, 96, 240, 96] * 2 + [96, 240]),
+             (232, 512, 512, 100, [96, 96, 240, 96] * 2 + [96, 240])]
 
 
 def test_row_case_shapes_sit_where_they_say():
@@ -145,10 +141,9 @@ def test_row_case_shapes_sit_where_they_say():
 
 def _row_blocks(rows, dim, probe_dim, classes):
     """Every row-wise block that goes through `run_row_halves`: the forward
-    pass and VJP of both encoders, and where rows > dim their VJP of a
-    factored upstream U V^T of rank dim (W V, then U (W V)^T); the primal
-    probe's p, its backward's U and their expansion U V^T; both outer losses'
-    batch and weight blocks; and a trained probe's step."""
+    pass and VJP of both encoders, and their VJP of a factored upstream
+    U V^T of rank dim (W V, then U (W V)^T); the primal probe's p, its
+    backward's U and their expansion U V^T; and a trained probe's step."""
     rng = np.random.default_rng(rows)
     out = []
     for kind in ("linear", "mlp1"):
@@ -156,17 +151,11 @@ def _row_blocks(rows, dim, probe_dim, classes):
         inputs = 0.5 * rng.standard_normal((rows, dim))
         out.append(encode(enc, inputs))
         out.append(encode_vjp(enc, inputs, rng.standard_normal((rows, dim))))
-        if rows > dim:
-            pair = (rng.standard_normal((rows, dim)), rng.standard_normal((dim, dim)))
-            assert clpdd.encoder._applies_factored(enc, rows, dim)
-            out.append(clpdd.encoder._encode_vjp(enc, inputs, pair, None))
+        pair = (rng.standard_normal((rows, dim)), rng.standard_normal((dim, dim)))
+        out.append(clpdd.encoder._encode_vjp(enc, inputs, pair, None))
     x = rng.standard_normal((rows, probe_dim))
-    labels = rng.integers(0, classes, rows)
-    sol = ridge_kernel(x, np.eye(classes)[labels], 0.1)
+    sol = ridge_kernel(x, np.eye(classes)[rng.integers(0, classes, rows)], 0.1)
     out.append(solve_backward(sol, x, rng.standard_normal((probe_dim, classes))))
-    w = rng.standard_normal((probe_dim, classes)) / np.sqrt(probe_dim)
-    out.extend(class_anchor_loss_and_grad(x, labels, w, 0.07))
-    out.extend(mse_outer_loss_and_grad(x, labels, w))
     probe_set = Dataset(x, np.arange(rows) % classes, classes)
     out.append(train_linear_probe(probe_set, probe_set, epochs=1, batch_size=rows, seed=1).w)
     return out
@@ -208,8 +197,7 @@ def test_row_halves_allocate_only_in_the_caller(monkeypatch):
         traced(part, arrays)
         return result
 
-    for module in (clpdd.linalg, clpdd.encoder, clpdd.solver, clpdd.objective,
-                   clpdd.evaluation, clpdd.distill):
+    for module in (clpdd.linalg, clpdd.encoder, clpdd.solver, clpdd.evaluation, clpdd.distill):
         monkeypatch.setattr(module, "run_row_halves", traced_halves)
     monkeypatch.setattr(clpdd.distill, "run_beside", traced_beside)
     rng = np.random.default_rng(0)
@@ -224,30 +212,24 @@ def test_row_halves_allocate_only_in_the_caller(monkeypatch):
         # a factored upstream: W V, then U (W V)^T
         clpdd.encoder._encode_vjp(enc, inputs, pair, hidden)
     assert len(peaks) == 2 * (3 + 2) * 2
-    labels = rng.integers(0, 100, 1000)
-    sol = ridge_kernel(inputs, np.eye(100)[labels], 0.1)
+    sol = ridge_kernel(inputs, np.eye(100)[rng.integers(0, 100, 1000)], 0.1)
     assert sol.mode == "primal"
     # the primal p, then the backward's U and its expansion U V^T
     solve_backward(sol, inputs, rng.standard_normal((512, 100)))
     assert len(peaks) == 20 + 3 * 2
-    # each outer loss: a block over the batch's rows and one over X^T's
-    class_anchor_loss_and_grad(inputs, labels, sol.w_star, 0.07)
-    mse_outer_loss_and_grad(inputs, labels, sol.w_star)
-    assert len(peaks) == 26 + 2 * 2 * 2
     # one probe epoch: four batches, each a block over its rows and one over w's
     features = Dataset(inputs, np.arange(1000) % 100, 100)
     train_linear_probe(features, features, epochs=1, seed=2)
-    assert len(peaks) == 34 + 4 * 2 * 2
+    assert len(peaks) == 26 + 4 * 2 * 2
     # one distill step on 1000 x 512 synthetic inputs; with the identity
-    # encoder its row blocks are the primal p, U and U V^T, the loss's two
-    # blocks, and Adam
+    # encoder its row blocks are the primal p, U and U V^T, and Adam
     run_distill(DistillConfig(ipc=10, iterations=1), features)
-    assert len(peaks) == 50 + 6 * 2
+    assert len(peaks) == 42 + 4 * 2
     # with mlp1 the step also encodes the synthetic set in halves, keeps the
     # backward's factors for its VJP (w2 V, then the VJP's rows) in place of
     # U V^T, and encodes the 400-row real batch whole beside the solve
     run_distill(DistillConfig(ipc=10, iterations=1, encoder_kind="mlp1"), features)
-    assert len(peaks) == 62 + 8 * 2 + 1
+    assert len(peaks) == 50 + 6 * 2 + 1
     assert max(peaks) <= 256 << 10, peaks
 
 
